@@ -1,5 +1,6 @@
 """End-to-end runs: configuration, artifacts, determinism, CLI surface."""
 
+import hashlib
 import json
 import os
 
@@ -98,6 +99,70 @@ def test_rerun_is_byte_identical(tmp_path):
     rep_a.pop("curve_tables")
     rep_b.pop("curve_tables")
     assert rep_a == rep_b
+
+
+# sha256 of every artifact and the exact fits of a 40 000-molecule run
+# (several draw chunks, efficiency 0.7 so the keep flags matter), frozen
+# from the implementation that hashed the whole ensemble in one block and
+# re-hashed the photon fates per consumer
+GOLDEN = {
+    "sequential": (
+        {
+            "events.csv": "c66c34de7606d51835c3aef4508f672aa7433e8e0ec621b9aa7a5d6f60469576",
+            "hist_first.csv": "a1c65ff76ca2cb44c1aa91317ccc029655082ed0e35e24811eb992048f258c74",
+            "hist_second.csv": "616fe66d362938c921175e64475abf0c118eb9d3177c6f3075b03da74f74d5d0",
+            "hist_det1.csv": "30edde6df4755e6a592cdc2e37a1c648a5b3722b397476ab6aab00a8ea0b7e9c",
+            "hist_det2.csv": "f3836e9956b5bc982a547cee7b934d1c630fe7fcd8914c62386364a5637505fa",
+            "hist_coincidence.csv": "154ea79cddac5b52f87bd1f54d9245fa20143ffde21fa1b988be6f6b20a9bde3",
+        },
+        {
+            "first": {"rate_hat": 1243781832.9737566, "std_error": 6218909.164868783,
+                      "n_samples": 40000, "method": "mle", "goodness": 0.005188069935346207},
+            "second_interval": {"rate_hat": 626362856.656217, "std_error": 3131814.283281085,
+                                "n_samples": 40000, "method": "mle", "goodness": 0.004559336663950142},
+            "detector_1": {"rate_hat": 626466967.6861119, "std_error": 217145.19896415155,
+                           "n_samples": 28096, "method": "histogram-lsq", "goodness": 0.0007274428491397716},
+            "detector_2": {"rate_hat": 627405467.1057543, "std_error": 220668.62779990686,
+                           "n_samples": 28017, "method": "histogram-lsq", "goodness": 0.0007508627195455335},
+            "coincidence": {"rate_hat": 619954339.4959519, "std_error": 6229831.706877608,
+                            "n_samples": 9903, "method": "mle", "goodness": 0.004751872272443267},
+        },
+    ),
+    "independent": (
+        {
+            "events.csv": "f67e326ccdd44cffc04b6226aefa6be72f982b50a399dad5dea974608337c46e",
+            "hist_first.csv": "d852b14322fc4386da238a3f8266ba96480a4685f7cdd2af29dd5a32ad7094c5",
+            "hist_second.csv": "f18444473f924baa9dbf6e65d64dfa0d18b4d8ef48d58091e60969dd81c7af80",
+            "hist_det1.csv": "4e99e7dcd7b21bba2c81e6a9ecf1e17d85432721f5ee38ecabc8a71e8e27f4f9",
+            "hist_det2.csv": "c43ad3bc94e6ea73ca0ba04d134e9f88c46edf546dafed0b44d3aa55c6f0ad69",
+            "hist_coincidence.csv": "d682024ec8e2667b8f10b6b4e738e5bc0034ec8ef731fd55170dd5c3486a3c56",
+        },
+        {
+            "first": {"rate_hat": 1252227072.2818148, "std_error": 6261135.361409074,
+                      "n_samples": 40000, "method": "mle", "goodness": 0.00504046263113922},
+            "second_interval": {"rate_hat": 622136884.7590092, "std_error": 3110684.4237950463,
+                                "n_samples": 40000, "method": "mle", "goodness": 0.002367593460760875},
+            "detector_1": {"rate_hat": 624701136.2278432, "std_error": 471260.11068262847,
+                           "n_samples": 28096, "method": "histogram-lsq", "goodness": 0.0016193360683602804},
+            "detector_2": {"rate_hat": 631936103.7477561, "std_error": 173356.33441562756,
+                           "n_samples": 28017, "method": "histogram-lsq", "goodness": 0.0005938569390970672},
+            "coincidence": {"rate_hat": 623672478.585843, "std_error": 6267194.750116594,
+                            "n_samples": 9903, "method": "mle", "goodness": 0.00709854947351235},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, workers", [("sequential", 1), ("independent", 2)])
+def test_golden_artifact_bytes(tmp_path, mode, workers):
+    digests, fits = GOLDEN[mode]
+    cfg = small_config(tmp_path, n0=40_000, mode=mode, seed=20261018,
+                       detector_efficiency=0.7, workers=workers)
+    bundle = run_experiment(cfg, write_events=True)
+    for name, digest in digests.items():
+        with open(os.path.join(cfg.output_dir, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+    assert bundle.fits == fits
 
 
 def test_worker_count_does_not_change_outputs(tmp_path):
