@@ -1,24 +1,14 @@
-"""Counter-based random-draw kernels (numba-accelerated with numpy fallback).
+"""Counter-based random-draw kernels.
 
 Every random number consumed by the event simulation is a pure function of
 (seed, molecule_id, slot): the 64-bit draw is the splitmix64 finalizer
 applied at counter molecule_id * DRAWS_PER_MOLECULE + slot.  This makes
 generation embarrassingly parallel and byte-reproducible for any chunking
-or worker count.
-
-The hash stage is integer-only, so the numba and numpy backends produce
-bit-identical raw draws; the float transforms (uniforms, exponentials) are
-shared numpy code on top.  Backend selection:
-
-- ``TWOATOM_NUMBA=0`` in the environment forces the pure-numpy path;
-- otherwise numba is used when importable (falling back to numpy).
-
-``benchmarks/bench_kernels.py`` compares the two paths.
+or worker count.  The float transforms (uniforms, exponentials, fair bits)
+sit on top of the integer hash.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -32,7 +22,7 @@ SLOT_EFFICIENCY_FIRST = 4
 SLOT_EFFICIENCY_SECOND = 5
 
 # splitmix64 increment and finalizer multipliers, kept as uint64 scalars so
-# both backends do pure wrapping uint64 arithmetic
+# the hash is pure wrapping uint64 arithmetic
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -41,82 +31,51 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _DRAWS_U = np.uint64(DRAWS_PER_MOLECULE)
 
 
-def _mix64_numpy(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, applied in place to a uint64 array."""
+    t = z >> _S30
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
 
 
 def _seed_key(seed: int) -> np.uint64:
     # array form: numpy warns on scalar uint64 overflow but not on arrays
     z = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return _mix64_numpy(z)[0]
+    return _mix64(z)[0]
 
 
-def raw_draws_numpy(seed: int, start_molecule: int, n_molecules: int) -> np.ndarray:
-    """(n_molecules, DRAWS_PER_MOLECULE) uint64 draws, vectorized numpy path."""
-    key = _seed_key(seed)
-    first = np.uint64(start_molecule) * _DRAWS_U
-    counters = first + np.arange(n_molecules * DRAWS_PER_MOLECULE, dtype=np.uint64)
-    z = key + (counters + _ONE) * _GAMMA
-    return _mix64_numpy(z).reshape(n_molecules, DRAWS_PER_MOLECULE)
+def raw_draws(seed: int, start_molecule: int, n_molecules: int, out=None) -> np.ndarray:
+    """(n_molecules, DRAWS_PER_MOLECULE) uint64 draws for a contiguous id range.
 
-
-try:  # pragma: no cover - exercised indirectly through backend dispatch
-    import numba
-
-    @numba.njit(cache=True, parallel=True)
-    def _raw_draws_numba(key, first_counter, n_molecules, out):
-        for i in numba.prange(n_molecules):
-            base = first_counter + np.uint64(i) * _DRAWS_U
-            for j in range(DRAWS_PER_MOLECULE):
-                z = key + (base + np.uint64(j) + _ONE) * _GAMMA
-                z = (z ^ (z >> _S30)) * _MIX1
-                z = (z ^ (z >> _S27)) * _MIX2
-                out[i, j] = z ^ (z >> _S31)
-
-    def raw_draws_numba(seed: int, start_molecule: int, n_molecules: int) -> np.ndarray:
+    `out`, a C-contiguous uint64 array of that shape, receives the draws
+    if given: a caller hashing many chunks reuses one buffer instead of
+    faulting in fresh pages for every chunk.
+    """
+    if out is None:
         out = np.empty((n_molecules, DRAWS_PER_MOLECULE), dtype=np.uint64)
-        first = np.uint64(start_molecule) * _DRAWS_U
-        _raw_draws_numba(_seed_key(seed), first, n_molecules, out)
-        return out
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    raw_draws_numba = None
-    HAVE_NUMBA = False
-
-
-def _select_backend() -> str:
-    if os.environ.get("TWOATOM_NUMBA", "1") == "0" or not HAVE_NUMBA:
-        return "numpy"
-    return "numba"
-
-
-BACKEND = _select_backend()
+    z = out.reshape(-1)
+    # key + (counter + 1) * GAMMA; uint64 arithmetic wraps, so the order of
+    # the additions does not change a bit
+    np.add(
+        np.arange(n_molecules * DRAWS_PER_MOLECULE, dtype=np.uint64),
+        np.uint64(start_molecule) * _DRAWS_U + _ONE,
+        out=z,
+    )
+    z *= _GAMMA
+    z += _seed_key(seed)
+    _mix64(z)
+    return out
 
 
 def backend_name() -> str:
-    """Active kernel backend ('numba' or 'numpy')."""
-    return BACKEND
-
-
-def raw_draws(seed: int, start_molecule: int, n_molecules: int) -> np.ndarray:
-    """Raw 64-bit draws for a contiguous molecule range on the active backend."""
-    if BACKEND == "numba":
-        return raw_draws_numba(seed, start_molecule, n_molecules)
-    return raw_draws_numpy(seed, start_molecule, n_molecules)
-
-
-def raw_for_slot(seed: int, molecule_ids: np.ndarray, slot: int) -> np.ndarray:
-    """Draws for one slot of an arbitrary (possibly non-contiguous) id set.
-
-    Gathered numpy evaluation of the same counter formula as `raw_draws`,
-    so values match the bulk path bit for bit.
-    """
-    counters = np.asarray(molecule_ids, dtype=np.uint64) * _DRAWS_U + np.uint64(slot)
-    z = _seed_key(seed) + (counters + _ONE) * _GAMMA
-    return _mix64_numpy(z)
+    """Kernel implementation recorded in the report's config echo."""
+    return "numpy"
 
 
 def to_open_uniform(raw: np.ndarray) -> np.ndarray:

@@ -34,9 +34,13 @@ from .kinetics import RateTriple
 MODES = ("sequential", "independent")
 DETECTOR_MODELS = ("single-hit", "multi-hit")
 
+#: `fates` packs the four photon fates drawn with the emission times
 EMISSION_DTYPE = np.dtype(
-    [("molecule_id", np.uint64), ("t_f", np.float64), ("t_s", np.float64)]
+    [("molecule_id", np.uint64), ("t_f", np.float64), ("t_s", np.float64), ("fates", np.uint8)]
 )
+#: bits of `fates`: the detector (0 or 1) each photon lands on, and whether
+#: it survives the detector efficiency
+FATE_DET_FIRST, FATE_DET_SECOND, FATE_KEEP_FIRST, FATE_KEEP_SECOND = 1, 2, 4, 8
 #: NaN in t1/t2 means no photon was recorded at that detector
 DETECTION_DTYPE = np.dtype(
     [("molecule_id", np.uint64), ("t1", np.float64), ("t2", np.float64)]
@@ -76,62 +80,71 @@ class SimConfig:
             raise InvalidParameterError("; ".join(problems))
 
 
-def _chunk_ranges(n0: int, workers: int):
-    size = -(-n0 // workers)  # ceil division
-    return [(s, min(size, n0 - s)) for s in range(0, n0, size)]
-
-
-def _gather_raw(cfg: SimConfig) -> np.ndarray:
-    """Raw 64-bit draws for all molecules; chunked over workers.
-
-    The hash is a pure function of (seed, molecule_id), so the assembled
-    array is identical for every worker count; only the integer stage runs
-    in the pool, all float transforms happen once afterwards.
-    """
-    ranges = _chunk_ranges(cfg.n0, cfg.workers)
-    if len(ranges) == 1:
-        return kern.raw_draws(cfg.seed, 0, cfg.n0)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        parts = list(pool.map(lambda r: kern.raw_draws(cfg.seed, r[0], r[1]), ranges))
-    return np.vstack(parts)
+#: molecules per draw chunk: a chunk's raw block (2^14 x 6 uint64 draws,
+#: 768 KiB) stays in cache while all of its slots are transformed
+CHUNK_MOLECULES = 2**14
 
 
 def simulate_ensemble(cfg: SimConfig) -> np.ndarray:
-    """Per-molecule emission times as a structured array.
+    """Per-molecule emission times and photon fates as a structured array.
 
-    Returns records (molecule_id, t_f, t_s) with t_f <= t_s, in seconds
-    (or whatever inverse unit the rates carry).
+    Returns records (molecule_id, t_f, t_s, fates) with t_f <= t_s, in
+    seconds (or whatever inverse unit the rates carry).  The draws are
+    hashed once, in fixed chunks of CHUNK_MOLECULES molecules; with
+    workers > 1 the chunks are spread over a thread pool.  Each chunk's
+    values depend only on (seed, molecule_id), and the chunk boundaries do
+    not depend on the worker count, so the records are byte-identical for
+    every worker count.
     """
-    raw = _gather_raw(cfg)
-    u_a = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_A])
-    u_b = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_B])
-    if cfg.mode == "sequential":
-        t_f = -np.log(u_a) / cfg.rates.gamma_f
-        t_s = t_f + -np.log(u_b) / cfg.rates.gamma_s
-    else:
-        life_a = -np.log(u_a) / cfg.rates.gamma
-        life_b = -np.log(u_b) / cfg.rates.gamma
-        t_f = np.minimum(life_a, life_b)
-        t_s = np.maximum(life_a, life_b)
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    records["molecule_id"] = np.arange(cfg.n0, dtype=np.uint64)
-    records["t_f"] = t_f
-    records["t_s"] = t_s
+    starts = range(0, cfg.n0, CHUNK_MOLECULES)
+    if cfg.workers == 1:
+        _fill_chunks(cfg, records, starts)
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            shares = [starts[w::cfg.workers] for w in range(cfg.workers)]
+            # reading every result re-raises a worker's exception
+            list(pool.map(lambda share: _fill_chunks(cfg, records, share), shares))
     return records
 
 
-def _photon_fates(cfg: SimConfig, molecule_ids: np.ndarray):
-    """(detector index, kept flag) for the first and second photon of each id."""
-    det_f = kern.to_bit(kern.raw_for_slot(cfg.seed, molecule_ids, kern.SLOT_DETECTOR_FIRST))
-    det_s = kern.to_bit(kern.raw_for_slot(cfg.seed, molecule_ids, kern.SLOT_DETECTOR_SECOND))
+def _fill_chunks(cfg: SimConfig, records: np.ndarray, starts) -> None:
+    """Hash the chunks beginning at `starts` and write their records.
+
+    One draw buffer serves every chunk of the call.
+    """
+    buffer = np.empty((CHUNK_MOLECULES, kern.DRAWS_PER_MOLECULE), dtype=np.uint64)
     eff = cfg.detector_efficiency
-    keep_f = kern.to_open_uniform(
-        kern.raw_for_slot(cfg.seed, molecule_ids, kern.SLOT_EFFICIENCY_FIRST)
-    ) < eff
-    keep_s = kern.to_open_uniform(
-        kern.raw_for_slot(cfg.seed, molecule_ids, kern.SLOT_EFFICIENCY_SECOND)
-    ) < eff
-    return det_f, det_s, keep_f, keep_s
+    for start in starts:
+        chunk = records[start:start + CHUNK_MOLECULES]
+        raw = kern.raw_draws(cfg.seed, start, len(chunk), out=buffer[:len(chunk)])
+        u_a = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_A])
+        u_b = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_B])
+        if cfg.mode == "sequential":
+            t_f = -np.log(u_a) / cfg.rates.gamma_f
+            chunk["t_f"] = t_f
+            chunk["t_s"] = t_f + -np.log(u_b) / cfg.rates.gamma_s
+        else:
+            life_a = -np.log(u_a) / cfg.rates.gamma
+            life_b = -np.log(u_b) / cfg.rates.gamma
+            chunk["t_f"] = np.minimum(life_a, life_b)
+            chunk["t_s"] = np.maximum(life_a, life_b)
+        chunk["molecule_id"] = np.arange(start, start + len(chunk), dtype=np.uint64)
+
+        fates = kern.to_bit(raw[:, kern.SLOT_DETECTOR_FIRST]) * FATE_DET_FIRST
+        fates |= kern.to_bit(raw[:, kern.SLOT_DETECTOR_SECOND]) * FATE_DET_SECOND
+        kept_f = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_FIRST]) < eff
+        kept_s = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_SECOND]) < eff
+        fates |= kept_f.view(np.uint8) * FATE_KEEP_FIRST
+        fates |= kept_s.view(np.uint8) * FATE_KEEP_SECOND
+        chunk["fates"] = fates
+
+
+def _kept_at(fates: np.ndarray, detector: int):
+    """Masks of the first and of the second photons kept at `detector`."""
+    first = (fates & (FATE_KEEP_FIRST | FATE_DET_FIRST)) == (FATE_KEEP_FIRST | detector * FATE_DET_FIRST)
+    second = (fates & (FATE_KEEP_SECOND | FATE_DET_SECOND)) == (FATE_KEEP_SECOND | detector * FATE_DET_SECOND)
+    return first, second
 
 
 def assign_detections(records: np.ndarray, cfg: SimConfig) -> np.ndarray:
@@ -140,15 +153,14 @@ def assign_detections(records: np.ndarray, cfg: SimConfig) -> np.ndarray:
     Each photon independently lands on detector 1 or 2 with probability
     1/2 and survives with probability detector_efficiency; when both kept
     photons land on the same detector only the earlier (the first photon)
-    is recorded there.  Missing entries are NaN.
+    is recorded there.  Missing entries are NaN.  The fates are the ones
+    `simulate_ensemble` drew for `cfg`, stored in the records.
     """
-    ids = records["molecule_id"]
-    det_f, det_s, keep_f, keep_s = _photon_fates(cfg, ids)
+    fates = np.ascontiguousarray(records["fates"])
     out = np.empty(len(records), dtype=DETECTION_DTYPE)
-    out["molecule_id"] = ids
+    out["molecule_id"] = records["molecule_id"]
     for detector, col in ((0, "t1"), (1, "t2")):
-        first_here = keep_f & (det_f == detector)
-        second_here = keep_s & (det_s == detector)
+        first_here, second_here = _kept_at(fates, detector)
         times = np.where(
             first_here,
             records["t_f"],
@@ -163,14 +175,13 @@ def detector_streams(records: np.ndarray, cfg: SimConfig):
 
     Honors cfg.detector_model: the single-hit rule drops the later photon
     of a same-detector pair, the multi-hit model registers both (the count
-    pattern the per-detector cumulative fit assumes).
+    pattern the per-detector cumulative fit assumes).  The fates are the
+    ones stored in the records.
     """
-    ids = records["molecule_id"]
-    det_f, det_s, keep_f, keep_s = _photon_fates(cfg, ids)
+    fates = np.ascontiguousarray(records["fates"])
     streams = []
     for detector in (0, 1):
-        first_here = keep_f & (det_f == detector)
-        second_here = keep_s & (det_s == detector)
+        first_here, second_here = _kept_at(fates, detector)
         if cfg.detector_model == "single-hit":
             second_here = second_here & ~first_here
         times = np.concatenate(

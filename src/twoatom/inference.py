@@ -99,12 +99,20 @@ def _as_sample_array(samples, minimum: int, nonnegative: bool = True) -> np.ndar
 
 def ks_statistic_exponential(samples: np.ndarray, rate: float) -> float:
     """One-sample KS distance between the data and Exponential(rate)."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = xs.size
-    cdf = -np.expm1(-rate * xs)
-    grid_hi = np.arange(1, n + 1) / n
-    grid_lo = np.arange(0, n) / n
-    return float(max(np.max(grid_hi - cdf), np.max(cdf - grid_lo)))
+    # at large n this sets a run's memory peak, so the cdf overwrites the
+    # sorted copy, one grid of i/n (i = 0..n) serves both sides and one
+    # buffer holds both sides' differences
+    cdf = np.sort(np.asarray(samples, dtype=float))
+    n = cdf.size
+    np.multiply(cdf, -rate, out=cdf)
+    np.expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)
+    grid = np.arange(0, n + 1, dtype=float)
+    grid /= n
+    gap = np.subtract(grid[1:], cdf)
+    above = np.max(gap)
+    np.subtract(cdf, grid[:-1], out=gap)
+    return float(max(above, np.max(gap)))
 
 
 def fit_exponential_mle(samples) -> FitResult:

@@ -235,7 +235,8 @@ def write_histogram_csv(path: str, hist) -> None:
             fh.write(f"{lo:.16e},{hi:.16e},{int(c)}\n")
 
 
-def _fit_block(cfg: ExperimentConfig, records, detections) -> dict[str, FitResult]:
+def _fit_block(cfg: ExperimentConfig, records, tau) -> dict[str, FitResult]:
+    """Rate fits of the ensemble; `tau` holds its coincidence differences."""
     gaps = records["t_s"] - records["t_f"]
     fits = {
         "first": fit_exponential_mle(records["t_f"]),
@@ -248,7 +249,6 @@ def _fit_block(cfg: ExperimentConfig, records, detections) -> dict[str, FitResul
     d1, d2 = detector_streams(records, stream_cfg)
     fits["detector_1"] = fit_cumulative_curve(d1)
     fits["detector_2"] = fit_cumulative_curve(d2)
-    tau = coincidence_differences(detections)
     if tau.size >= 2:
         fits["coincidence"] = fit_exponential_mle(np.abs(tau))
     return fits
@@ -287,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBu
         write_histogram_csv(p, hist)
         paths[f"hist_{name}"] = p
 
-    fits = _fit_block(cfg, records, detections)
+    fits = _fit_block(cfg, records, tau)
     bundle = ReportBundle(
         fits={k: f.to_dict() for k, f in fits.items()},
         rate_ratios=[],

@@ -6,14 +6,23 @@ the first verified run.  Distributional checks use closed-form exponential
 laws and order statistics as oracles.
 """
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatom import _kernels as kern
 from twoatom.errors import InvalidParameterError
 from twoatom.eventsim import (
+    CHUNK_MOLECULES,
+    FATE_DET_FIRST,
+    FATE_DET_SECOND,
+    FATE_KEEP_FIRST,
+    FATE_KEEP_SECOND,
     SimConfig,
     assign_detections,
     build_histogram,
@@ -68,29 +77,14 @@ def test_config_validation():
 
 
 def test_raw_draws_match_python_oracle():
-    raw = kern.raw_draws_numpy(987, 3, 4)
+    raw = kern.raw_draws(987, 3, 4)
     for i in range(4):
         for j in range(kern.DRAWS_PER_MOLECULE):
             assert int(raw[i, j]) == _py_raw(987, 3 + i, j)
 
 
-def test_backends_are_bit_identical():
-    if not kern.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    a = kern.raw_draws_numpy(5, 0, 1000)
-    b = kern.raw_draws_numba(5, 0, 1000)
-    assert np.array_equal(a, b)
-
-
-def test_gathered_slot_matches_bulk_path():
-    bulk = kern.raw_draws_numpy(11, 0, 50)
-    ids = np.arange(50, dtype=np.uint64)
-    for slot in range(kern.DRAWS_PER_MOLECULE):
-        assert np.array_equal(kern.raw_for_slot(11, ids, slot), bulk[:, slot])
-
-
 def test_uniforms_are_strictly_inside_unit_interval():
-    u = kern.to_open_uniform(kern.raw_draws_numpy(3, 0, 10000))
+    u = kern.to_open_uniform(kern.raw_draws(3, 0, 10000))
     assert u.min() > 0.0
     assert u.max() < 1.0
 
@@ -142,6 +136,86 @@ def test_determinism_across_worker_counts():
     for workers in (2, 5):
         other = simulate_ensemble(cfg_for(10_001, seed=99, workers=workers))
         assert base.tobytes() == other.tobytes()
+
+
+def _unchunked_reference(cfg):
+    """Times, packed fates, detections and streams from one raw block.
+
+    Applies the per-slot formulas to a single unchunked `raw_draws` block
+    and re-derives every photon's fate from its own slot, independently of
+    the chunked pass in `simulate_ensemble`.
+    """
+    raw = kern.raw_draws(cfg.seed, 0, cfg.n0)
+    u_a = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_A])
+    u_b = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_B])
+    if cfg.mode == "sequential":
+        t_f = -np.log(u_a) / cfg.rates.gamma_f
+        t_s = t_f + -np.log(u_b) / cfg.rates.gamma_s
+    else:
+        life_a = -np.log(u_a) / cfg.rates.gamma
+        life_b = -np.log(u_b) / cfg.rates.gamma
+        t_f = np.minimum(life_a, life_b)
+        t_s = np.maximum(life_a, life_b)
+    det_f = kern.to_bit(raw[:, kern.SLOT_DETECTOR_FIRST])
+    det_s = kern.to_bit(raw[:, kern.SLOT_DETECTOR_SECOND])
+    eff = cfg.detector_efficiency
+    keep_f = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_FIRST]) < eff
+    keep_s = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_SECOND]) < eff
+    fates = (det_f * FATE_DET_FIRST + det_s * FATE_DET_SECOND
+             + keep_f * FATE_KEEP_FIRST + keep_s * FATE_KEEP_SECOND)
+    detections, streams = [], {"single-hit": [], "multi-hit": []}
+    for detector in (0, 1):
+        first_here = keep_f & (det_f == detector)
+        second_here = keep_s & (det_s == detector)
+        detections.append(np.where(first_here, t_f, np.where(second_here, t_s, np.nan)))
+        for model, second in (("single-hit", second_here & ~first_here), ("multi-hit", second_here)):
+            streams[model].append(np.sort(np.concatenate([t_f[first_here], t_s[second]])))
+    return t_f, t_s, fates, detections, streams
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    n0=st.sampled_from([1, CHUNK_MOLECULES - 1, CHUNK_MOLECULES, CHUNK_MOLECULES + 1,
+                        3 * CHUNK_MOLECULES + 7]),
+    workers=st.sampled_from([1, 2, 3]),
+    mode=st.sampled_from(["sequential", "independent"]),
+)
+def test_chunked_pass_matches_unchunked_reference(seed, efficiency, n0, workers, mode):
+    cfg = cfg_for(n0, mode=mode, seed=seed, detector_efficiency=efficiency, workers=workers)
+    t_f, t_s, fates, detections, streams = _unchunked_reference(cfg)
+    rec = simulate_ensemble(cfg)
+    assert _same_bits(rec["molecule_id"], np.arange(n0, dtype=np.uint64))
+    assert _same_bits(rec["t_f"], t_f)
+    assert _same_bits(rec["t_s"], t_s)
+    assert _same_bits(rec["fates"], fates.astype(np.uint8))
+    det = assign_detections(rec, cfg)
+    assert _same_bits(det["molecule_id"], rec["molecule_id"])
+    assert _same_bits(det["t1"], detections[0])
+    assert _same_bits(det["t2"], detections[1])
+    for model, (want_1, want_2) in streams.items():
+        got_1, got_2 = detector_streams(rec, dataclasses.replace(cfg, detector_model=model))
+        assert _same_bits(got_1, want_1)
+        assert _same_bits(got_2, want_2)
+
+
+def test_thread_pool_stress_keeps_records_byte_identical():
+    # seven threads over twenty chunks with a tiny switch interval, so the
+    # threads interleave as often as possible while writing their slices
+    n0 = 20 * CHUNK_MOLECULES + 5
+    base = simulate_ensemble(cfg_for(n0, seed=7, detector_efficiency=0.6))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        other = simulate_ensemble(cfg_for(n0, seed=7, detector_efficiency=0.6, workers=7))
+    finally:
+        sys.setswitchinterval(interval)
+    assert base.tobytes() == other.tobytes()
 
 
 def test_detector_counts_balance():

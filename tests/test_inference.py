@@ -16,6 +16,7 @@ from twoatom.inference import (
     fit_cumulative_curve,
     fit_exponential_histogram,
     fit_exponential_mle,
+    ks_statistic_exponential,
     ks_two_sample,
 )
 from twoatom.kinetics import RateTriple
@@ -114,6 +115,31 @@ def test_cumulative_curve_fit_recovers_rate():
     assert fit.rate_hat == pytest.approx(GAMMA, rel=5e-3)
     with pytest.raises(InsufficientDataError):
         fit_cumulative_curve([1.0])
+
+
+def _ks_exponential_reference(samples, rate):
+    xs = np.sort(np.asarray(samples, dtype=float))
+    n = xs.size
+    cdf = -np.expm1(-rate * xs)
+    grid_hi = np.arange(1, n + 1) / n
+    grid_lo = np.arange(0, n) / n
+    return float(max(np.max(grid_hi - cdf), np.max(cdf - grid_lo)))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.array([0.3e-9, 1.7e-9]),
+        np.array([1.0, 1.0, 1.0, 2.0, 2.0, 0.5, 2.0, 1.0]),  # ties
+        draws(1_001, 7),
+        draws(100_003, 8),
+        simulate_ensemble(SimConfig(n0=50_001, mode="sequential", rates=RATES, seed=9))["t_s"],
+    ],
+    ids=["n2", "ties", "n1001", "n100003", "strided-field"],
+)
+def test_ks_statistic_is_bit_identical_to_the_direct_expression(samples):
+    for rate in (1.0 / float(np.mean(samples)), GAMMA):
+        assert ks_statistic_exponential(samples, rate) == _ks_exponential_reference(samples, rate)
 
 
 def test_ks_identical_samples():
