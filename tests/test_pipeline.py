@@ -233,6 +233,19 @@ def test_rate_derivation_entries(tmp_path):
         assert set(e["report"]) == report_fields
 
 
+# sha256 of rates.json on a 256-point grid, frozen from the implementation
+# in which the second-emission ratio and the prop1 case each carried their
+# own copy of the amplitude and rate formulas
+GOLDEN_RATES_256 = "756a8c808f0d8cc6c41480607fe45a69612b7c9676dbd614cbd9925e0937ea9a"
+
+
+def test_golden_rates_bytes(tmp_path):
+    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=256))
+    run_rate_derivation(cfg)
+    with open(os.path.join(cfg.output_dir, "rates.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RATES_256
+
+
 def test_cross_engine_agreement(tmp_path):
     # the fitted rates equal the amplitude-engine ratios times the
     # configured single-atom rate, within 3 joint standard errors
