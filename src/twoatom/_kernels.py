@@ -29,6 +29,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _ONE = np.uint64(1)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _DRAWS_U = np.uint64(DRAWS_PER_MOLECULE)
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -81,10 +82,13 @@ def backend_name() -> str:
 def to_open_uniform(raw: np.ndarray) -> np.ndarray:
     """Map uint64 draws to doubles in the open interval (0, 1).
 
-    ((raw >> 11) + 0.5) * 2^-53 never returns 0 or 1, so inverse-CDF
-    exponential sampling never evaluates log(0).
+    ((raw >> 11) + 0.5) * 2^-53 is never 0, so inverse-CDF exponential
+    sampling never evaluates log(0).  For raw >> 11 == 2^53 - 1 the sum
+    rounds up to 2^53, so the result is clamped to 1 - 2^-53, the largest
+    double below 1: an efficiency of 1 then keeps every photon.
     """
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def to_bit(raw: np.ndarray) -> np.ndarray:

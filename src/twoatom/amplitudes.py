@@ -175,8 +175,8 @@ def first_emission_amplitude(
     return complex(_SQRT2 * coeff * (t1 + t2))
 
 
-def _ordered_sum(c1, c2, coeff, grid, u: EvolutionChoice):
-    """Rate ratio, completeness and interference under the full product basis.
+def _ordered_sum(e1, e2, grid):
+    """Channel norms and cross term under the full product basis.
 
     The basis sum collapses onto norms of the evolved channels (pairwise
     numpy summation keeps the reduction order-independent):
@@ -184,15 +184,10 @@ def _ordered_sum(c1, c2, coeff, grid, u: EvolutionChoice):
         sum |amp|^2 = 2 N^2 (||U C1||^2 + ||U C2||^2 + 2 Re<U C1|U C2>)
     """
     dx2 = grid.spacing**2
-    e1, e2 = _evolved(c1, grid, u), _evolved(c2, grid, u)
     s1 = float(np.sum(np.abs(e1) ** 2)) * dx2
     s2 = float(np.sum(np.abs(e2) ** 2)) * dx2
     cross = 2.0 * float((np.vdot(e1, e2) * dx2).real)
-    n2 = coeff**2
-    completeness = n2 * (s1 + s2 + cross)
-    ratio = 2.0 * completeness
-    interference = 2.0 * n2 * cross
-    return ratio, completeness, interference
+    return s1, s2, cross
 
 
 def _orthonormal_family(family, grid: SpatialGrid) -> np.ndarray:
@@ -204,40 +199,40 @@ def _orthonormal_family(family, grid: SpatialGrid) -> np.ndarray:
     return q
 
 
-def _restricted_sum(c1, c2, coeff, grid, u: EvolutionChoice, family):
+def _restricted_sum(e1, e2, grid, family):
     """Same decomposition as `_ordered_sum` but over an orthonormalized
     finite family of final one-particle states (ordered pairs)."""
     q = _orthonormal_family(family, grid)
     dx = grid.spacing
-    e1, e2 = _evolved(c1, grid, u), _evolved(c2, grid, u)
     a1 = q.conj().T @ e1 @ q.conj() * dx
     a2 = q.conj().T @ e2 @ q.conj() * dx
     s1 = float(np.sum(np.abs(a1) ** 2))
     s2 = float(np.sum(np.abs(a2) ** 2))
     cross = 2.0 * float(np.vdot(a1, a2).real)
+    return s1, s2, cross
+
+
+def _two_channel_rate(channels, u, convention, family, case_label):
+    """Report and interference of the state N (C1 + C2), `channels` being
+    (C1, C2, N, grid), summed over final states under `convention`."""
+    c1, c2, coeff, grid = channels
+    if convention not in CONVENTIONS:
+        raise InvalidParameterError(f"unknown convention {convention!r}")
+    e1, e2 = _evolved(c1, grid, u), _evolved(c2, grid, u)
+    if convention == "ordered-grid-product":
+        s1, s2, cross = _ordered_sum(e1, e2, grid)
+    else:
+        s1, s2, cross = _restricted_sum(e1, e2, grid, family)
     n2 = coeff**2
     completeness = n2 * (s1 + s2 + cross)
-    ratio = 2.0 * completeness
-    interference = 2.0 * n2 * cross
-    return ratio, completeness, interference
-
-
-def _two_channel_rate(state, u, convention, family, case_label):
-    c1, c2, coeff, grid = _channel_components(state)
-    if convention == "ordered-grid-product":
-        ratio, completeness, interference = _ordered_sum(c1, c2, coeff, grid, u)
-    elif convention == "restricted-subset":
-        ratio, completeness, interference = _restricted_sum(c1, c2, coeff, grid, u, family)
-    else:
-        raise InvalidParameterError(f"unknown convention {convention!r}")
     report = RateRatioReport(
-        ratio=ratio,
+        ratio=2.0 * completeness,
         completeness_sum=completeness,
         norm_coefficient_used=coeff,
         case_label=case_label,
         basis_convention=convention,
     )
-    return report, interference
+    return report, 2.0 * n2 * cross
 
 
 def first_emission_rate_ratio(
@@ -252,16 +247,21 @@ def first_emission_rate_ratio(
     the squared norm of the evolved initial amplitude (unity up to grid
     truncation) and a symmetric normalized state gives exactly ratio 2.
     """
-    report, _ = _two_channel_rate(psi0, u, convention, family, "entangled-main")
+    report, _ = _two_channel_rate(_channel_components(psi0), u, convention, family, "entangled-main")
     return report
+
+
+def _second_emission(psi_ts: GaussianPacket, varphi: GaussianPacket):
+    """(matrix element, normalization N_s) of the second emission."""
+    u2 = abs(overlap(psi_ts, varphi)) ** 2
+    n_s = (2.0 + 2.0 * u2) ** -0.5
+    return _SQRT2 * n_s * (1.0 + u2), n_s
 
 
 def second_emission_amplitude(psi_ts: GaussianPacket, varphi: GaussianPacket) -> complex:
     """Matrix element for the second emission given the two packets at that
     instant (spread non-emitter psi_ts, recoiled emitter varphi)."""
-    u2 = abs(overlap(psi_ts, varphi)) ** 2
-    n_s = (2.0 + 2.0 * u2) ** -0.5
-    return complex(_SQRT2 * n_s * (1.0 + u2))
+    return complex(_second_emission(psi_ts, varphi)[0])
 
 
 def second_emission_rate_ratio(
@@ -279,9 +279,7 @@ def second_emission_rate_ratio(
     psi, phi = first_out
     psi_ts = evolve_free(psi, dt)
     varphi = apply_recoil(evolve_free(phi, dt), recoil_k)
-    u2 = abs(overlap(psi_ts, varphi)) ** 2
-    n_s = (2.0 + 2.0 * u2) ** -0.5
-    amp = _SQRT2 * n_s * (1.0 + u2)
+    amp, n_s = _second_emission(psi_ts, varphi)
     return RateRatioReport(
         ratio=float(amp**2),
         completeness_sum=1.0,
@@ -343,15 +341,10 @@ def property_case_rate(
             raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
         if grid is None:
             raise InvalidCaseError("prop1 needs an explicit grid")
-        coeff = symmetrized_norm((chi, xi))
         x = grid.points
         fa, fb = sample_packet(chi, x), sample_packet(xi, x)
-        c1, c2 = np.outer(fa, fb), np.outer(fb, fa)
-        if convention == "ordered-grid-product":
-            ratio, completeness, interference = _ordered_sum(c1, c2, coeff, grid, u)
-        else:
-            ratio, completeness, interference = _restricted_sum(c1, c2, coeff, grid, u, family)
-        report = RateRatioReport(ratio, completeness, coeff, case, convention)
+        channels = (np.outer(fa, fb), np.outer(fb, fa), symmetrized_norm((chi, xi)), grid)
+        report, interference = _two_channel_rate(channels, u, convention, family, case)
         return PropertyRateResult(report, abs(interference))
 
     if not isinstance(inputs, TwoAtomState):
@@ -370,7 +363,7 @@ def property_case_rate(
         return PropertyRateResult(report, 0.0, channel_probabilities=(channel, channel))
 
     if case in ("prop3-entangled-final", "prop4-entangled-second"):
-        report, interference = _two_channel_rate(inputs, u, convention, family, case)
+        report, interference = _two_channel_rate(_channel_components(inputs), u, convention, family, case)
         return PropertyRateResult(report, abs(interference))
 
     raise InvalidCaseError(f"unknown case {case!r}")

@@ -9,6 +9,7 @@ input, 3 failed self-check (``full --check``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,10 +22,11 @@ from .pipeline import (
     ExperimentConfig,
     ReportBundle,
     check_report,
-    property_case_entries,
+    field_names,
     reproduce_figure1,
     run_experiment,
     run_full,
+    run_property_cases,
     run_rate_derivation,
     write_report,
 )
@@ -43,14 +45,16 @@ def _parse_value(text: str):
 
 
 def _apply_override(cfg: ExperimentConfig, dotted: str, value) -> None:
+    """Set the config field at a dotted path; a whole section takes no value."""
+    *sections, leaf = dotted.split(".")
     target = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        target = getattr(target, part)
-    leaf = parts[-1]
-    if not hasattr(target, leaf):
+    for part in sections:
+        target = getattr(target, part) if part in field_names(target) else None
+    if leaf not in field_names(target):
         raise ConfigValidationError([dotted], f"unknown config field: {dotted}")
     current = getattr(target, leaf)
+    if dataclasses.is_dataclass(current):
+        raise ConfigValidationError([dotted], f"{dotted} is a config section; set {dotted}.<field>")
     if isinstance(current, tuple) and isinstance(value, list):
         value = tuple(value)
     setattr(target, leaf, value)
@@ -137,18 +141,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_properties(args) -> int:
-    from .grids import SpatialGrid
-    from .pairstate import make_two_atom_gaussian
-
     cfg = load_config(args)
-    a = cfg.amplitude
-    grid = SpatialGrid.centered(a.grid_span_factor * max(a.width_sum, a.width_diff), a.grid_points)
-    state = make_two_atom_gaussian(a.width_sum, a.width_diff, grid)
-    entries = property_case_entries(cfg, grid, state)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "rates.json"), "w") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    entries = run_property_cases(cfg)
     for e in entries:
         print(f"{e['case']:24s} {e['params']} ratio={e['report']['ratio']:.6f} "
               f"interference={e['interference_magnitude']:.3e}")

@@ -15,8 +15,9 @@ disentanglement signature the analysis module tests for.
 Every random draw is a counter-based function of (seed, molecule_id), so
 results are byte-identical for any worker count or chunking (see
 `twoatom._kernels`).  Detection uses two detectors hit with probability
-1/2 each per photon, an efficiency thinning, and by default a single-hit
-rule: when both photons land on one detector only the earlier is recorded.
+1/2 each per photon and an efficiency thinning.  The detection records
+follow the single-hit rule (when both photons land on one detector only
+the earlier is recorded); the per-detector streams keep every photon.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .inference import Histogram
 from .kinetics import RateTriple
 
 MODES = ("sequential", "independent")
-DETECTOR_MODELS = ("single-hit", "multi-hit")
 
 #: `fates` packs the four photon fates drawn with the emission times
 EMISSION_DTYPE = np.dtype(
@@ -49,19 +49,13 @@ DETECTION_DTYPE = np.dtype(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble generation parameters.
-
-    `detector_model` only affects the per-detector stream extraction
-    (`detector_streams`); detection records always follow the single-hit
-    rule, which is what the record layout can represent.
-    """
+    """Ensemble generation parameters."""
 
     n0: int
     mode: str
     rates: RateTriple
     seed: int
     detector_efficiency: float = 1.0
-    detector_model: str = "single-hit"
     workers: int = 1
 
     def __post_init__(self):
@@ -72,8 +66,6 @@ class SimConfig:
             problems.append(f"mode must be one of {MODES}")
         if not 0.0 < self.detector_efficiency <= 1.0:
             problems.append("detector_efficiency must be in (0, 1]")
-        if self.detector_model not in DETECTOR_MODELS:
-            problems.append(f"detector_model must be one of {DETECTOR_MODELS}")
         if self.workers < 1:
             problems.append("workers must be at least 1")
         if problems:
@@ -147,14 +139,14 @@ def _kept_at(fates: np.ndarray, detector: int):
     return first, second
 
 
-def assign_detections(records: np.ndarray, cfg: SimConfig) -> np.ndarray:
+def assign_detections(records: np.ndarray) -> np.ndarray:
     """Detector records (molecule_id, t1, t2) under the single-hit rule.
 
     Each photon independently lands on detector 1 or 2 with probability
     1/2 and survives with probability detector_efficiency; when both kept
     photons land on the same detector only the earlier (the first photon)
     is recorded there.  Missing entries are NaN.  The fates are the ones
-    `simulate_ensemble` drew for `cfg`, stored in the records.
+    `simulate_ensemble` stored in the records.
     """
     fates = np.ascontiguousarray(records["fates"])
     out = np.empty(len(records), dtype=DETECTION_DTYPE)
@@ -170,24 +162,20 @@ def assign_detections(records: np.ndarray, cfg: SimConfig) -> np.ndarray:
     return out
 
 
-def detector_streams(records: np.ndarray, cfg: SimConfig):
-    """All registered photon times per detector, sorted ascending.
+def detector_streams(records: np.ndarray):
+    """All kept photon times per detector, unsorted.
 
-    Honors cfg.detector_model: the single-hit rule drops the later photon
-    of a same-detector pair, the multi-hit model registers both (the count
-    pattern the per-detector cumulative fit assumes).  The fates are the
-    ones stored in the records.
+    Every kept photon is registered, also the second one of a pair that
+    lands on one detector: the count pattern the per-detector cumulative
+    fit assumes.  Each stream holds its first photons in molecule order,
+    then its second photons in molecule order.  The fates are the ones
+    stored in the records.
     """
     fates = np.ascontiguousarray(records["fates"])
     streams = []
     for detector in (0, 1):
         first_here, second_here = _kept_at(fates, detector)
-        if cfg.detector_model == "single-hit":
-            second_here = second_here & ~first_here
-        times = np.concatenate(
-            [records["t_f"][first_here], records["t_s"][second_here]]
-        )
-        streams.append(np.sort(times))
+        streams.append(np.concatenate([records["t_f"][first_here], records["t_s"][second_here]]))
     return streams[0], streams[1]
 
 

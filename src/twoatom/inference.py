@@ -171,7 +171,9 @@ def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
 
     This is the form the per-detector count distributions take; the fitted
     b estimates the single-atom rate even though the stream mixes first and
-    second photons.
+    second photons.  `times` may come in any order: the fit sorts a copy,
+    and the start values use only that copy, so the result does not depend
+    on the input order.
     """
     x = _as_sample_array(times, 2)
     xs = np.sort(x)
@@ -184,7 +186,7 @@ def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
     def model(t, amp, rate):
         return amp * -np.expm1(-rate * t)
 
-    p0 = (float(x.size), 1.0 / float(np.mean(x)))
+    p0 = (float(x.size), 1.0 / float(np.mean(xs)))
     popt, pcov = curve_fit(model, grid, emp, p0=p0)
     amp, rate = popt
     resid = emp - model(grid, *popt)

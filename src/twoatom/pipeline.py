@@ -31,6 +31,7 @@ from .amplitudes import (
 )
 from .errors import ConfigValidationError
 from .eventsim import (
+    MODES,
     SimConfig,
     assign_detections,
     build_histogram,
@@ -78,7 +79,6 @@ class ExperimentConfig:
     t_max_lifetimes: float = 8.0
     output_dir: str = "runs"
     detector_efficiency: float = 1.0
-    detector_model: str = "single-hit"
     workers: int = 1
     gamma_f_factor: float = 2.0
     gamma_s_factor: float = 1.0
@@ -92,7 +92,7 @@ class ExperimentConfig:
             bad.append("gamma_inverse")
         if self.n0 < 1:
             bad.append("n0")
-        if self.mode not in ("sequential", "independent"):
+        if self.mode not in MODES:
             bad.append("mode")
         if self.bins < 1:
             bad.append("bins")
@@ -100,8 +100,6 @@ class ExperimentConfig:
             bad.append("t_max_lifetimes")
         if not 0.0 < self.detector_efficiency <= 1.0:
             bad.append("detector_efficiency")
-        if self.detector_model not in ("single-hit", "multi-hit"):
-            bad.append("detector_model")
         if self.workers < 1:
             bad.append("workers")
         if self.gamma_f_factor <= 0:
@@ -142,7 +140,6 @@ class ExperimentConfig:
             rates=self.rates,
             seed=self.seed,
             detector_efficiency=self.detector_efficiency,
-            detector_model=self.detector_model,
             workers=self.workers,
         )
 
@@ -153,15 +150,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from its JSON form; unknown keys raise ConfigValidationError."""
         d = dict(d)
         amp = d.pop("amplitude", {})
-        if isinstance(amp, dict):
-            amp = dict(amp)
-            if "separations" in amp:
-                amp["separations"] = tuple(amp["separations"])
-            amp = AmplitudeParams(**amp)
-        cfg = cls(**d, amplitude=amp)
-        return cfg
+        if not isinstance(amp, dict):
+            raise ConfigValidationError(["amplitude"], "amplitude must be an object of fields")
+        unknown = sorted(d.keys() - field_names(cls)) + sorted(
+            f"amplitude.{key}" for key in amp.keys() - field_names(AmplitudeParams)
+        )
+        if unknown:
+            raise ConfigValidationError(unknown, f"unknown config fields: {', '.join(unknown)}")
+        amp = dict(amp)
+        if "separations" in amp:
+            amp["separations"] = tuple(amp["separations"])
+        return cls(**d, amplitude=AmplitudeParams(**amp))
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -178,6 +180,11 @@ class ExperimentConfig:
             "natural_time_unit_s": tau,
             "amplitude_dt_s": self.amplitude.dt * tau,
         }
+
+
+def field_names(section) -> set:
+    """Names of the settable fields of a config section; empty for a value."""
+    return {f.name for f in dataclasses.fields(section)} if dataclasses.is_dataclass(section) else set()
 
 
 @dataclass
@@ -235,36 +242,29 @@ def write_histogram_csv(path: str, hist) -> None:
             fh.write(f"{lo:.16e},{hi:.16e},{int(c)}\n")
 
 
-def _fit_block(cfg: ExperimentConfig, records, tau) -> dict[str, FitResult]:
-    """Rate fits of the ensemble; `tau` holds its coincidence differences."""
+def _fit_block(records, tau) -> tuple[dict[str, FitResult], np.ndarray]:
+    """Rate fits of the ensemble, and its detector-1 stream; `tau` holds
+    the coincidence differences."""
     gaps = records["t_s"] - records["t_f"]
     fits = {
         "first": fit_exponential_mle(records["t_f"]),
         "second_interval": fit_exponential_mle(gaps),
     }
-    # the count-pattern fit assumes every photon is registered, so the
-    # per-detector streams are extracted with the multi-hit rule here
-    # regardless of the record-level detector model
-    stream_cfg = dataclasses.replace(cfg.sim_config(), detector_model="multi-hit")
-    d1, d2 = detector_streams(records, stream_cfg)
+    d1, d2 = detector_streams(records)
     fits["detector_1"] = fit_cumulative_curve(d1)
     fits["detector_2"] = fit_cumulative_curve(d2)
     if tau.size >= 2:
         fits["coincidence"] = fit_exponential_mle(np.abs(tau))
-    return fits
+    return fits, d1
 
 
-def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBundle:
-    """simulate -> detect -> histogram -> fit, writing all artifacts.
-
-    Produces events.csv, hist_{first,second,det1,det2,coincidence}.csv and
-    report.json in cfg.output_dir.
-    """
+def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
+    """`run_experiment` up to report.json; also returns the records and
+    the detector-1 stream, from which `run_full` draws the overlays."""
     cfg.validate()
     out = _ensure_outdir(cfg)
-    sim = cfg.sim_config()
-    records = simulate_ensemble(sim)
-    detections = assign_detections(records, sim)
+    records = simulate_ensemble(cfg.sim_config())
+    detections = assign_detections(records)
 
     paths = {}
     if write_events:
@@ -287,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBu
         write_histogram_csv(p, hist)
         paths[f"hist_{name}"] = p
 
-    fits = _fit_block(cfg, records, tau)
+    fits, d1 = _fit_block(records, tau)
     bundle = ReportBundle(
         fits={k: f.to_dict() for k, f in fits.items()},
         rate_ratios=[],
@@ -295,7 +295,17 @@ def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBu
         config_echo=_echo(cfg),
         version=__version__,
     )
-    write_report(os.path.join(out, "report.json"), bundle)
+    return bundle, records, d1
+
+
+def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBundle:
+    """simulate -> detect -> histogram -> fit, writing all artifacts.
+
+    Produces events.csv, hist_{first,second,det1,det2,coincidence}.csv and
+    report.json in cfg.output_dir.
+    """
+    bundle, _, _ = _simulate_and_fit(cfg, write_events)
+    write_report(os.path.join(cfg.output_dir, "report.json"), bundle)
     return bundle
 
 
@@ -341,15 +351,15 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False, n_points: in
         for row in zip(t * g, n_f / g, n_s / g, n_i / g, t, n_f, n_s, n_i):
             fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
     if overlay:
-        _write_overlays(cfg, out)
+        records = simulate_ensemble(cfg.sim_config())
+        d1, _ = detector_streams(records)
+        _write_overlays(cfg, records, d1)
     return path
 
 
-def _write_overlays(cfg: ExperimentConfig, out: str) -> None:
-    sim = cfg.sim_config()
-    records = simulate_ensemble(sim)
-    stream_cfg = dataclasses.replace(sim, detector_model="multi-hit")
-    d1, _ = detector_streams(records, stream_cfg)
+def _write_overlays(cfg: ExperimentConfig, records, d1) -> None:
+    """fig1_overlay_*.csv from the records and the detector-1 stream."""
+    out = cfg.output_dir
     rates = cfg.rates
     g = rates.gamma
     t_hi = cfg.t_max_lifetimes / g
@@ -384,6 +394,16 @@ def run_rate_derivation(cfg: ExperimentConfig) -> list:
     Returns the list of entries written to rates.json; each entry wraps
     one RateRatioReport (fields exactly as typed) plus case parameters.
     """
+    return _rate_stage(cfg, main_cases=True)
+
+
+def run_property_cases(cfg: ExperimentConfig) -> list:
+    """Only the four comparison case studies, written to rates.json."""
+    return _rate_stage(cfg, main_cases=False)
+
+
+def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
+    """Build the grid and the two-atom state once; write rates.json."""
     cfg.validate()
     out = _ensure_outdir(cfg)
     a = cfg.amplitude
@@ -391,7 +411,6 @@ def run_rate_derivation(cfg: ExperimentConfig) -> list:
     half = a.grid_span_factor * max(a.width_sum, a.width_diff)
     grid = SpatialGrid.centered(half, a.grid_points)
     state = make_two_atom_gaussian(a.width_sum, a.width_diff, grid)
-    free = EvolutionChoice("free-propagation", a.dt)
     entries = []
 
     def add(params: dict, report, interference=None):
@@ -405,15 +424,37 @@ def run_rate_derivation(cfg: ExperimentConfig) -> list:
             entry["interference_magnitude"] = interference
         entries.append(entry)
 
-    add({"evolution": "identity"}, first_emission_rate_ratio(state, IDENTITY))
-    add({"evolution": "free-propagation", "dt": a.dt}, first_emission_rate_ratio(state, free))
+    def study(params: dict, case: str, inputs, **kwargs):
+        result = property_case_rate(case, inputs, IDENTITY, **kwargs)
+        add(params, result.report, result.interference_magnitude)
 
-    for sep in a.separations:
-        pair = receding_pair(sep, a.dt, a.sigma)
-        report = second_emission_rate_ratio(pair, a.dt, a.recoil_k)
-        add({"separation": sep, "dt": a.dt, "recoil_k": a.recoil_k, "sigma": a.sigma}, report)
+    if main_cases:
+        free = EvolutionChoice("free-propagation", a.dt)
+        add({"evolution": "identity"}, first_emission_rate_ratio(state, IDENTITY))
+        add({"evolution": "free-propagation", "dt": a.dt}, first_emission_rate_ratio(state, free))
+        for sep in a.separations:
+            pair = receding_pair(sep, a.dt, a.sigma)
+            report = second_emission_rate_ratio(pair, a.dt, a.recoil_k)
+            add({"separation": sep, "dt": a.dt, "recoil_k": a.recoil_k, "sigma": a.sigma}, report)
 
-    entries.extend(property_case_entries(cfg, grid, state))
+    # the case studies.  Non-entangled initial state: symmetrized pair of
+    # well-separated (hence orthogonal) packets, reported under both
+    # final-state conventions, plus the identical-packet variant
+    sep = 12.0 * a.sigma
+    chi = make_packet(-0.5 * sep, 0.0, a.sigma)
+    xi = make_packet(+0.5 * sep, 0.0, a.sigma)
+    orthogonal = {"variant": "orthogonal", "separation": sep}
+    study(orthogonal, "prop1-nonentangled", (chi, xi), grid=grid)
+    lopsided = [make_packet(c * a.sigma - 0.5 * sep, 0.0, a.sigma) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    study({**orthogonal, "family": "5 packets around one atom"}, "prop1-nonentangled", (chi, xi),
+          convention="restricted-subset", grid=grid, family=lopsided)
+    spanning = [make_packet(c, 0.0, a.sigma) for c in np.arange(-0.75 * sep, 0.75 * sep + 0.1, 0.25 * sep)]
+    study({**orthogonal, "family": "7 packets spanning both atoms"}, "prop1-nonentangled", (chi, xi),
+          convention="restricted-subset", grid=grid, family=spanning)
+    study({"variant": "identical"}, "prop1-nonentangled", (chi, chi), grid=grid)
+    study({}, "prop2-nonsymmetrized", state)
+    study({}, "prop3-entangled-final", state)
+    study({"variant": "both-symmetric"}, "prop4-entangled-second", state)
 
     with open(os.path.join(out, "rates.json"), "w") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
@@ -421,71 +462,18 @@ def run_rate_derivation(cfg: ExperimentConfig) -> list:
     return entries
 
 
-def property_case_entries(cfg: ExperimentConfig, grid: SpatialGrid, state) -> list:
-    """The four comparison case studies as rates.json entries."""
-    a = cfg.amplitude
-    g = cfg.rates.gamma
-    entries = []
-
-    def add(case, params, result):
-        entries.append(
-            {
-                "case": case,
-                "params": params,
-                "report": result.report.to_dict(),
-                "interference_magnitude": result.interference_magnitude,
-                "absolute_rate_per_s": result.report.ratio * g,
-            }
-        )
-
-    # non-entangled initial state: symmetrized pair of well-separated
-    # (hence orthogonal) packets, reported under both final-state
-    # conventions, plus the identical-packet variant
-    sep = 12.0 * a.sigma
-    chi = make_packet(-0.5 * sep, 0.0, a.sigma)
-    xi = make_packet(+0.5 * sep, 0.0, a.sigma)
-    res = property_case_rate("prop1-nonentangled", (chi, xi), IDENTITY, grid=grid)
-    add("prop1-nonentangled", {"variant": "orthogonal", "separation": sep}, res)
-
-    lopsided = [make_packet(c * a.sigma - 0.5 * sep, 0.0, a.sigma) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    res = property_case_rate(
-        "prop1-nonentangled", (chi, xi), IDENTITY, convention="restricted-subset",
-        grid=grid, family=lopsided,
-    )
-    add(
-        "prop1-nonentangled",
-        {"variant": "orthogonal", "separation": sep, "family": "5 packets around one atom"},
-        res,
-    )
-
-    spanning = [make_packet(c, 0.0, a.sigma) for c in np.arange(-0.75 * sep, 0.75 * sep + 0.1, 0.25 * sep)]
-    res = property_case_rate(
-        "prop1-nonentangled", (chi, xi), IDENTITY, convention="restricted-subset",
-        grid=grid, family=spanning,
-    )
-    add(
-        "prop1-nonentangled",
-        {"variant": "orthogonal", "separation": sep, "family": "7 packets spanning both atoms"},
-        res,
-    )
-
-    res = property_case_rate("prop1-nonentangled", (chi, chi), IDENTITY, grid=grid)
-    add("prop1-nonentangled", {"variant": "identical"}, res)
-
-    res = property_case_rate("prop2-nonsymmetrized", state, IDENTITY)
-    add("prop2-nonsymmetrized", {}, res)
-    res = property_case_rate("prop3-entangled-final", state, IDENTITY)
-    add("prop3-entangled-final", {}, res)
-    res = property_case_rate("prop4-entangled-second", state, IDENTITY)
-    add("prop4-entangled-second", {"variant": "both-symmetric"}, res)
-    return entries
-
-
 def run_full(cfg: ExperimentConfig, overlay: bool = True) -> ReportBundle:
-    """Everything: simulation+fits, figure table, rate derivation."""
-    bundle = run_experiment(cfg)
-    fig = reproduce_figure1(cfg, overlay=overlay)
-    bundle.curve_tables["fig1"] = fig
+    """Everything: simulation+fits, figure table, rate derivation.
+
+    One ensemble serves the fits and the figure overlays.
+    """
+    bundle, records, d1 = _simulate_and_fit(cfg, write_events=True)
+    bundle.curve_tables["fig1"] = reproduce_figure1(cfg)
+    if overlay:
+        _write_overlays(cfg, records, d1)
+    # the rate stage sets the run's memory peak; the ensemble must not
+    # sit underneath it
+    del records, d1
     bundle.rate_ratios = run_rate_derivation(cfg)
     bundle.curve_tables["rates"] = os.path.join(cfg.output_dir, "rates.json")
     write_report(os.path.join(cfg.output_dir, "report.json"), bundle)

@@ -79,7 +79,7 @@ def test_criterion_2_detector_symmetry(million_run):
     cfg, _, _ = million_run
     sim = cfg.sim_config()
     records = simulate_ensemble(sim)
-    det = assign_detections(records, sim)
+    det = assign_detections(records)
     n1 = int(np.sum(~np.isnan(det["t1"])))
     n2 = int(np.sum(~np.isnan(det["t2"])))
     bound = 4.0 * np.sqrt(n1 + n2)
@@ -106,7 +106,7 @@ def test_criterion_3_figure_reproduction(million_run):
     # the well-populated bins)
     sim = cfg.sim_config()
     records = simulate_ensemble(sim)
-    d1, _ = detector_streams(records, dataclasses.replace(sim, detector_model="multi-hit"))
+    d1, _ = detector_streams(records)
     n0 = cfg.n0
     width = 0.1 / g
     edges_lo = np.arange(80) * width
@@ -137,8 +137,8 @@ def test_criterion_4_disentanglement_signature():
     cfg_ind = ExperimentConfig(gamma_inverse=GAMMA_INVERSE, n0=100_000, mode="independent", seed=SEED + 2)
     seq = simulate_ensemble(cfg_seq.sim_config())
     ind = simulate_ensemble(cfg_ind.sim_config())
-    det_seq = assign_detections(seq, cfg_seq.sim_config())
-    det_ind = assign_detections(ind, cfg_ind.sim_config())
+    det_seq = assign_detections(seq)
+    det_ind = assign_detections(ind)
     tau_seq = coincidence_differences(det_seq)
     tau_ind = coincidence_differences(det_ind)
     p_values = [

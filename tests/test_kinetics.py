@@ -170,7 +170,7 @@ def test_coincidence_closed_form_against_monte_carlo():
     from twoatom.inference import fit_exponential_mle
 
     cfg = SimConfig(n0=1_000_000, mode="sequential", rates=RATES, seed=777)
-    det = assign_detections(simulate_ensemble(cfg), cfg)
+    det = assign_detections(simulate_ensemble(cfg))
     tau = coincidence_differences(det)
     gs = RATES.gamma_s
 

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from twoatom import pipeline
 from twoatom.cli import main as cli_main
 from twoatom.errors import ConfigValidationError
 from twoatom.pipeline import (
@@ -264,6 +266,35 @@ def test_cross_engine_agreement(tmp_path):
     assert abs(fit_second["rate_hat"] - ratio_second * g) < 3 * fit_second["std_error"]
 
 
+def test_run_full_reuses_one_ensemble(tmp_path, monkeypatch):
+    # run_full draws the fits and the figure overlays from one ensemble and
+    # writes report.json once; its artifacts equal those of run_experiment
+    # followed by a standalone reproduce_figure1(overlay=True)
+    amp = AmplitudeParams(grid_points=256)
+    full = small_config(tmp_path, output_dir=str(tmp_path / "full"), detector_efficiency=0.7, amplitude=amp)
+    apart = small_config(tmp_path, output_dir=str(tmp_path / "apart"), detector_efficiency=0.7, amplitude=amp)
+    for name in ("simulate_ensemble", "write_report"):
+        monkeypatch.setattr(pipeline, name, mock.Mock(wraps=getattr(pipeline, name)))
+    run_full(full)
+    assert pipeline.simulate_ensemble.call_count == 1
+    assert pipeline.write_report.call_count == 1
+    monkeypatch.undo()
+
+    run_experiment(apart)
+    reproduce_figure1(apart, overlay=True)
+    names = sorted(n for n in os.listdir(apart.output_dir) if n.endswith(".csv"))
+    assert "fig1.csv" in names and "fig1_overlay_detector.csv" in names
+    for name in names:
+        with open(os.path.join(full.output_dir, name), "rb") as a, \
+                open(os.path.join(apart.output_dir, name), "rb") as b:
+            assert a.read() == b.read(), name
+    got = read_report(os.path.join(full.output_dir, "report.json"))
+    want = read_report(os.path.join(apart.output_dir, "report.json"))
+    assert got["fits"] == want["fits"]
+    with open(os.path.join(full.output_dir, "rates.json")) as fh:
+        assert got["rate_ratios"] == json.load(fh)
+
+
 def test_cli_simulate_and_fit(tmp_path):
     out = str(tmp_path / "cli")
     rc = cli_main(["simulate", "--n0", "5000", "--seed", "7", "--out", out])
@@ -302,6 +333,32 @@ def test_cli_validation_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "override, config, field",
+    [
+        ("foo.bar=1", None, "foo.bar"),
+        ("amplitude=3", None, "amplitude"),
+        ("rates=1", None, "rates"),
+        ("validate=1", None, "validate"),
+        (None, {"n0": 1000, "detector_model": "multi-hit"}, "detector_model"),
+        (None, {"amplitude": {"grid_pts": 128}}, "amplitude.grid_pts"),
+        (None, {"amplitude": 3}, "amplitude"),
+    ],
+)
+def test_cli_unknown_config_key_exits_2(tmp_path, capsys, override, config, field):
+    argv = ["simulate", "--out", str(tmp_path / "x")]
+    if override is not None:
+        argv += ["--set", override]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and field in err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_cli_full_check(tmp_path):
     out = str(tmp_path / "full")
     rc = cli_main(["full", "--n0", "100000", "--seed", "11", "--out", out, "--check"])
@@ -329,3 +386,8 @@ def test_cli_properties_subcommand(tmp_path):
     cases = {e["case"] for e in entries}
     assert "prop1-nonentangled" in cases and "prop4-entangled-second" in cases
     assert all("interference_magnitude" in e for e in entries)
+    # the same entries as the case-study part of the full rate stage
+    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=256))
+    run_rate_derivation(cfg)
+    with open(os.path.join(cfg.output_dir, "rates.json")) as fh:
+        assert entries == [e for e in json.load(fh) if e["case"].startswith("prop")]
