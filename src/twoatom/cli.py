@@ -9,7 +9,6 @@ input, 3 failed self-check (``full --check``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -17,17 +16,18 @@ import sys
 import numpy as np
 
 from .errors import ConfigValidationError, TwoAtomError
-from .inference import fit_exponential_mle
+from .eventsim import coincidence_differences
 from .pipeline import (
     ExperimentConfig,
     ReportBundle,
     check_report,
-    field_names,
+    mle_fit_jobs,
     reproduce_figure1,
     run_experiment,
     run_full,
     run_property_cases,
     run_rate_derivation,
+    supported_fits,
     write_report,
 )
 from . import __version__
@@ -44,42 +44,19 @@ def _parse_value(text: str):
         return text
 
 
-def _apply_override(cfg: ExperimentConfig, dotted: str, value) -> None:
-    """Set the config field at a dotted path; a whole section takes no value."""
-    *sections, leaf = dotted.split(".")
-    target = cfg
-    for part in sections:
-        target = getattr(target, part) if part in field_names(target) else None
-    if leaf not in field_names(target):
-        raise ConfigValidationError([dotted], f"unknown config field: {dotted}")
-    current = getattr(target, leaf)
-    if dataclasses.is_dataclass(current):
-        raise ConfigValidationError([dotted], f"{dotted} is a config section; set {dotted}.<field>")
-    if isinstance(current, tuple) and isinstance(value, list):
-        value = tuple(value)
-    setattr(target, leaf, value)
-
-
 def load_config(args) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_json_file(args.config)
     else:
         cfg = ExperimentConfig()
-    # dataclasses are frozen=False here on purpose: the CLI layer mutates
-    # the config before validation and then treats it as immutable
     for item in args.set or []:
         if "=" not in item:
             raise ConfigValidationError([item], f"--set needs key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        _apply_override(cfg, key.strip(), _parse_value(raw.strip()))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n0 is not None:
-        cfg.n0 = args.n0
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.out is not None:
-        cfg.output_dir = args.out
+        cfg.set(key.strip(), _parse_value(raw.strip()))
+    for key in ("seed", "n0", "mode", "output_dir"):  # the shortcut flags
+        if getattr(args, key) is not None:
+            cfg.set(key, getattr(args, key))
     cfg.validate()
     return cfg
 
@@ -99,13 +76,7 @@ def _cmd_fit(args) -> int:
         print("events file has too few rows", file=sys.stderr)
         return EXIT_CONFIG
     g = cfg.rates.gamma
-    fits = {
-        "first": fit_exponential_mle(data["t_f"]),
-        "second_interval": fit_exponential_mle(data["t_s"] - data["t_f"]),
-    }
-    both = ~np.isnan(data["t1"]) & ~np.isnan(data["t2"])
-    if both.sum() >= 2:
-        fits["coincidence"] = fit_exponential_mle(np.abs(data["t1"][both] - data["t2"][both]))
+    fits = supported_fits(mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
     bundle = ReportBundle(
         fits={k: f.to_dict() for k, f in fits.items()},
         rate_ratios=[],
@@ -182,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config field (dotted path, JSON value)")
         p.add_argument("--seed", type=int)
         p.add_argument("--n0", type=int)
-        p.add_argument("--mode", choices=["sequential", "independent"])
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--mode")
+        p.add_argument("--out", dest="output_dir", help="output directory")
 
     p = sub.add_parser("simulate", help="generate events and fit the rates")
     common(p)

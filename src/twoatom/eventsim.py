@@ -22,6 +22,9 @@ the earlier is recorded); the per-detector streams keep every photon.
 
 from __future__ import annotations
 
+import functools
+import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,6 +36,15 @@ from .inference import Histogram
 from .kinetics import RateTriple
 
 MODES = ("sequential", "independent")
+
+#: range rules of the ensemble fields an ExperimentConfig shares, keyed by
+#: field name; each is a positive predicate, so NaN fails
+SIM_RULES = {
+    "n0": lambda v: v >= 1,
+    "mode": lambda v: v in MODES,
+    "detector_efficiency": lambda v: 0.0 < v <= 1.0,
+    "workers": lambda v: v >= 1,
+}
 
 #: `fates` packs the four photon fates drawn with the emission times
 EMISSION_DTYPE = np.dtype(
@@ -47,6 +59,31 @@ DETECTION_DTYPE = np.dtype(
 )
 
 
+#: the values a field of each annotated type takes
+TYPE_RULES = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    str: lambda v: isinstance(v, str),
+    tuple: lambda v: isinstance(v, (list, tuple)) and all(map(TYPE_RULES[float], v)),
+}
+
+
+# get_type_hints evaluates the annotation strings anew on every call
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def failed_fields(config, rules: dict) -> list[str]:
+    """The dotted names in `rules` whose value in the dataclass `config`
+    breaks the type rule of its annotation or, if not, its range rule."""
+    def holds(dotted, rule):
+        *sections, name = dotted.split(".")
+        owner = functools.reduce(getattr, sections, config)
+        value = getattr(owner, name)
+        return TYPE_RULES[_field_types(type(owner))[name]](value) and rule(value)
+
+    return [dotted for dotted, rule in rules.items() if not holds(dotted, rule)]
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble generation parameters."""
@@ -59,17 +96,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        problems = []
-        if self.n0 < 1:
-            problems.append("n0 must be at least 1")
-        if self.mode not in MODES:
-            problems.append(f"mode must be one of {MODES}")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            problems.append("detector_efficiency must be in (0, 1]")
-        if self.workers < 1:
-            problems.append("workers must be at least 1")
-        if problems:
-            raise InvalidParameterError("; ".join(problems))
+        failed = failed_fields(self, SIM_RULES)
+        if failed:
+            raise InvalidParameterError(f"invalid ensemble parameters: {', '.join(failed)}")
 
 
 #: molecules per draw chunk: a chunk's raw block (2^14 x 6 uint64 draws,

@@ -173,7 +173,7 @@ def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
     b estimates the single-atom rate even though the stream mixes first and
     second photons.  `times` may come in any order: the fit sorts a copy,
     and the start values use only that copy, so the result does not depend
-    on the input order.
+    on the input order.  A fit that does not converge raises InsufficientDataError.
     """
     x = _as_sample_array(times, 2)
     xs = np.sort(x)
@@ -187,7 +187,10 @@ def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
         return amp * -np.expm1(-rate * t)
 
     p0 = (float(x.size), 1.0 / float(np.mean(xs)))
-    popt, pcov = curve_fit(model, grid, emp, p0=p0)
+    try:
+        popt, pcov = curve_fit(model, grid, emp, p0=p0)
+    except RuntimeError as exc:  # no convergence, common for a handful of samples
+        raise InsufficientDataError(f"cumulative fit of {x.size} samples did not converge") from exc
     amp, rate = popt
     resid = emp - model(grid, *popt)
     return FitResult(

@@ -1,5 +1,6 @@
 """End-to-end runs: configuration, artifacts, determinism, CLI surface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,10 +8,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoatom import pipeline
 from twoatom.cli import main as cli_main
-from twoatom.errors import ConfigValidationError
+from twoatom.errors import ConfigValidationError, InsufficientDataError
+from twoatom.eventsim import (
+    MODES,
+    assign_detections,
+    coincidence_differences,
+    detector_streams,
+    simulate_ensemble,
+)
+from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
 from twoatom.pipeline import (
     AmplitudeParams,
     ExperimentConfig,
@@ -46,6 +57,71 @@ def test_config_roundtrip(tmp_path):
     cfg = small_config(tmp_path, amplitude=AmplitudeParams(width_sum=3.0))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300) | st.integers(1, 10**6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    gamma_inverse=POSITIVE,
+    n0=st.integers(1, 10**12),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(-2**70, 2**70),
+    bins=st.integers(1, 10**6),
+    t_max_lifetimes=POSITIVE,
+    output_dir=st.text(),
+    detector_efficiency=st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+    workers=st.integers(1, 64),
+    gamma_f_factor=POSITIVE,
+    gamma_s_factor=POSITIVE,
+    atom_mass_kg=POSITIVE,
+    length_unit_m=POSITIVE,
+    amplitude=st.builds(
+        AmplitudeParams,
+        width_sum=POSITIVE,
+        width_diff=POSITIVE,
+        sigma=POSITIVE,
+        recoil_k=FINITE,
+        dt=st.floats(0.0, 1e300) | st.integers(0, 10**6),
+        grid_points=st.integers(64, 10**6),
+        grid_span_factor=st.floats(3.0, 1e300) | st.integers(3, 10**6),
+        separations=st.lists(st.floats(0.0, 1e300) | st.integers(0, 10**6)).map(tuple),
+    ),
+)
+
+
+@given(cfg=VALID_CONFIGS)
+def test_valid_config_json_roundtrip(cfg):
+    cfg.validate()
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+
+
+FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "amplitude"] + [
+    f"amplitude.{f.name}" for f in dataclasses.fields(AmplitudeParams)
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("field", FIELDS + ["amplitude"])
+@settings(max_examples=20, deadline=None)
+@example(value=None)
+@given(value=JSON_VALUES)
+def test_any_json_value_fails_only_as_config_error(field, value):
+    # the field takes the value, or the only error names that field; null
+    # is a value of no field
+    cfg = ExperimentConfig()
+    try:
+        cfg.set(field, value)
+        cfg.validate()
+    except ConfigValidationError as err:
+        assert err.fields == [field]
+    else:
+        assert value is not None
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -343,6 +419,22 @@ def test_cli_validation_exit_code(tmp_path):
         (None, {"n0": 1000, "detector_model": "multi-hit"}, "detector_model"),
         (None, {"amplitude": {"grid_pts": 128}}, "amplitude.grid_pts"),
         (None, {"amplitude": 3}, "amplitude"),
+        # values of the wrong type, and non-finite numbers
+        ('n0="abc"', None, "n0"),
+        ('amplitude.dt="x"', None, "amplitude.dt"),
+        ("gamma_inverse=null", None, "gamma_inverse"),
+        ("seed=1.5", None, "seed"),
+        ("n0=1e3", None, "n0"),
+        ("amplitude.grid_points=100.5", None, "amplitude.grid_points"),
+        ("amplitude.separations=3", None, "amplitude.separations"),
+        (None, {"amplitude": {"separations": [1, "a"]}}, "amplitude.separations"),
+        ("workers=true", None, "workers"),
+        ("amplitude.dt=NaN", None, "amplitude.dt"),
+        ("amplitude.sigma=Infinity", None, "amplitude.sigma"),
+        ("t_max_lifetimes=NaN", None, "t_max_lifetimes"),
+        # a config file that holds no JSON object, or no JSON at all
+        (None, [1, 2], "JSON object"),
+        (None, "{", "cfg.json"),
     ],
 )
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys, override, config, field):
@@ -351,7 +443,7 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys, override, config, fiel
         argv += ["--set", override]
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(path)]
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
@@ -365,6 +457,38 @@ def test_cli_full_check(tmp_path):
     assert rc == 0
     for name in ("events.csv", "fig1.csv", "rates.json", "report.json"):
         assert os.path.exists(os.path.join(out, name))
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 5, 10])
+def test_small_ensemble_report_leaves_out_unfittable_fits(tmp_path, n0):
+    out = str(tmp_path / "small")
+    assert cli_main(["simulate", "--n0", str(n0), "--out", out]) == 0
+    fits = read_report(os.path.join(out, "report.json"))["fits"]
+    cfg = ExperimentConfig(n0=n0)
+    records = simulate_ensemble(cfg.sim_config())
+    tau = coincidence_differences(assign_detections(records))
+    d1, d2 = detector_streams(records)
+    direct = {
+        "first": (fit_exponential_mle, records["t_f"]),
+        "second_interval": (fit_exponential_mle, records["t_s"] - records["t_f"]),
+        "detector_1": (fit_cumulative_curve, d1),
+        "detector_2": (fit_cumulative_curve, d2),
+        "coincidence": (fit_exponential_mle, np.abs(tau)),
+    }
+    assert set(fits) <= set(direct)
+    for name, (fit, sample) in direct.items():
+        if name in fits:
+            assert fits[name] == fit(sample).to_dict()
+        else:
+            with pytest.raises(InsufficientDataError):
+                fit(sample)
+
+
+def test_cli_check_fails_without_a_fit(tmp_path, capsys):
+    out = str(tmp_path / "one")
+    rc = cli_main(["full", "--check", "--n0", "1", "--out", out, "--set", "amplitude.grid_points=256"])
+    assert rc == 3
+    assert "no first fit" in capsys.readouterr().err
 
 
 def test_cli_check_fails_off_the_compatibility_point(tmp_path):
