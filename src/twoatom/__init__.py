@@ -9,8 +9,6 @@ discretized matrix elements over symmetrized two-particle states.
 __version__ = "0.1.0"
 
 from .amplitudes import (
-    EvolutionChoice,
-    IDENTITY,
     PropertyRateResult,
     RateRatioReport,
     property_case_rate,
@@ -73,12 +71,10 @@ from .pipeline import (
 __all__ = [
     "AmplitudeParams",
     "CountSnapshot",
-    "EvolutionChoice",
     "ExperimentConfig",
     "FitResult",
     "GaussianPacket",
     "Histogram",
-    "IDENTITY",
     "KsTwoSampleResult",
     "PropertyRateResult",
     "RateRatioReport",

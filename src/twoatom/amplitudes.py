@@ -55,23 +55,6 @@ CONVENTIONS = ("ordered-grid-product", "restricted-subset")
 
 
 @dataclass(frozen=True)
-class EvolutionChoice:
-    """Center-of-mass evolution applied between preparation and emission."""
-
-    kind: str = "identity"  # or "free-propagation"
-    dt: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "free-propagation"):
-            raise InvalidParameterError(f"unknown evolution kind {self.kind!r}")
-        if self.dt < 0:
-            raise InvalidParameterError("dt must be nonnegative")
-
-
-IDENTITY = EvolutionChoice()
-
-
-@dataclass(frozen=True)
 class RateRatioReport:
     """Outcome of a rate-ratio computation (rate relative to a single atom)."""
 
@@ -93,15 +76,6 @@ class RateRatioReport:
         if self.basis_convention not in CONVENTIONS:
             raise InvalidParameterError(f"unknown convention {self.basis_convention!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "completeness_sum": self.completeness_sum,
-            "norm_coefficient_used": self.norm_coefficient_used,
-            "case_label": self.case_label,
-            "basis_convention": self.basis_convention,
-        }
-
 
 @dataclass(frozen=True)
 class PropertyRateResult:
@@ -112,26 +86,21 @@ class PropertyRateResult:
     channel_probabilities: tuple | None = None
 
 
-def _evolved(kernel: np.ndarray, grid: SpatialGrid, u: EvolutionChoice) -> np.ndarray:
-    if u.kind == "identity" or u.dt == 0:
-        return kernel
-    return propagate_kernel(kernel, grid, u.dt)
+def _product_channels(a: GaussianPacket, b: GaussianPacket, grid: SpatialGrid):
+    """The two exchange channels a(x) b(y) and b(x) a(y) of a packet pair."""
+    fa, fb = sample_packet(a, grid.points), sample_packet(b, grid.points)
+    return np.outer(fa, fb), np.outer(fb, fa)
 
 
 def _channel_components(state: TwoAtomState):
     """(C1, C2, N, grid) with the physical spatial state equal to N (C1 + C2)."""
-    if state.grid is None or not state.has_kernel:
-        raise InvalidStateError("rate computations need a gridded kernel")
-    if state.kind == "product-pair":
+    if state.packet_a is not None:
         if not state.symmetrized:
             raise InvalidStateError(
                 "bare (unsymmetrized) product states carry no exchange channels; "
                 "use the distinguishable-atoms case study for them"
             )
-        x = state.grid.points
-        fa = sample_packet(state.packet_a, x)
-        fb = sample_packet(state.packet_b, x)
-        return np.outer(fa, fb), np.outer(fb, fa), state.norm_coefficient, state.grid
+        return (*_product_channels(state.packet_a, state.packet_b, state.grid), state.norm_coefficient, state.grid)
     # kernel plays the role of Psi(x, y); the swapped channel is its transpose
     return state.kernel, state.kernel.T, state.norm_coefficient, state.grid
 
@@ -148,31 +117,21 @@ def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
     return f
 
 
-def _packet_sort_key(p: GaussianPacket):
-    return (p.center, p.momentum, p.width_sigma, p.phase, p.t)
+def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) -> complex:
+    """Matrix element for the first emission into the product pair (out1, out2)
+    after a free flight of `dt`.
 
-
-def first_emission_amplitude(
-    psi0: TwoAtomState, out1, out2, u: EvolutionChoice = IDENTITY
-) -> complex:
-    """Matrix element for the first emission into the product pair (out1, out2).
-
-    Uses the two-channel form; for a swap-symmetric initial amplitude the
-    channels coincide and the element reduces to
-    sqrt(2) * N * 2 * <out1 out2|U|Psi>.  Exchange symmetry under
-    out1 <-> out2 is exact: the evaluation order is canonicalized.
+    The swapped channel C2 is C1 with its arguments exchanged, and free
+    flight commutes with the exchange, so <out1 out2|U|C2> equals
+    <out2 out1|U|C1>.  One evolved channel therefore gives both terms, and
+    the element is exactly symmetric under out1 <-> out2.
     """
-    c1, c2, coeff, grid = _channel_components(psi0)
-    if isinstance(out1, GaussianPacket) and isinstance(out2, GaussianPacket):
-        if _packet_sort_key(out2) < _packet_sort_key(out1):
-            out1, out2 = out2, out1
+    c1, _, coeff, grid = _channel_components(psi0)
+    evolved = propagate_kernel(c1, grid, dt)
     f1 = _out_vector(out1, grid)
     f2 = _out_vector(out2, grid)
-    dx2 = grid.spacing**2
-    e1, e2 = _evolved(c1, grid, u), _evolved(c2, grid, u)
-    t1 = np.vdot(np.outer(f1, f2), e1) * dx2
-    t2 = np.vdot(np.outer(f1, f2), e2) * dx2
-    return complex(_SQRT2 * coeff * (t1 + t2))
+    terms = np.vdot(np.outer(f1, f2), evolved) + np.vdot(np.outer(f2, f1), evolved)
+    return complex(_SQRT2 * coeff * terms * grid.spacing**2)
 
 
 def _ordered_sum(e1, e2, grid):
@@ -212,13 +171,14 @@ def _restricted_sum(e1, e2, grid, family):
     return s1, s2, cross
 
 
-def _two_channel_rate(channels, u, convention, family, case_label):
+def _two_channel_rate(channels, dt, convention, family, case_label):
     """Report and interference of the state N (C1 + C2), `channels` being
-    (C1, C2, N, grid), summed over final states under `convention`."""
+    (C1, C2, N, grid), evolved for `dt` and summed over final states under
+    `convention`."""
     c1, c2, coeff, grid = channels
     if convention not in CONVENTIONS:
         raise InvalidParameterError(f"unknown convention {convention!r}")
-    e1, e2 = _evolved(c1, grid, u), _evolved(c2, grid, u)
+    e1, e2 = propagate_kernel(c1, grid, dt), propagate_kernel(c2, grid, dt)
     if convention == "ordered-grid-product":
         s1, s2, cross = _ordered_sum(e1, e2, grid)
     else:
@@ -237,17 +197,18 @@ def _two_channel_rate(channels, u, convention, family, case_label):
 
 def first_emission_rate_ratio(
     psi0: TwoAtomState,
-    u: EvolutionChoice = IDENTITY,
+    dt: float = 0.0,
     convention: str = "ordered-grid-product",
     family=None,
 ) -> RateRatioReport:
-    """First-emission rate of the pair relative to a single isolated atom.
+    """First-emission rate of the pair relative to a single isolated atom,
+    after a free flight of `dt`.
 
     Under the ordered-grid-product convention the completeness sum equals
     the squared norm of the evolved initial amplitude (unity up to grid
     truncation) and a symmetric normalized state gives exactly ratio 2.
     """
-    report, _ = _two_channel_rate(_channel_components(psi0), u, convention, family, "entangled-main")
+    report, _ = _two_channel_rate(_channel_components(psi0), dt, convention, family, "entangled-main")
     return report
 
 
@@ -309,12 +270,13 @@ def receding_pair(
 def property_case_rate(
     case: str,
     inputs,
-    u: EvolutionChoice = IDENTITY,
+    dt: float = 0.0,
     convention: str = "ordered-grid-product",
     grid: SpatialGrid | None = None,
     family=None,
 ) -> PropertyRateResult:
-    """Rate ratios for the four comparison case studies.
+    """Rate ratios for the four comparison case studies, after a free
+    flight of `dt`.
 
     Cases and expected inputs:
 
@@ -341,20 +303,16 @@ def property_case_rate(
             raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
         if grid is None:
             raise InvalidCaseError("prop1 needs an explicit grid")
-        x = grid.points
-        fa, fb = sample_packet(chi, x), sample_packet(xi, x)
-        channels = (np.outer(fa, fb), np.outer(fb, fa), symmetrized_norm((chi, xi)), grid)
-        report, interference = _two_channel_rate(channels, u, convention, family, case)
+        channels = (*_product_channels(chi, xi, grid), symmetrized_norm((chi, xi)), grid)
+        report, interference = _two_channel_rate(channels, dt, convention, family, case)
         return PropertyRateResult(report, abs(interference))
 
     if not isinstance(inputs, TwoAtomState):
         raise InvalidCaseError(f"{case} needs a TwoAtomState input")
 
     if case == "prop2-nonsymmetrized":
-        if inputs.grid is None or not inputs.has_kernel:
-            raise InvalidCaseError("prop2 needs a gridded kernel")
         dx2 = inputs.grid.spacing**2
-        ev = _evolved(inputs.kernel, inputs.grid, u)
+        ev = propagate_kernel(inputs.kernel, inputs.grid, dt)
         # both distinguishable channels share the spatial kernel; each one
         # sums to the captured mass and the probabilities are averaged
         channel = float(np.sum(np.abs(ev) ** 2)) * dx2
@@ -363,7 +321,7 @@ def property_case_rate(
         return PropertyRateResult(report, 0.0, channel_probabilities=(channel, channel))
 
     if case in ("prop3-entangled-final", "prop4-entangled-second"):
-        report, interference = _two_channel_rate(_channel_components(inputs), u, convention, family, case)
+        report, interference = _two_channel_rate(_channel_components(inputs), dt, convention, family, case)
         return PropertyRateResult(report, abs(interference))
 
     raise InvalidCaseError(f"unknown case {case!r}")

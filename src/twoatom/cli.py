@@ -9,6 +9,7 @@ input, 3 failed self-check (``full --check``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ConfigValidationError, TwoAtomError
 from .eventsim import coincidence_differences
 from .pipeline import (
+    EVENTS_COLUMNS,
     ExperimentConfig,
     ReportBundle,
     check_report,
@@ -72,13 +74,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     cfg = load_config(args)
     data = np.genfromtxt(args.events, delimiter=",", names=True)
-    if data.size < 2:
-        print("events file has too few rows", file=sys.stderr)
+    missing = [c for c in EVENTS_COLUMNS if c not in (data.dtype.names or ())]
+    if missing:
+        print(f"{args.events} lacks the column(s) {', '.join(missing)}", file=sys.stderr)
         return EXIT_CONFIG
     g = cfg.rates.gamma
     fits = supported_fits(mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
     bundle = ReportBundle(
-        fits={k: f.to_dict() for k, f in fits.items()},
+        fits={k: dataclasses.asdict(f) for k, f in fits.items()},
         rate_ratios=[],
         curve_tables={"events": args.events},
         config_echo=cfg.to_dict(),

@@ -72,15 +72,6 @@ class FitResult:
         if self.std_error < 0:
             raise InvalidParameterError("std_error must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "rate_hat": self.rate_hat,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "method": self.method,
-            "goodness": self.goodness,
-        }
-
 
 @dataclass(frozen=True)
 class KsTwoSampleResult:

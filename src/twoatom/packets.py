@@ -66,10 +66,6 @@ class GaussianPacket:
         s = self.width_sigma
         return float(np.hypot(s, self.t / (2.0 * s)))
 
-    def reflected(self) -> "GaussianPacket":
-        """The packet psi(-x), i.e. mirrored through the origin."""
-        return replace(self, center=-self.center, momentum=-self.momentum)
-
 
 def make_packet(center: float, momentum: float, width_sigma: float) -> GaussianPacket:
     """Unit-norm minimal-uncertainty packet at its time origin."""

@@ -1,14 +1,14 @@
 """Two-particle center-of-mass states for the dissociated atom pair.
 
-The workhorse is the correlated Gaussian
+Every state is a unit-normalized kernel Psi(x, y) sampled on a
+`SpatialGrid` x `SpatialGrid`.  The workhorse is the correlated Gaussian
 
     Psi(x, y) ~ exp(-(x + y)^2 / W^2 - (x - y)^2 / V^2)
 
 with W the sum-coordinate width and V the relative-coordinate width.  In
-the rotated coordinates u = (x+y)/sqrt(2), v = (x-y)/sqrt(2) the state
-factorizes into two independent 1D Gaussian modes, so construction,
-normalization and free evolution are exact; a sampled kernel on a
-`SpatialGrid` is attached for everything that needs matrix elements.
+the rotated coordinates u = (x+y)/sqrt(2), v = (x-y)/sqrt(2) it factorizes
+into two independent 1D Gaussian modes, kept next to the kernel as the
+exact analytic state.
 
 The state is symmetric under x <-> y by construction (the relative mode is
 even), entangled iff W != V, and its Schmidt spectrum is geometric:
@@ -31,48 +31,29 @@ from .packets import GaussianPacket, evolve_free, make_packet, overlap, sample_p
 
 _SQRT2 = np.sqrt(2.0)
 
-#: allowed values of TwoAtomState.kind
-KINDS = ("analytic-correlated-gaussian", "grid-kernel", "product-pair")
-#: allowed internal-level labels
-INTERNAL_LEVELS = ("both-excited", "one-excited-symmetrized", "both-ground")
-
 #: tolerated loss of probability mass to grid truncation
 TRUNCATION_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class TwoAtomState:
-    """Two-particle spatial amplitude plus internal-level label.
+    """Two-particle spatial amplitude on a grid.
 
-    `kernel` (when present) is the unit-normalized amplitude sampled on
-    `grid` x `grid`; `norm_coefficient` is the symmetrization normalization
-    for the stored overlap.  For the correlated-Gaussian kinds the rotated
-    modes `mode_sum` / `mode_diff` carry the exact analytic state; for
-    product-pair states the two one-particle packets are kept instead.
+    `kernel` is the unit-normalized amplitude sampled on `grid` x `grid`;
+    `norm_coefficient` is the symmetrization normalization for the stored
+    overlap.  A correlated Gaussian also keeps its rotated modes
+    `mode_sum` / `mode_diff` (the exact analytic state); a product pair
+    keeps its two one-particle packets instead.
     """
 
-    kind: str
-    internal: str = "both-excited"
-    width_sum: float | None = None
-    width_diff: float | None = None
+    grid: SpatialGrid
+    kernel: np.ndarray
     mode_sum: GaussianPacket | None = None
     mode_diff: GaussianPacket | None = None
     packet_a: GaussianPacket | None = None
     packet_b: GaussianPacket | None = None
     symmetrized: bool = True
-    grid: SpatialGrid | None = None
-    kernel: np.ndarray | None = None
     norm_coefficient: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidParameterError(f"unknown state kind {self.kind!r}")
-        if self.internal not in INTERNAL_LEVELS:
-            raise InvalidParameterError(f"unknown internal label {self.internal!r}")
-
-    @property
-    def has_kernel(self) -> bool:
-        return self.kernel is not None
 
 
 def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
@@ -94,22 +75,17 @@ def _checked_unit_kernel(kernel: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return kernel / np.sqrt(mass)
 
 
-def make_two_atom_gaussian(
-    width_sum: float,
-    width_diff: float,
-    grid: SpatialGrid | None = None,
-    internal: str = "both-excited",
-) -> TwoAtomState:
-    """Unit-normalized symmetric correlated Gaussian pair state.
+def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGrid) -> TwoAtomState:
+    """Unit-normalized symmetric correlated Gaussian pair state on `grid`.
 
     Parameters
     ----------
     width_sum, width_diff : float
         Gaussian widths of the sum and relative coordinates; the state is
         separable iff they are equal.
-    grid : SpatialGrid, optional
-        When given, a sampled kernel is attached and checked to hold all
-        but `TRUNCATION_TOL` of the probability mass.
+    grid : SpatialGrid
+        The sampled kernel is checked to hold all but `TRUNCATION_TOL` of
+        the probability mass.
 
     Raises
     ------
@@ -124,21 +100,8 @@ def make_two_atom_gaussian(
     # hence sigma_u = W / (2 sqrt 2); likewise for the relative mode.
     mode_sum = make_packet(0.0, 0.0, width_sum / (2.0 * _SQRT2))
     mode_diff = make_packet(0.0, 0.0, width_diff / (2.0 * _SQRT2))
-    kernel = None
-    kind = "analytic-correlated-gaussian"
-    if grid is not None:
-        kernel = _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid)
-        kind = "grid-kernel"
-    state = TwoAtomState(
-        kind=kind,
-        internal=internal,
-        width_sum=float(width_sum),
-        width_diff=float(width_diff),
-        mode_sum=mode_sum,
-        mode_diff=mode_diff,
-        grid=grid,
-        kernel=kernel,
-    )
+    kernel = _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid)
+    state = TwoAtomState(grid, kernel, mode_sum=mode_sum, mode_diff=mode_diff)
     return replace(state, norm_coefficient=symmetrized_norm(state))
 
 
@@ -147,7 +110,6 @@ def symmetrized_pair_state(
     packet_b: GaussianPacket,
     grid: SpatialGrid,
     symmetrized: bool = True,
-    internal: str = "both-excited",
 ) -> TwoAtomState:
     """Pair state built from two one-particle packets.
 
@@ -163,28 +125,20 @@ def symmetrized_pair_state(
     else:
         coeff = 1.0
         kernel = np.outer(fa, fb)
-    kernel = _checked_unit_kernel(kernel, grid)
     return TwoAtomState(
-        kind="product-pair",
-        internal=internal,
+        grid,
+        _checked_unit_kernel(kernel, grid),
         packet_a=packet_a,
         packet_b=packet_b,
         symmetrized=symmetrized,
-        grid=grid,
-        kernel=kernel,
         norm_coefficient=coeff,
     )
 
 
 def swap_overlap(state: TwoAtomState) -> complex:
     """<Psi(x,y)|Psi(y,x)> for the stored two-particle amplitude."""
-    if state.has_kernel:
-        k = state.kernel
-        return complex(np.vdot(k, k.T) * state.grid.spacing**2)
-    if state.mode_diff is not None:
-        # swap flips the relative mode only: <psi_u|psi_u> <psi_v|psi_v(-.)>
-        return overlap(state.mode_diff, state.mode_diff.reflected())
-    raise InvalidParameterError("state carries neither kernel nor analytic modes")
+    k = state.kernel
+    return complex(np.vdot(k, k.T) * state.grid.spacing**2)
 
 
 def symmetrized_norm(obj) -> float:
@@ -199,22 +153,16 @@ def symmetrized_norm(obj) -> float:
     return float((2.0 + 2.0 * abs(overlap(a, b)) ** 2) ** -0.5)
 
 
-def schmidt_spectrum(state: TwoAtomState, grid: SpatialGrid | None = None) -> np.ndarray:
+def schmidt_spectrum(state: TwoAtomState) -> np.ndarray:
     """Schmidt coefficients of the two-particle amplitude, descending.
 
     The coefficients are the singular values of the discretized kernel
     (scaled by the grid spacing); their squares sum to 1.  A single
     coefficient above numerical noise means the state is separable.
     """
-    if state.has_kernel:
-        kernel, dx = state.kernel, state.grid.spacing
-    else:
-        g = grid or default_grid_for(state)
-        kernel = _checked_unit_kernel(_mode_kernel(state.mode_sum, state.mode_diff, g), g)
-        dx = g.spacing
-    if not np.all(np.isfinite(kernel)):
+    if not np.all(np.isfinite(state.kernel)):
         raise NumericalDegeneracyError("kernel contains non-finite entries")
-    s = np.linalg.svd(kernel * dx, compute_uv=False)
+    s = np.linalg.svd(state.kernel * state.grid.spacing, compute_uv=False)
     total = float(np.sum(s**2))
     if total <= 1e-12:
         raise NumericalDegeneracyError("kernel has vanishing norm")
@@ -229,13 +177,6 @@ def schmidt_ratio(width_sum: float, width_diff: float) -> float:
     b = abs(1.0 / width_diff**2 - 1.0 / width_sum**2)
     r = a / b
     return r - np.sqrt(r * r - 1.0)
-
-
-def default_grid_for(state: TwoAtomState, n_points: int = 512, span_factor: float = 8.0) -> SpatialGrid:
-    w = max(state.width_sum or 0.0, state.width_diff or 0.0)
-    if w <= 0:
-        raise InvalidParameterError("state has no width information for a default grid")
-    return SpatialGrid.centered(span_factor * w, n_points)
 
 
 def propagate_kernel(kernel: np.ndarray, grid: SpatialGrid, dt: float) -> np.ndarray:
@@ -267,6 +208,4 @@ def _(state: TwoAtomState, dt: float) -> TwoAtomState:
     if state.packet_a is not None:
         updates["packet_a"] = evolve_free(state.packet_a, dt)
         updates["packet_b"] = evolve_free(state.packet_b, dt)
-    if state.has_kernel:
-        updates["kernel"] = propagate_kernel(state.kernel, state.grid, dt)
-    return replace(state, **updates)
+    return replace(state, kernel=propagate_kernel(state.kernel, state.grid, dt), **updates)

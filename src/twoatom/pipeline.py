@@ -23,8 +23,6 @@ import numpy as np
 from . import __version__
 from ._kernels import backend_name
 from .amplitudes import (
-    EvolutionChoice,
-    IDENTITY,
     first_emission_rate_ratio,
     property_case_rate,
     receding_pair,
@@ -207,6 +205,10 @@ def _sci(values: np.ndarray) -> np.ndarray:
     return np.char.mod("%.16e", values)
 
 
+#: header of events.csv; empty t1/t2 field = photon not recorded
+EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
+
+
 def write_events_csv(path: str, records: np.ndarray, detections: np.ndarray) -> None:
     """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected."""
     id_s = np.char.mod("%d", records["molecule_id"])
@@ -219,7 +221,7 @@ def write_events_csv(path: str, records: np.ndarray, detections: np.ndarray) -> 
 
     cols = [id_s, tf_s, ts_s, detection_strings(detections["t1"]), detection_strings(detections["t2"])]
     with open(path, "w", newline="") as fh:
-        fh.write("molecule_id,t_f,t_s,t1,t2\n")
+        fh.write(",".join(EVENTS_COLUMNS) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(zip(*(c.tolist() for c in cols)))
 
@@ -280,7 +282,7 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     d1, d2 = detector_streams(records)
     fits.update(supported_fits((f"detector_{i}", fit_cumulative_curve, s) for i, s in enumerate((d1, d2), 1)))
     bundle = ReportBundle(
-        fits={k: f.to_dict() for k, f in fits.items()},
+        fits={k: dataclasses.asdict(f) for k, f in fits.items()},
         rate_ratios=[],
         curve_tables=paths,
         config_echo=_echo(cfg),
@@ -308,14 +310,7 @@ def _echo(cfg: ExperimentConfig) -> dict:
 
 
 def write_report(path: str, bundle: ReportBundle) -> None:
-    doc = {
-        "fits": bundle.fits,
-        "rate_ratios": bundle.rate_ratios,
-        "curve_tables": bundle.curve_tables,
-        "config_echo": bundle.config_echo,
-        "version": bundle.version,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
+    doc = {**dataclasses.asdict(bundle), "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -402,7 +397,7 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
         entry = {
             "case": report.case_label,
             "params": params,
-            "report": report.to_dict(),
+            "report": dataclasses.asdict(report),
             "absolute_rate_per_s": report.ratio * g,
         }
         if interference is not None:
@@ -410,13 +405,12 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
         entries.append(entry)
 
     def study(params: dict, case: str, inputs, **kwargs):
-        result = property_case_rate(case, inputs, IDENTITY, **kwargs)
+        result = property_case_rate(case, inputs, **kwargs)
         add(params, result.report, result.interference_magnitude)
 
     if main_cases:
-        free = EvolutionChoice("free-propagation", a.dt)
-        add({"evolution": "identity"}, first_emission_rate_ratio(state, IDENTITY))
-        add({"evolution": "free-propagation", "dt": a.dt}, first_emission_rate_ratio(state, free))
+        add({"evolution": "identity"}, first_emission_rate_ratio(state))
+        add({"evolution": "free-propagation", "dt": a.dt}, first_emission_rate_ratio(state, a.dt))
         for sep in a.separations:
             pair = receding_pair(sep, a.dt, a.sigma)
             report = second_emission_rate_ratio(pair, a.dt, a.recoil_k)

@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import norm, poisson
 
 from twoatom.amplitudes import (
-    EvolutionChoice,
     property_case_rate,
     first_emission_rate_ratio,
     receding_pair,
@@ -163,7 +162,7 @@ def test_criterion_5_first_emission_engine(width_sum, width_diff):
     rep = first_emission_rate_ratio(state)
     assert abs(rep.completeness_sum - 1.0) <= 1e-6
     assert abs(rep.ratio - 2.0) <= 1e-6
-    free = first_emission_rate_ratio(state, EvolutionChoice("free-propagation", 10.0))
+    free = first_emission_rate_ratio(state, 10.0)
     assert abs(free.ratio - 2.0) <= 1e-4
     report(5, f"widths ({width_sum}, {width_diff}): ratio {rep.ratio:.8f}, free {free.ratio:.8f}")
 

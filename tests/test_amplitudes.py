@@ -12,9 +12,10 @@ Oracles used here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatom.amplitudes import (
-    EvolutionChoice,
     RateRatioReport,
     property_case_rate,
     first_emission_amplitude,
@@ -26,10 +27,11 @@ from twoatom.amplitudes import (
 from twoatom.errors import InvalidCaseError, InvalidParameterError, InvalidStateError
 from twoatom.grids import SpatialGrid
 from twoatom.packets import make_packet, overlap
-from twoatom.pairstate import make_two_atom_gaussian, schmidt_ratio
+from twoatom.pairstate import make_two_atom_gaussian, schmidt_ratio, symmetrized_pair_state
 
 GRID = SpatialGrid.centered(16.0, 512)
 STATE = make_two_atom_gaussian(2.0, 1.0, GRID)
+PAIR = symmetrized_pair_state(make_packet(-1.0, 0.4, 1.0), make_packet(1.5, 0.0, 0.8), GRID)
 
 
 def test_amplitude_onto_dominant_schmidt_pair():
@@ -94,6 +96,32 @@ def test_amplitude_exchange_symmetry_is_exact():
     assert first_emission_amplitude(STATE, o1, o2) == first_emission_amplitude(STATE, o2, o1)
 
 
+OUT_PACKETS = st.builds(
+    make_packet, st.floats(-4.0, 4.0), st.floats(-2.0, 2.0), st.floats(0.3, 2.0)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def unit_array(seed):
+    """A random complex function on GRID with unit norm."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(GRID.n_points) + 1j * rng.standard_normal(GRID.n_points)
+    return f / np.sqrt(np.sum(np.abs(f) ** 2) * GRID.spacing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    state=st.sampled_from(["correlated", "pair"]),
+    outs=st.tuples(OUT_PACKETS, OUT_PACKETS) | st.tuples(SEEDS, SEEDS),
+    dt=st.sampled_from([0.0, 1.5]),
+)
+def test_amplitude_exchange_symmetry_holds_bit_for_bit(state, outs, dt):
+    psi0 = {"correlated": STATE, "pair": PAIR}[state]
+    # a seed stands for a sampled unit-norm final state
+    o1, o2 = (unit_array(o) if isinstance(o, int) else o for o in outs)
+    assert first_emission_amplitude(psi0, o1, o2, dt) == first_emission_amplitude(psi0, o2, o1, dt)
+
+
 def test_amplitude_rejects_unnormalized_grid_function():
     f = np.ones(GRID.n_points)
     with pytest.raises(InvalidStateError):
@@ -108,7 +136,7 @@ def test_first_emission_ratio_is_two(width_sum, width_diff):
     assert abs(rep.ratio - 2.0) < 1e-6
     assert abs(rep.completeness_sum - 1.0) < 1e-6
     assert rep.norm_coefficient_used == pytest.approx(0.5, abs=1e-10)
-    free = first_emission_rate_ratio(st, EvolutionChoice("free-propagation", 2.0))
+    free = first_emission_rate_ratio(st, 2.0)
     assert abs(free.ratio - 2.0) < 1e-4
     # unitary invariance: free propagation does not change the ratio
     assert free.ratio == pytest.approx(rep.ratio, abs=1e-9)
@@ -119,7 +147,7 @@ def test_completeness_equals_evolved_norm():
     from twoatom.pairstate import propagate_kernel
 
     dt = 1.7
-    rep = first_emission_rate_ratio(STATE, EvolutionChoice("free-propagation", dt))
+    rep = first_emission_rate_ratio(STATE, dt)
     ev = propagate_kernel(STATE.kernel, GRID, dt)
     norm2 = float(np.sum(np.abs(ev) ** 2)) * GRID.spacing**2
     assert rep.completeness_sum == pytest.approx(norm2, abs=1e-6)
@@ -259,6 +287,4 @@ def test_report_validation():
     with pytest.raises(InvalidParameterError):
         RateRatioReport(2.0, 1.0, 0.5, "bogus", "ordered-grid-product")
     with pytest.raises(InvalidParameterError):
-        EvolutionChoice("warp", 1.0)
-    with pytest.raises(InvalidParameterError):
-        EvolutionChoice("identity", -1.0)
+        first_emission_rate_ratio(STATE, -1.0)

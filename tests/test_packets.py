@@ -7,10 +7,13 @@ wave function.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatom.errors import IncompatibleRepresentationError, InvalidParameterError
 from twoatom.grids import SpatialGrid, inner_product, l2_norm
 from twoatom.packets import (
+    GaussianPacket,
     apply_recoil,
     evolve_free,
     make_packet,
@@ -181,3 +184,24 @@ def test_overlap_unitarity_under_common_evolution():
     before = overlap(a, b)
     after = overlap(evolve_free(a, 7.0), evolve_free(b, 7.0))
     assert after == pytest.approx(before, rel=1e-10)
+
+
+#: packets anywhere a few widths around the origin, after any free flight
+PACKETS = st.builds(
+    GaussianPacket,
+    center=st.floats(-10.0, 10.0),
+    momentum=st.floats(-3.0, 3.0),
+    width_sigma=st.floats(0.2, 5.0),
+    phase=st.floats(-np.pi, np.pi),
+    t=st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PACKETS, PACKETS)
+def test_overlap_is_hermitian_and_bounded(a, b):
+    # the closed form sums the two packets' terms in opposite order, so
+    # conjugate symmetry holds to rounding, not bit for bit
+    ab = overlap(a, b)
+    assert ab == pytest.approx(np.conj(overlap(b, a)), rel=1e-10, abs=1e-300)
+    assert abs(ab) <= 1.0 + 1e-12

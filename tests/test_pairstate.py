@@ -94,13 +94,7 @@ def test_strong_correlation_has_multiple_coefficients():
 
 def test_schmidt_rejects_degenerate_kernel():
     st = make_two_atom_gaussian(2.0, 1.0, GRID)
-    bad = TwoAtomState(
-        kind="grid-kernel",
-        width_sum=2.0,
-        width_diff=1.0,
-        grid=GRID,
-        kernel=np.full_like(st.kernel, np.nan),
-    )
+    bad = TwoAtomState(grid=GRID, kernel=np.full_like(st.kernel, np.nan))
     with pytest.raises(NumericalDegeneracyError):
         schmidt_spectrum(bad)
 

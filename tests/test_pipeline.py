@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -148,7 +149,7 @@ def test_run_experiment_writes_artifacts(tmp_path):
 def test_events_csv_format(tmp_path):
     cfg = small_config(tmp_path, n0=50)
     run_experiment(cfg)
-    lines = open(os.path.join(cfg.output_dir, "events.csv")).read().splitlines()
+    lines = Path(cfg.output_dir, "events.csv").read_text().splitlines()
     assert lines[0] == "molecule_id,t_f,t_s,t1,t2"
     assert len(lines) == 51
     row = lines[1].split(",")
@@ -167,8 +168,8 @@ def test_rerun_is_byte_identical(tmp_path):
     cfg_b = small_config(tmp_path, output_dir=str(tmp_path / "b"))
     run_experiment(cfg_a)
     run_experiment(cfg_b)
-    ev_a = open(os.path.join(cfg_a.output_dir, "events.csv"), "rb").read()
-    ev_b = open(os.path.join(cfg_b.output_dir, "events.csv"), "rb").read()
+    ev_a = Path(cfg_a.output_dir, "events.csv").read_bytes()
+    ev_b = Path(cfg_b.output_dir, "events.csv").read_bytes()
     assert ev_a == ev_b
     rep_a = read_report(os.path.join(cfg_a.output_dir, "report.json"))
     rep_b = read_report(os.path.join(cfg_b.output_dir, "report.json"))
@@ -248,8 +249,8 @@ def test_worker_count_does_not_change_outputs(tmp_path):
     cfg_b = small_config(tmp_path, output_dir=str(tmp_path / "w3"), workers=3)
     run_experiment(cfg_a)
     run_experiment(cfg_b)
-    ev_a = open(os.path.join(cfg_a.output_dir, "events.csv"), "rb").read()
-    ev_b = open(os.path.join(cfg_b.output_dir, "events.csv"), "rb").read()
+    ev_a = Path(cfg_a.output_dir, "events.csv").read_bytes()
+    ev_b = Path(cfg_b.output_dir, "events.csv").read_bytes()
     assert ev_a == ev_b
 
 
@@ -478,10 +479,30 @@ def test_small_ensemble_report_leaves_out_unfittable_fits(tmp_path, n0):
     assert set(fits) <= set(direct)
     for name, (fit, sample) in direct.items():
         if name in fits:
-            assert fits[name] == fit(sample).to_dict()
+            assert fits[name] == dataclasses.asdict(fit(sample))
         else:
             with pytest.raises(InsufficientDataError):
                 fit(sample)
+    # fit --events on the same file leaves out the same MLE fits
+    refit = str(tmp_path / "refit")
+    assert cli_main(["fit", "--events", os.path.join(out, "events.csv"), "--out", refit]) == 0
+    mle = {name: f for name, f in fits.items() if direct[name][0] is fit_exponential_mle}
+    assert read_report(os.path.join(refit, "report.json"))["fits"] == mle
+
+
+@pytest.mark.parametrize("header,missing", [
+    ("a,b", "molecule_id, t_f, t_s, t1, t2"),
+    ("molecule_id,t_f,t_s,t1", "t2"),
+    ("molecule_id,t_s,t1,t2,extra", "t_f"),
+])
+def test_cli_fit_names_a_missing_column(tmp_path, capsys, header, missing):
+    path = tmp_path / "events.csv"
+    n_cols = header.count(",") + 1
+    path.write_text(header + "\n" + ",".join(["1"] * n_cols) + "\n" + ",".join(["2"] * n_cols) + "\n")
+    out = tmp_path / "refit"
+    assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 2
+    assert f"lacks the column(s) {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_check_fails_without_a_fit(tmp_path, capsys):
