@@ -14,16 +14,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import ConfigValidationError, TwoAtomError
 from .eventsim import coincidence_differences
 from .pipeline import (
-    EVENTS_COLUMNS,
     ExperimentConfig,
     ReportBundle,
     check_report,
     mle_fit_jobs,
+    read_events_csv,
     reproduce_figure1,
     run_experiment,
     run_full,
@@ -73,11 +71,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = load_config(args)
-    data = np.genfromtxt(args.events, delimiter=",", names=True)
-    missing = [c for c in EVENTS_COLUMNS if c not in (data.dtype.names or ())]
-    if missing:
-        print(f"{args.events} lacks the column(s) {', '.join(missing)}", file=sys.stderr)
-        return EXIT_CONFIG
+    data = read_events_csv(args.events)
     g = cfg.rates.gamma
     fits = supported_fits(mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
     bundle = ReportBundle(

@@ -42,3 +42,9 @@ class ConfigValidationError(TwoAtomError, ValueError):
     def __init__(self, fields, message=None):
         self.fields = list(fields)
         super().__init__(message or f"invalid config fields: {', '.join(self.fields)}")
+
+
+class EventsFileError(TwoAtomError, ValueError):
+    """An events file cannot be read: empty, not UTF-8, a missing column,
+    a ragged row or a bad field.  The message names the file and, for a
+    row, its line and column."""

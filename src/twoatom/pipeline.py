@@ -11,10 +11,10 @@ timestamp in report.json.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -28,8 +28,9 @@ from .amplitudes import (
     receding_pair,
     second_emission_rate_ratio,
 )
-from .errors import ConfigValidationError, InsufficientDataError
+from .errors import ConfigValidationError, EventsFileError, InsufficientDataError
 from .eventsim import (
+    CHUNK_MOLECULES,
     SIM_RULES,
     SimConfig,
     assign_detections,
@@ -200,30 +201,101 @@ def _ensure_outdir(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _sci(values: np.ndarray) -> np.ndarray:
-    """Scientific notation with 17 significant digits (round-trip exact)."""
-    return np.char.mod("%.16e", values)
-
-
 #: header of events.csv; empty t1/t2 field = photon not recorded
 EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
 
 
 def write_events_csv(path: str, records: np.ndarray, detections: np.ndarray) -> None:
-    """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected."""
-    id_s = np.char.mod("%d", records["molecule_id"])
-    tf_s = _sci(records["t_f"])
-    ts_s = _sci(records["t_s"])
+    """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected.
 
-    def detection_strings(arr):
-        # assign_detections copies t_f or t_s into t1/t2, or leaves NaN
-        return np.where(arr == records["t_f"], tf_s, np.where(arr == records["t_s"], ts_s, ""))
-
-    cols = [id_s, tf_s, ts_s, detection_strings(detections["t1"]), detection_strings(detections["t2"])]
+    Times are written in scientific notation with 17 significant digits
+    (round-trip exact).  The rows are formatted and written one
+    CHUNK_MOLECULES chunk at a time, so the strings of one chunk are alive
+    at once.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(EVENTS_COLUMNS) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(zip(*(c.tolist() for c in cols)))
+        for start in range(0, len(records), CHUNK_MOLECULES):
+            rec = records[start:start + CHUNK_MOLECULES]
+            det = detections[start:start + CHUNK_MOLECULES]
+            # assign_detections copies t_f or t_s into t1/t2, or leaves NaN:
+            # code 1 picks the t_f string, 2 the t_s string, 0 the empty field
+            codes = [np.where(det[c] == rec["t_f"], 1, np.where(det[c] == rec["t_s"], 2, 0)).tolist()
+                     for c in ("t1", "t2")]
+            t_f = ["%.16e" % v for v in rec["t_f"].tolist()]
+            t_s = ["%.16e" % v for v in rec["t_s"].tolist()]
+            rows = []
+            for i, f, s, a, b in zip(rec["molecule_id"].tolist(), t_f, t_s, *codes):
+                pick = ("", f, s)
+                rows.append(f"{i},{f},{s},{pick[a]},{pick[b]}\n")
+            fh.write("".join(rows))
+
+
+#: an empty field: a comma followed by a comma, a line end or the end of file
+_EMPTY_FIELD = re.compile(rb",(?=,|\r?\n|$)")
+#: loadtxt's reports of a bad field and of a ragged row; a row counts the
+#: data lines, blank ones skipped, from 0 for a bad field and from 1 for a
+#: ragged row
+_BAD_FIELD = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)")
+_RAGGED_ROW = re.compile(r"number of columns changed from \d+ to (\d+) at row (\d+)")
+
+
+def read_events_csv(path: str) -> dict[str, np.ndarray]:
+    """The columns of an events.csv as float arrays, keyed by header name.
+
+    An empty t1/t2 field reads as NaN.  Raises EventsFileError, naming the
+    file, for an empty file, a header that is not UTF-8 or lacks one of
+    EVENTS_COLUMNS, and, naming the line and the column as well, for a
+    ragged row, a field that is not a number, and an empty or non-finite
+    field outside t1/t2.  Blank lines are skipped.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        lines = _EMPTY_FIELD.sub(b",nan", fh.read()).decode("utf-8", "replace").split("\n")
+    if not head:
+        raise EventsFileError(f"{path} is empty")
+    try:
+        names = [name.strip() for name in head.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        raise EventsFileError(f"{path}: its header line is not UTF-8") from None
+    missing = [c for c in EVENTS_COLUMNS if c not in names]
+    if missing:
+        raise EventsFileError(f"{path} lacks the column(s) {', '.join(missing)}")
+    # loadtxt skips a line that is empty but for its line end, and warns
+    # when no other line is left
+    first = next((line for line in lines if line not in ("", "\r")), None)
+    if first is None:
+        return {c: np.empty(0) for c in EVENTS_COLUMNS}
+
+    def where(row: int) -> str:
+        """`path, line n` of data row `row` (from 0), blank lines counted."""
+        data_lines = [n for n, line in enumerate(lines, start=2) if line not in ("", "\r")]
+        return f"{path}, line {data_lines[row]}"
+
+    def ragged(row: int, fields: int) -> EventsFileError:
+        at = f"column {names[fields]} is missing" if fields < len(names) else f"after column {names[-1]}"
+        return EventsFileError(f"{where(row)}, {at}: the row has {fields} fields, the header {len(names)}")
+
+    # loadtxt takes the first row's field count as the table's
+    if first.count(",") + 1 != len(names):
+        raise ragged(0, first.count(",") + 1)
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        if m := _BAD_FIELD.search(str(exc)):
+            raise EventsFileError(f"{where(int(m[2]))}, column {names[int(m[3]) - 1]}: "
+                                  f"{m[1]} is not a number") from None
+        if m := _RAGGED_ROW.search(str(exc)):
+            raise ragged(int(m[2]) - 1, int(m[1])) from None
+        raise EventsFileError(f"{path}: {exc}") from None
+    # NaN, from an empty field, means "not recorded" in t1/t2 only
+    fine = np.isfinite(table)
+    for c in ("t1", "t2"):
+        fine[:, names.index(c)] |= np.isnan(table[:, names.index(c)])
+    if not fine.all():
+        row, col = np.argwhere(~fine)[0]
+        raise EventsFileError(f"{where(row)}, column {names[col]}: empty or not finite")
+    return {c: table[:, names.index(c)] for c in EVENTS_COLUMNS}
 
 
 def write_histogram_csv(path: str, hist) -> None:

@@ -1,9 +1,13 @@
 """End-to-end runs: configuration, artifacts, determinism, CLI surface."""
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -24,12 +28,15 @@ from twoatom.eventsim import (
 )
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
 from twoatom.pipeline import (
+    EVENTS_COLUMNS,
     AmplitudeParams,
     ExperimentConfig,
+    read_events_csv,
     reproduce_figure1,
     run_experiment,
     run_full,
     run_rate_derivation,
+    write_events_csv,
 )
 
 
@@ -503,6 +510,167 @@ def test_cli_fit_names_a_missing_column(tmp_path, capsys, header, missing):
     assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 2
     assert f"lacks the column(s) {missing}" in capsys.readouterr().err
     assert not out.exists()
+
+
+HEADER = "molecule_id,t_f,t_s,t1,t2\n"
+ROW = "0,1.0000000000000000e-09,3.0000000000000000e-09,1.0000000000000000e-09,\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "is empty"),
+    (b"\xffmolecule_id,t_f,t_s,t1,t2\n" + ROW.encode(), "header line is not UTF-8"),
+], ids=["empty", "header-not-utf8"])
+def test_cli_fit_rejects_an_unreadable_file(tmp_path, capsys, content, message):
+    path = tmp_path / "events.csv"
+    path.write_bytes(content)
+    out = tmp_path / "refit"
+    assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}" in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, where", [
+    # a non-numeric field, after a blank line that loadtxt skips
+    (ROW + "1,abc,2e-09,,\n", "line 3, column t_f: 'abc' is not a number"),
+    (ROW + "\n\n1,2e-09,abc,,\n", "line 5, column t_s: 'abc' is not a number"),
+    (ROW.replace("\n", "\r\n") + "1,2e-09,3e-09,x,\r\n", "line 3, column t1: 'x' is not a number"),
+    (",1e-09,2e-09,,\n", "line 2, column molecule_id: '' is not a number"),
+    # ragged rows, the first one included
+    (ROW + ROW + "2,1e-09,2e-09\n" + ROW, "line 4, column t1 is missing: the row has 3 fields"),
+    (ROW + "2,1e-09,2e-09,,,\n", "line 3, after column t2: the row has 6 fields"),
+    ("2,1e-09,2e-09\n" + ROW, "line 2, column t1 is missing"),
+    ("2,1e-09,2e-09,,,\n" + ROW, "line 2, after column t2"),
+    # only t1/t2 may be empty, and no time infinite
+    (ROW + "1,,2e-09,,\n", "line 3, column t_f: empty or not finite"),
+    (ROW + "1,1e-09,1e999,,\n", "line 3, column t_s: empty or not finite"),
+], ids=["text", "text-after-blank-lines", "text-crlf", "empty-id", "short-row", "long-row",
+        "short-first-row", "long-first-row", "empty-t_f", "infinite-t_s"])
+def test_cli_fit_names_the_line_and_column(tmp_path, capsys, body, where):
+    path = tmp_path / "events.csv"
+    path.write_text(HEADER + body, newline="")
+    out = tmp_path / "refit"
+    assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}, {where}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [HEADER, HEADER.rstrip("\n"), HEADER + "\n\r\n"],
+                         ids=["header", "no-line-end", "blank-lines"])
+def test_cli_fit_header_only_file_leaves_out_every_fit(tmp_path, content):
+    path = tmp_path / "events.csv"
+    path.write_text(content, newline="")
+    out = tmp_path / "refit"
+    assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 0
+    assert read_report(os.path.join(out, "report.json"))["fits"] == {}
+
+
+def assert_same_bits(got, want):
+    """Equal float arrays bit for bit, NaN where `want` is NaN."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    n0=st.sampled_from([1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 7]),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**32 - 1),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+)
+@example(n0=3 * 2**14 + 7, efficiency=0.3, mode="sequential", seed=5, crlf=False, final_newline=True)
+@example(n0=1, efficiency=1e-9, mode="independent", seed=5, crlf=True, final_newline=False)
+def test_events_csv_round_trip(n0, efficiency, mode, seed, crlf, final_newline):
+    cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency)
+    records = simulate_ensemble(cfg.sim_config())
+    detections = assign_detections(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        write_events_csv(path, records, detections)
+        content = Path(path).read_bytes()
+        if crlf:
+            content = content.replace(b"\n", b"\r\n")
+        if not final_newline:
+            content = content.rstrip(b"\r\n")
+        Path(path).write_bytes(content)
+        got = read_events_csv(path)
+        oracle = np.genfromtxt(path, delimiter=",", names=True)
+    for name in EVENTS_COLUMNS:
+        np.testing.assert_array_equal(got[name], np.atleast_1d(oracle[name]))
+    for name, want in (("t_f", records["t_f"]), ("t_s", records["t_s"]),
+                       ("t1", detections["t1"]), ("t2", detections["t2"])):
+        assert_same_bits(got[name], want)
+    assert np.array_equal(got["molecule_id"], records["molecule_id"])
+
+
+@pytest.mark.parametrize("content, t1, t2", [
+    # the last row ends in an empty field, with no line end after it
+    (HEADER + ROW + "1,2e-09,4e-09,4e-09,", [1e-9, 4e-9], [np.nan, np.nan]),
+    ((HEADER + ROW + "1,2e-09,4e-09,,2e-09\n").replace("\n", "\r\n"), [1e-9, np.nan], [np.nan, 2e-9]),
+], ids=["empty-last-field-no-line-end", "crlf"])
+def test_read_events_csv_line_ends(tmp_path, content, t1, t2):
+    path = tmp_path / "events.csv"
+    path.write_text(content, newline="")
+    got = read_events_csv(str(path))
+    np.testing.assert_array_equal(got["t1"], t1)
+    np.testing.assert_array_equal(got["t2"], t2)
+    oracle = np.genfromtxt(path, delimiter=",", names=True)
+    for name in EVENTS_COLUMNS:
+        np.testing.assert_array_equal(got[name], oracle[name])
+
+
+@functools.cache
+def valid_events_bytes() -> bytes:
+    """events.csv of a small ensemble with undetected photons."""
+    records = simulate_ensemble(ExperimentConfig(n0=12, seed=3, detector_efficiency=0.6).sim_config())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        write_events_csv(path, records, assign_detections(records))
+        return Path(path).read_bytes()
+
+
+def mutate(content: bytes, edits) -> bytes:
+    for kind, at, byte in edits:
+        at %= max(len(content), 1)
+        if kind == "delete":
+            content = content[:at] + content[at + 1:]
+        elif kind == "duplicate":
+            content = content[:at + 1] + content[at:]
+        elif kind == "replace":
+            content = content[:at] + bytes([byte]) + content[at + 1:]
+        else:
+            content = content[:at]
+    return content
+
+
+def run_fit(content: bytes) -> tuple[int, str]:
+    """`twoatom fit --events` on a file holding `content`: exit code, stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        Path(path).write_bytes(content)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["fit", "--events", path, "--out", os.path.join(tmp, "refit")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(lambda b: HEADER.encode() + b)))
+def test_cli_fit_fuzz_random_bytes(content):
+    code, err = run_fit(content)
+    assert code in (0, 2) and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "replace", "truncate"]),
+                          st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=3))
+def test_cli_fit_fuzz_mutated_file(edits):
+    code, err = run_fit(mutate(valid_events_bytes(), edits))
+    assert code in (0, 2) and "Traceback" not in err
 
 
 def test_cli_check_fails_without_a_fit(tmp_path, capsys):
