@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError
-from .grids import SpatialGrid
+from .grids import SpatialGrid, abs2
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
 from .pairstate import TwoAtomState, propagate_kernel, symmetrized_norm
 
@@ -111,7 +111,7 @@ def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
     f = np.asarray(out)
     if f.shape != (grid.n_points,):
         raise InvalidStateError("sampled final state does not match the state grid")
-    norm2 = float(np.sum(np.abs(f) ** 2)) * grid.spacing
+    norm2 = float(np.sum(abs2(f))) * grid.spacing
     if abs(norm2 - 1.0) > 1e-6:
         raise InvalidStateError(f"final state is not unit-normalized (|f|^2 = {norm2:.3e})")
     return f
@@ -143,8 +143,8 @@ def _ordered_sum(e1, e2, grid):
         sum |amp|^2 = 2 N^2 (||U C1||^2 + ||U C2||^2 + 2 Re<U C1|U C2>)
     """
     dx2 = grid.spacing**2
-    s1 = float(np.sum(np.abs(e1) ** 2)) * dx2
-    s2 = float(np.sum(np.abs(e2) ** 2)) * dx2
+    s1 = float(np.sum(abs2(e1))) * dx2
+    s2 = float(np.sum(abs2(e2))) * dx2
     cross = 2.0 * float((np.vdot(e1, e2) * dx2).real)
     return s1, s2, cross
 
@@ -165,8 +165,8 @@ def _restricted_sum(e1, e2, grid, family):
     dx = grid.spacing
     a1 = q.conj().T @ e1 @ q.conj() * dx
     a2 = q.conj().T @ e2 @ q.conj() * dx
-    s1 = float(np.sum(np.abs(a1) ** 2))
-    s2 = float(np.sum(np.abs(a2) ** 2))
+    s1 = float(np.sum(abs2(a1)))
+    s2 = float(np.sum(abs2(a2)))
     cross = 2.0 * float(np.vdot(a1, a2).real)
     return s1, s2, cross
 
@@ -315,7 +315,7 @@ def property_case_rate(
         ev = propagate_kernel(inputs.kernel, inputs.grid, dt)
         # both distinguishable channels share the spatial kernel; each one
         # sums to the captured mass and the probabilities are averaged
-        channel = float(np.sum(np.abs(ev) ** 2)) * dx2
+        channel = float(np.sum(abs2(ev))) * dx2
         ratio = 0.5 * channel + 0.5 * channel
         report = RateRatioReport(ratio, channel, 1.0, case, convention)
         return PropertyRateResult(report, 0.0, channel_probabilities=(channel, channel))

@@ -26,13 +26,17 @@ from .errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .grids import SpatialGrid
+from .grids import SpatialGrid, abs2
 from .packets import GaussianPacket, evolve_free, make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
 
 #: tolerated loss of probability mass to grid truncation
 TRUNCATION_TOL = 1e-8
+
+#: kernel rows synthesized or phase-multiplied per step; bounds the
+#: temporaries to a row block instead of whole kernels
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,22 +61,28 @@ class TwoAtomState:
 
 
 def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
+    # rows (x_i, y) at u = (x_i + y)/sqrt 2, v = (x_i - y)/sqrt 2; sampling
+    # is elementwise, so each row block holds the whole-array values
     x = grid.points
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    u = (xx + yy) / _SQRT2
-    v = (xx - yy) / _SQRT2
-    return sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+    out = np.empty((x.size, x.size), complex)
+    for i in range(0, x.size, ROW_BLOCK):
+        rows = x[i : i + ROW_BLOCK, None]
+        u, v = (rows + x) / _SQRT2, (rows - x) / _SQRT2
+        out[i : i + ROW_BLOCK] = sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+    return out
 
 
 def _checked_unit_kernel(kernel: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    mass = float(np.sum(np.abs(kernel) ** 2)) * grid.spacing**2
+    """Normalize a freshly built `kernel` in place after the mass checks."""
+    mass = float(np.sum(abs2(kernel))) * grid.spacing**2
     if not np.isfinite(mass) or mass <= 0.0:
         raise NumericalDegeneracyError("kernel is not normalizable")
     if abs(mass - 1.0) > TRUNCATION_TOL:
         raise DomainTruncationError(
             f"grid holds {mass:.12f} of the probability mass (need 1 +/- {TRUNCATION_TOL:g})"
         )
-    return kernel / np.sqrt(mass)
+    kernel /= np.sqrt(mass)
+    return kernel
 
 
 def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGrid) -> TwoAtomState:
@@ -184,15 +194,19 @@ def propagate_kernel(kernel: np.ndarray, grid: SpatialGrid, dt: float) -> np.nda
 
     The two-particle evolution operator factorizes into identical
     one-particle operators, i.e. a pure phase exp(-i (kx^2 + ky^2) dt / 2)
-    in 2D k-space; the discrete norm is conserved exactly.
+    in 2D k-space; the discrete norm is conserved exactly.  `kernel` itself
+    is never written; at dt = 0 it is returned as is.
     """
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
     if dt == 0:
         return kernel
     k = grid.wavenumbers
-    phase = np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
-    return np.fft.ifft2(np.fft.fft2(kernel) * phase)
+    spec = np.fft.fft2(kernel, out=np.empty(kernel.shape, complex))
+    for i in range(0, k.size, ROW_BLOCK):
+        spec[i : i + ROW_BLOCK] *= np.exp(-0.5j * dt * (k[i : i + ROW_BLOCK, None] ** 2 + k[None, :] ** 2))
+    # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it, bit for bit
+    return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
 
 
 @evolve_free.register

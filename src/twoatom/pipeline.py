@@ -455,9 +455,27 @@ def run_property_cases(cfg: ExperimentConfig) -> list:
 
 
 def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
-    """Build the grid and the two-atom state once; write rates.json."""
+    """Compute the rate entries and write rates.json.  A grid too large
+    for memory is a configuration error naming amplitude.grid_points."""
     cfg.validate()
     out = _ensure_outdir(cfg)
+    try:
+        entries = _rate_entries(cfg, main_cases)
+    except MemoryError:
+        n = cfg.amplitude.grid_points
+        raise ConfigValidationError(
+            ["amplitude.grid_points"],
+            f"amplitude.grid_points = {n} does not fit in memory: one dense kernel takes"
+            f" 16*n^2 bytes = {16 * n * n / 2**30:.2f} GiB, and the rate stage holds 3.5 of them",
+        ) from None
+    with open(os.path.join(out, "rates.json"), "w") as fh:
+        json.dump(entries, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return entries
+
+
+def _rate_entries(cfg: ExperimentConfig, main_cases: bool) -> list:
+    """Build the grid and the two-atom state once; one entry per report."""
     a = cfg.amplitude
     g = cfg.rates.gamma
     half = a.grid_span_factor * max(a.width_sum, a.width_diff)
@@ -506,10 +524,6 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     study({}, "prop2-nonsymmetrized", state)
     study({}, "prop3-entangled-final", state)
     study({"variant": "both-symmetric"}, "prop4-entangled-second", state)
-
-    with open(os.path.join(out, "rates.json"), "w") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return entries
 
 

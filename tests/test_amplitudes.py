@@ -267,6 +267,20 @@ def test_prop4_entangled_second_emission():
     assert res.interference_magnitude == pytest.approx(1.0, abs=1e-6)
 
 
+def test_rate_calls_leave_the_state_kernel_untouched():
+    # at dt = 0 the evolved channel is the state's own kernel, so an
+    # in-place write anywhere downstream would corrupt the state
+    state = make_two_atom_gaussian(2.0, 1.0, SpatialGrid.centered(16.0, 256))
+    before = state.kernel.tobytes()
+    family = [make_packet(c, 0.0, 1.0) for c in (-2.0, 0.0, 2.0)]
+    for dt in (0.0, 1.5):
+        first_emission_rate_ratio(state, dt)
+        first_emission_rate_ratio(state, dt, convention="restricted-subset", family=family)
+        for case in ("prop2-nonsymmetrized", "prop3-entangled-final", "prop4-entangled-second"):
+            property_case_rate(case, state, dt=dt)
+    assert state.kernel.tobytes() == before
+
+
 def test_property_case_validation():
     with pytest.raises(InvalidCaseError):
         property_case_rate("prop1-nonentangled", STATE, grid=GRID)

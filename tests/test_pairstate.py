@@ -7,6 +7,8 @@ the width ratio; the SVD of the discretized kernel must reproduce it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatom.errors import (
     DomainTruncationError,
@@ -17,6 +19,7 @@ from twoatom.grids import SpatialGrid
 from twoatom.packets import evolve_free, make_packet, sample_packet
 from twoatom.pairstate import (
     TwoAtomState,
+    _mode_kernel,
     make_two_atom_gaussian,
     propagate_kernel,
     schmidt_ratio,
@@ -148,8 +151,6 @@ def test_analytic_modes_track_grid_evolution():
     ev = evolve_free(st, dt)
     # resample the analytically evolved modes and compare with the
     # spectrally propagated kernel
-    from twoatom.pairstate import _mode_kernel
-
     resampled = _mode_kernel(ev.mode_sum, ev.mode_diff, GRID)
     assert np.max(np.abs(resampled - ev.kernel)) < 1e-8
 
@@ -159,3 +160,71 @@ def test_grid_validation():
         SpatialGrid(1.0, -1.0, 128)
     with pytest.raises(InvalidParameterError):
         SpatialGrid(-1.0, 1.0, 32)
+
+
+# Whole-array oracles of the row-blocked builders: the meshgrid synthesis of
+# a two-mode kernel and one phase multiplication of the full spectrum.
+def meshgrid_mode_kernel(mode_sum, mode_diff, grid):
+    x = grid.points
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    u = (xx + yy) / np.sqrt(2.0)
+    v = (xx - yy) / np.sqrt(2.0)
+    return sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+
+
+def whole_array_propagation(kernel, grid, dt):
+    k = grid.wavenumbers
+    phase = np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
+    return np.fft.ifft2(np.fft.fft2(kernel) * phase)
+
+
+# sizes around and between row blocks, so the last block is partial
+BLOCK_GRID_POINTS = st.sampled_from([64, 65, 127, 129, 300])
+FLIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
+
+
+def _packet(draw):
+    p = make_packet(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 4.0)))
+    return evolve_free(p, draw(FLIGHT))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=BLOCK_GRID_POINTS, half=st.floats(4.0, 40.0), data=st.data())
+def test_blocked_mode_kernel_is_bit_identical(n, half, data):
+    grid = SpatialGrid.centered(half, n)
+    mode_sum, mode_diff = _packet(data.draw), _packet(data.draw)
+    blocked = _mode_kernel(mode_sum, mode_diff, grid)
+    # tobytes, not ==, so that signed zeros count
+    assert blocked.tobytes() == meshgrid_mode_kernel(mode_sum, mode_diff, grid).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=BLOCK_GRID_POINTS,
+    half=st.floats(4.0, 40.0),
+    dt=FLIGHT,
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, seed):
+    grid = SpatialGrid.centered(half, n)
+    rng = np.random.default_rng(seed)
+    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if transposed:
+        kernel = kernel.T
+    evolved = propagate_kernel(kernel, grid, dt)
+    if dt == 0:
+        assert evolved is kernel
+    else:
+        assert evolved.tobytes() == whole_array_propagation(kernel, grid, dt).tobytes()
+
+
+@pytest.mark.parametrize("dt", [0.0, 1.5])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_propagation_never_writes_its_argument(dt, transposed):
+    kernel = make_two_atom_gaussian(2.0, 1.0, GRID).kernel
+    kernel = kernel.T if transposed else kernel
+    before = kernel.tobytes()
+    kernel.setflags(write=False)  # a write into it now raises
+    propagate_kernel(kernel, GRID, dt)
+    assert kernel.tobytes() == before

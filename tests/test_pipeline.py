@@ -7,7 +7,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -330,6 +333,42 @@ def test_golden_rates_bytes(tmp_path):
     run_rate_derivation(cfg)
     with open(os.path.join(cfg.output_dir, "rates.json"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RATES_256
+
+
+def test_rate_stage_peak_memory(tmp_path):
+    # the rate stage holds at most the state kernel, two evolved channels
+    # and one real |e|^2 buffer: 3.5 dense complex kernels of 16 n^2 bytes
+    n = 512
+    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_rate_derivation(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3.6 * 16 * n * n
+
+
+def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
+    # one 20000-point kernel takes 6 GiB; the child caps its own address
+    # space at 3 GiB, so the allocation fails whatever the host's
+    # overcommit policy
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from twoatom.cli import main\n"
+        f"sys.exit(main(['rates', '--set', 'amplitude.grid_points=20000', '--out', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "amplitude.grid_points" in proc.stderr and "5.96 GiB" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cross_engine_agreement(tmp_path):
