@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .amplitudes import (
     PropertyRateResult,
     RateRatioReport,
-    property_case_rate,
     first_emission_amplitude,
     first_emission_rate_ratio,
+    property_case_rate,
     receding_pair,
     second_emission_amplitude,
     second_emission_rate_ratio,
@@ -30,17 +30,11 @@ from .grids import SpatialGrid
 from .inference import (
     FitResult,
     Histogram,
-    KsTwoSampleResult,
     fit_cumulative_curve,
-    fit_exponential_histogram,
     fit_exponential_mle,
-    ks_two_sample,
 )
 from .kinetics import (
-    CountSnapshot,
     RateTriple,
-    coincidence_density,
-    cumulative_counts,
     detection_densities,
 )
 from .packets import (
@@ -54,9 +48,7 @@ from .packets import (
 from .pairstate import (
     TwoAtomState,
     make_two_atom_gaussian,
-    schmidt_spectrum,
     symmetrized_norm,
-    symmetrized_pair_state,
 )
 from .pipeline import (
     AmplitudeParams,
@@ -70,12 +62,10 @@ from .pipeline import (
 
 __all__ = [
     "AmplitudeParams",
-    "CountSnapshot",
     "ExperimentConfig",
     "FitResult",
     "GaussianPacket",
     "Histogram",
-    "KsTwoSampleResult",
     "PropertyRateResult",
     "RateRatioReport",
     "RateTriple",
@@ -83,35 +73,29 @@ __all__ = [
     "SimConfig",
     "SpatialGrid",
     "TwoAtomState",
-    "property_case_rate",
     "apply_recoil",
     "assign_detections",
     "build_histogram",
-    "coincidence_density",
     "coincidence_differences",
-    "cumulative_counts",
     "detection_densities",
     "detector_streams",
     "evolve_free",
     "first_emission_amplitude",
     "first_emission_rate_ratio",
     "fit_cumulative_curve",
-    "fit_exponential_histogram",
     "fit_exponential_mle",
-    "ks_two_sample",
     "make_packet",
     "make_two_atom_gaussian",
     "overlap",
+    "property_case_rate",
     "receding_pair",
     "reproduce_figure1",
     "run_experiment",
     "run_full",
     "run_rate_derivation",
     "sample_packet",
-    "schmidt_spectrum",
     "second_emission_amplitude",
     "second_emission_rate_ratio",
     "simulate_ensemble",
     "symmetrized_norm",
-    "symmetrized_pair_state",
 ]

@@ -94,13 +94,6 @@ def _product_channels(a: GaussianPacket, b: GaussianPacket, grid: SpatialGrid):
 
 def _channel_components(state: TwoAtomState):
     """(C1, C2, N, grid) with the physical spatial state equal to N (C1 + C2)."""
-    if state.packet_a is not None:
-        if not state.symmetrized:
-            raise InvalidStateError(
-                "bare (unsymmetrized) product states carry no exchange channels; "
-                "use the distinguishable-atoms case study for them"
-            )
-        return (*_product_channels(state.packet_a, state.packet_b, state.grid), state.norm_coefficient, state.grid)
     # kernel plays the role of Psi(x, y); the swapped channel is its transpose
     return state.kernel, state.kernel.T, state.norm_coefficient, state.grid
 

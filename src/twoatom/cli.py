@@ -9,7 +9,6 @@ input, 3 failed self-check (``full --check``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -18,8 +17,8 @@ from .errors import ConfigValidationError, TwoAtomError
 from .eventsim import coincidence_differences
 from .pipeline import (
     ExperimentConfig,
-    ReportBundle,
     check_report,
+    fit_report,
     mle_fit_jobs,
     read_events_csv,
     reproduce_figure1,
@@ -74,16 +73,9 @@ def _cmd_fit(args) -> int:
     data = read_events_csv(args.events)
     g = cfg.rates.gamma
     fits = supported_fits(mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
-    bundle = ReportBundle(
-        fits={k: dataclasses.asdict(f) for k, f in fits.items()},
-        rate_ratios=[],
-        curve_tables={"events": args.events},
-        config_echo=cfg.to_dict(),
-        version=__version__,
-    )
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "report.json")
-    write_report(path, bundle)
+    write_report(path, fit_report(cfg, fits, {"events": args.events}))
     for name, fit in fits.items():
         print(f"{name}: rate/gamma = {fit.rate_hat / g:.4f} +/- {fit.std_error / g:.4f}")
     print(f"wrote {path}")

@@ -21,10 +21,6 @@ class DomainTruncationError(TwoAtomError, ValueError):
     """A spatial grid is too small to hold the required probability mass."""
 
 
-class IncompatibleRepresentationError(TwoAtomError, ValueError):
-    """Two gridded objects live on different grids and cannot be combined."""
-
-
 class NumericalDegeneracyError(TwoAtomError, ArithmeticError):
     """A kernel is numerically non-normalizable (zero norm, NaN, ...)."""
 

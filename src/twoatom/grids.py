@@ -1,7 +1,7 @@
 """Uniform 1D spatial grids used to discretize wave functions.
 
-All gridded quantities in the package live on these grids; two gridded
-objects can only be combined when they share the same grid.
+A two-atom kernel is sampled on the product of one grid with itself, and
+its final states are sampled on the same grid.
 """
 
 from __future__ import annotations
@@ -40,19 +40,10 @@ class SpatialGrid:
         """FFT-ordered wavenumbers for spectral free propagation."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
-    @property
-    def span(self) -> float:
-        return self.x_max - self.x_min
-
     @classmethod
     def centered(cls, half_width: float, n_points: int = 512) -> "SpatialGrid":
         """Symmetric grid [-half_width, half_width]."""
         return cls(-float(half_width), float(half_width), n_points)
-
-
-def inner_product(f: np.ndarray, g: np.ndarray, grid: SpatialGrid) -> complex:
-    """Discrete L2 inner product <f|g> (conjugate-linear in f)."""
-    return complex(np.vdot(f, g) * grid.spacing)
 
 
 def abs2(a: np.ndarray) -> np.ndarray:
@@ -61,7 +52,3 @@ def abs2(a: np.ndarray) -> np.ndarray:
     buf = np.abs(a)
     buf *= buf
     return buf
-
-
-def l2_norm(f: np.ndarray, grid: SpatialGrid) -> float:
-    return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.spacing))

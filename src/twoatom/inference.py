@@ -1,11 +1,9 @@
-"""Decay-constant estimation and distributional tests on event data.
+"""Decay-constant estimation on event data.
 
 The primary estimator is the maximum-likelihood rate on raw times (the
-reciprocal sample mean); a log-linear weighted histogram fit and a
-cumulative-curve fit of the per-detector count pattern N(t) = A (1 - e^{-bt})
-are kept because that is the form the count measurements are reported in.
-Distribution comparisons use the two-sample Kolmogorov-Smirnov statistic
-with the asymptotic Kolmogorov p-value.
+reciprocal sample mean).  The per-detector streams are fitted with the
+cumulative count pattern N(t) = A (1 - e^{-bt}), because that is the form
+the count measurements are reported in.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
-from scipy.special import kolmogorov
 
 from .errors import InsufficientDataError, InvalidParameterError
 
@@ -43,10 +40,6 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
-    @property
     def total(self) -> int:
         return int(np.sum(self.counts))
 
@@ -56,8 +49,8 @@ class FitResult:
     """Estimated decay constant with uncertainty.
 
     `goodness` is the one-sample KS statistic against the fitted law for
-    the MLE method, and the weighted rms residual per degree of freedom
-    for the least-squares methods.
+    the MLE method, and the rms residual over the fitted amplitude for the
+    cumulative-curve fit.
     """
 
     rate_hat: float
@@ -73,17 +66,11 @@ class FitResult:
             raise InvalidParameterError("std_error must be nonnegative")
 
 
-@dataclass(frozen=True)
-class KsTwoSampleResult:
-    statistic: float
-    p_value: float
-
-
-def _as_sample_array(samples, minimum: int, nonnegative: bool = True) -> np.ndarray:
+def _as_sample_array(samples, minimum: int) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < minimum:
         raise InsufficientDataError(f"need at least {minimum} samples, got {x.size}")
-    if nonnegative and np.any(x < 0):
+    if np.any(x < 0):
         raise InvalidParameterError("samples must be nonnegative times")
     return x
 
@@ -126,37 +113,6 @@ def fit_exponential_mle(samples) -> FitResult:
     )
 
 
-def fit_exponential_histogram(h: Histogram) -> FitResult:
-    """Weighted least squares of log(counts) on bin centers.
-
-    Weights equal the counts (inverse variance of log of a Poisson count);
-    the decay constant is the magnitude of the slope.
-    """
-    mask = np.asarray(h.counts) > 0
-    if int(np.sum(mask)) < 3:
-        raise InsufficientDataError("need at least 3 nonempty bins")
-    t = h.centers[mask]
-    c = np.asarray(h.counts, dtype=float)[mask]
-    y = np.log(c)
-    w = c
-    sw = np.sum(w)
-    t_bar = np.sum(w * t) / sw
-    y_bar = np.sum(w * y) / sw
-    sxx = np.sum(w * (t - t_bar) ** 2)
-    if sxx <= 0:
-        raise InsufficientDataError("bin centers are degenerate")
-    slope = np.sum(w * (t - t_bar) * (y - y_bar)) / sxx
-    resid = y - (y_bar + slope * (t - t_bar))
-    dof = max(int(np.sum(mask)) - 2, 1)
-    return FitResult(
-        rate_hat=float(abs(slope)),
-        std_error=float(1.0 / np.sqrt(sxx)),
-        n_samples=int(np.sum(c)),
-        method="histogram-lsq",
-        goodness=float(np.sqrt(np.sum(w * resid**2) / dof)),
-    )
-
-
 def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
     """Least-squares fit of the cumulative count pattern N(t) = A (1 - e^{-bt}).
 
@@ -192,18 +148,3 @@ def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
         goodness=float(np.sqrt(np.mean(resid**2)) / max(amp, 1.0)),
     )
 
-
-def ks_two_sample(a, b) -> KsTwoSampleResult:
-    """Two-sample KS statistic with the asymptotic Kolmogorov p-value.
-
-    Samples may be negative (e.g. signed coincidence time differences).
-    """
-    xa = np.sort(_as_sample_array(a, 1, nonnegative=False))
-    xb = np.sort(_as_sample_array(b, 1, nonnegative=False))
-    both = np.concatenate([xa, xb])
-    cdf_a = np.searchsorted(xa, both, side="right") / xa.size
-    cdf_b = np.searchsorted(xb, both, side="right") / xb.size
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
-    en = np.sqrt(xa.size * xb.size / (xa.size + xb.size))
-    p = float(np.clip(kolmogorov(d * en), 0.0, 1.0))
-    return KsTwoSampleResult(statistic=d, p_value=p)

@@ -14,11 +14,8 @@ difference of `DEGENERATE_SWITCH` the analytic limit
     N_s(t) = n0 (1 - exp(-G t) - G t exp(-G t))
 
 is used instead.  Differences of exponentials are evaluated through expm1
-so the near-degenerate regime stays accurate to machine precision.
-
-The coincidence density is the distribution of the detector time
-difference t1 - t2 under random equiprobable assignment of the two photons:
-the signed second-emission delay, i.e. (G_s / 2) exp(-G_s |tau|).
+so the near-degenerate regime stays accurate to machine precision.  The
+detection densities of figure 1 are the time derivatives of these curves.
 """
 
 from __future__ import annotations
@@ -51,24 +48,6 @@ class RateTriple:
         return cls(gamma=gamma, gamma_f=2.0 * gamma, gamma_s=gamma)
 
 
-@dataclass(frozen=True)
-class CountSnapshot:
-    """Expected cumulative counts at one time."""
-
-    t: float
-    n_first: float
-    n_second: float
-    n_total: float
-    n_per_detector: float
-
-
-def _validate_times(t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise InvalidParameterError("t must be nonnegative")
-    return t
-
-
 def second_count_fraction(t, gamma_f: float, gamma_s: float):
     """N_s(t) / n0, handling the removable G_s = G_f singularity."""
     t = np.asarray(t, dtype=float)
@@ -81,32 +60,15 @@ def second_count_fraction(t, gamma_f: float, gamma_s: float):
     return -np.expm1(-gamma_f * t) - gamma_f / delta * diff
 
 
-def cumulative_counts(t: float, rates: RateTriple, n0: float) -> CountSnapshot:
-    """Expected first / second / total / per-detector counts up to time t."""
-    if n0 <= 0:
-        raise InvalidParameterError("n0 must be positive")
-    t = float(t)
-    if t < 0:
-        raise InvalidParameterError("t must be nonnegative")
-    n_f = n0 * -np.expm1(-rates.gamma_f * t)
-    n_s = n0 * float(second_count_fraction(t, rates.gamma_f, rates.gamma_s))
-    n = n_f + n_s
-    return CountSnapshot(
-        t=t,
-        n_first=float(n_f),
-        n_second=n_s,
-        n_total=float(n),
-        n_per_detector=float(n) / 2.0,
-    )
-
-
 def detection_densities(t, rates: RateTriple):
     """Normalized detection densities (n_f, n_s, n_i) at time(s) t.
 
     n_f = G_f exp(-G_f t); n_s is the exact derivative of N_s / n0;
     n_i = G exp(-G t).  Vectorized over t.
     """
-    tt = _validate_times(t)
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt < 0):
+        raise InvalidParameterError("t must be nonnegative")
     n_f = rates.gamma_f * np.exp(-rates.gamma_f * tt)
     if abs(rates.gamma_s - rates.gamma_f) / rates.gamma_f < DEGENERATE_SWITCH:
         g = rates.gamma_f
@@ -118,15 +80,3 @@ def detection_densities(t, rates: RateTriple):
     n_i = rates.gamma * np.exp(-rates.gamma * tt)
     return n_f, n_s, n_i
 
-
-def coincidence_density(tau, rates: RateTriple):
-    """Density of the detector time difference t1 - t2 (two-sided exponential)."""
-    tau = np.asarray(tau, dtype=float)
-    return 0.5 * rates.gamma_s * np.exp(-rates.gamma_s * np.abs(tau))
-
-
-def tabulate_densities(rates: RateTriple, t) -> np.ndarray:
-    """Stacked table with columns (t, n_f, n_s, n_i) for CSV emission."""
-    tt = _validate_times(t)
-    n_f, n_s, n_i = detection_densities(tt, rates)
-    return np.column_stack([tt, n_f, n_s, n_i])

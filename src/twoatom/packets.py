@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import singledispatch
 
 import numpy as np
 
-from .errors import IncompatibleRepresentationError, InvalidParameterError
-from .grids import SpatialGrid, inner_product
+from .errors import InvalidParameterError
 
 logger = logging.getLogger(__name__)
 
@@ -88,24 +86,10 @@ def sample_packet(p: GaussianPacket, x: np.ndarray) -> np.ndarray:
     )
 
 
-def overlap(a, b, grid: SpatialGrid | None = None) -> complex:
-    """Inner product <a|b> of two unit-norm states.
-
-    Accepts two `GaussianPacket`s (closed-form complex Gaussian integral) or
-    two sampled arrays together with their common `grid` (quadrature).
-    Magnitudes below `OVERLAP_UNDERFLOW` are clamped to exactly 0.
+def overlap(p1: GaussianPacket, p2: GaussianPacket) -> complex:
+    """Inner product <p1|p2> of two packets, a closed-form complex Gaussian
+    integral.  Magnitudes below `OVERLAP_UNDERFLOW` are clamped to exactly 0.
     """
-    if isinstance(a, GaussianPacket) and isinstance(b, GaussianPacket):
-        return _overlap_closed_form(a, b)
-    fa, fb = np.asarray(a), np.asarray(b)
-    if grid is None:
-        raise IncompatibleRepresentationError("sampled overlap requires the grid")
-    if fa.shape != fb.shape or fa.shape != (grid.n_points,):
-        raise IncompatibleRepresentationError("states live on different grids")
-    return inner_product(fa, fb, grid)
-
-
-def _overlap_closed_form(p1: GaussianPacket, p2: GaussianPacket) -> complex:
     a1c = np.conj(p1.complex_width)
     a2 = p2.complex_width
     # integrand exponent: -A x^2 + B x + C
@@ -127,23 +111,17 @@ def _overlap_closed_form(p1: GaussianPacket, p2: GaussianPacket) -> complex:
     return complex(pref * np.exp(expo))
 
 
-@singledispatch
-def evolve_free(state, dt: float):
+def evolve_free(p: GaussianPacket, dt: float) -> GaussianPacket:
     """Free Schroedinger evolution by dt >= 0 (norm preserving)."""
-    raise TypeError(f"evolve_free not defined for {type(state).__name__}")
-
-
-@evolve_free.register
-def _(state: GaussianPacket, dt: float) -> GaussianPacket:
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
     if dt == 0:
-        return state
+        return p
     return replace(
-        state,
-        center=state.center + state.momentum * dt,
-        phase=state.phase + 0.5 * state.momentum**2 * dt,
-        t=state.t + dt,
+        p,
+        center=p.center + p.momentum * dt,
+        phase=p.phase + 0.5 * p.momentum**2 * dt,
+        t=p.t + dt,
     )
 
 
@@ -155,14 +133,3 @@ def apply_recoil(p: GaussianPacket, k: float) -> GaussianPacket:
     """
     return replace(p, momentum=p.momentum + k, phase=p.phase + k * p.center)
 
-
-def propagate_sampled(f: np.ndarray, grid: SpatialGrid, dt: float) -> np.ndarray:
-    """Spectral free propagation of a sampled 1D wave function.
-
-    Exactly unitary on the discrete grid (pure phase in k-space); used as
-    the independent check of the analytic dispersion law.
-    """
-    if dt < 0:
-        raise InvalidParameterError("dt must be nonnegative")
-    k = grid.wavenumbers
-    return np.fft.ifft(np.fft.fft(f) * np.exp(-0.5j * k**2 * dt))

@@ -7,12 +7,10 @@ Every state is a unit-normalized kernel Psi(x, y) sampled on a
 
 with W the sum-coordinate width and V the relative-coordinate width.  In
 the rotated coordinates u = (x+y)/sqrt(2), v = (x-y)/sqrt(2) it factorizes
-into two independent 1D Gaussian modes, kept next to the kernel as the
-exact analytic state.
-
+into two independent 1D Gaussian modes, from which the kernel is sampled.
 The state is symmetric under x <-> y by construction (the relative mode is
-even), entangled iff W != V, and its Schmidt spectrum is geometric:
-lambda_k = sqrt(1 - rho^2) * rho^k with rho fixed by W/V.
+even) and entangled iff W != V.  Free flight acts on the kernel by
+spectral propagation.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .grids import SpatialGrid, abs2
-from .packets import GaussianPacket, evolve_free, make_packet, overlap, sample_packet
+from .packets import make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -45,18 +43,11 @@ class TwoAtomState:
 
     `kernel` is the unit-normalized amplitude sampled on `grid` x `grid`;
     `norm_coefficient` is the symmetrization normalization for the stored
-    overlap.  A correlated Gaussian also keeps its rotated modes
-    `mode_sum` / `mode_diff` (the exact analytic state); a product pair
-    keeps its two one-particle packets instead.
+    overlap.
     """
 
     grid: SpatialGrid
     kernel: np.ndarray
-    mode_sum: GaussianPacket | None = None
-    mode_diff: GaussianPacket | None = None
-    packet_a: GaussianPacket | None = None
-    packet_b: GaussianPacket | None = None
-    symmetrized: bool = True
     norm_coefficient: float = 0.5
 
 
@@ -111,38 +102,8 @@ def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGri
     mode_sum = make_packet(0.0, 0.0, width_sum / (2.0 * _SQRT2))
     mode_diff = make_packet(0.0, 0.0, width_diff / (2.0 * _SQRT2))
     kernel = _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid)
-    state = TwoAtomState(grid, kernel, mode_sum=mode_sum, mode_diff=mode_diff)
+    state = TwoAtomState(grid, kernel)
     return replace(state, norm_coefficient=symmetrized_norm(state))
-
-
-def symmetrized_pair_state(
-    packet_a: GaussianPacket,
-    packet_b: GaussianPacket,
-    grid: SpatialGrid,
-    symmetrized: bool = True,
-) -> TwoAtomState:
-    """Pair state built from two one-particle packets.
-
-    With `symmetrized=True` the kernel is N (a(x) b(y) + b(x) a(y)) with
-    N = (2 + 2 |<a|b>|^2)^(-1/2); otherwise it is the bare product a(x) b(y)
-    (used for the distinguishable-atoms comparison case).
-    """
-    fa = sample_packet(packet_a, grid.points)
-    fb = sample_packet(packet_b, grid.points)
-    if symmetrized:
-        coeff = float(symmetrized_norm((packet_a, packet_b)))
-        kernel = coeff * (np.outer(fa, fb) + np.outer(fb, fa))
-    else:
-        coeff = 1.0
-        kernel = np.outer(fa, fb)
-    return TwoAtomState(
-        grid,
-        _checked_unit_kernel(kernel, grid),
-        packet_a=packet_a,
-        packet_b=packet_b,
-        symmetrized=symmetrized,
-        norm_coefficient=coeff,
-    )
 
 
 def swap_overlap(state: TwoAtomState) -> complex:
@@ -161,32 +122,6 @@ def symmetrized_norm(obj) -> float:
         return float((2.0 + 2.0 * swap_overlap(obj).real) ** -0.5)
     a, b = obj
     return float((2.0 + 2.0 * abs(overlap(a, b)) ** 2) ** -0.5)
-
-
-def schmidt_spectrum(state: TwoAtomState) -> np.ndarray:
-    """Schmidt coefficients of the two-particle amplitude, descending.
-
-    The coefficients are the singular values of the discretized kernel
-    (scaled by the grid spacing); their squares sum to 1.  A single
-    coefficient above numerical noise means the state is separable.
-    """
-    if not np.all(np.isfinite(state.kernel)):
-        raise NumericalDegeneracyError("kernel contains non-finite entries")
-    s = np.linalg.svd(state.kernel * state.grid.spacing, compute_uv=False)
-    total = float(np.sum(s**2))
-    if total <= 1e-12:
-        raise NumericalDegeneracyError("kernel has vanishing norm")
-    return s / np.sqrt(total)
-
-
-def schmidt_ratio(width_sum: float, width_diff: float) -> float:
-    """Geometric ratio rho of consecutive Schmidt coefficients (analytic)."""
-    if width_sum == width_diff:
-        return 0.0
-    a = 1.0 / width_sum**2 + 1.0 / width_diff**2
-    b = abs(1.0 / width_diff**2 - 1.0 / width_sum**2)
-    r = a / b
-    return r - np.sqrt(r * r - 1.0)
 
 
 def propagate_kernel(kernel: np.ndarray, grid: SpatialGrid, dt: float) -> np.ndarray:
@@ -208,18 +143,3 @@ def propagate_kernel(kernel: np.ndarray, grid: SpatialGrid, dt: float) -> np.nda
     # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it, bit for bit
     return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
 
-
-@evolve_free.register
-def _(state: TwoAtomState, dt: float) -> TwoAtomState:
-    if dt < 0:
-        raise InvalidParameterError("dt must be nonnegative")
-    if dt == 0:
-        return state
-    updates = {}
-    if state.mode_sum is not None:
-        updates["mode_sum"] = evolve_free(state.mode_sum, dt)
-        updates["mode_diff"] = evolve_free(state.mode_diff, dt)
-    if state.packet_a is not None:
-        updates["packet_a"] = evolve_free(state.packet_a, dt)
-        updates["packet_b"] = evolve_free(state.packet_b, dt)
-    return replace(state, kernel=propagate_kernel(state.kernel, state.grid, dt), **updates)

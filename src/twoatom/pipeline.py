@@ -353,14 +353,18 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     fits = supported_fits(mle_fit_jobs(records["t_f"], records["t_s"], tau))
     d1, d2 = detector_streams(records)
     fits.update(supported_fits((f"detector_{i}", fit_cumulative_curve, s) for i, s in enumerate((d1, d2), 1)))
-    bundle = ReportBundle(
+    return fit_report(cfg, fits, paths), records, d1
+
+
+def fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: dict) -> ReportBundle:
+    """The report of a fit stage: its fits, no rate ratios, the config echo."""
+    return ReportBundle(
         fits={k: dataclasses.asdict(f) for k, f in fits.items()},
         rate_ratios=[],
-        curve_tables=paths,
+        curve_tables=curve_tables,
         config_echo=_echo(cfg),
         version=__version__,
     )
-    return bundle, records, d1
 
 
 def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBundle:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import norm, poisson
+from scipy.stats import ks_2samp, norm, poisson
 
 from twoatom.amplitudes import (
     property_case_rate,
@@ -27,7 +27,7 @@ from twoatom.eventsim import (
     simulate_ensemble,
 )
 from twoatom.grids import SpatialGrid
-from twoatom.inference import fit_exponential_mle, ks_two_sample
+from twoatom.inference import fit_exponential_mle
 from twoatom.kinetics import second_count_fraction
 from twoatom.packets import make_packet
 from twoatom.pairstate import make_two_atom_gaussian
@@ -141,9 +141,9 @@ def test_criterion_4_disentanglement_signature():
     tau_seq = coincidence_differences(det_seq)
     tau_ind = coincidence_differences(det_ind)
     p_values = [
-        ks_two_sample(seq["t_f"], ind["t_f"]).p_value,
-        ks_two_sample(seq["t_s"] - seq["t_f"], ind["t_s"] - ind["t_f"]).p_value,
-        ks_two_sample(tau_seq, tau_ind).p_value,
+        ks_2samp(seq["t_f"], ind["t_f"]).pvalue,
+        ks_2samp(seq["t_s"] - seq["t_f"], ind["t_s"] - ind["t_f"]).pvalue,
+        ks_2samp(tau_seq, tau_ind).pvalue,
     ]
     assert all(p > 0.01 for p in p_values)
     # the coincidence spectrum is two-sided exponential at the single-atom

@@ -26,12 +26,23 @@ from twoatom.amplitudes import (
 )
 from twoatom.errors import InvalidCaseError, InvalidParameterError, InvalidStateError
 from twoatom.grids import SpatialGrid
-from twoatom.packets import make_packet, overlap
-from twoatom.pairstate import make_two_atom_gaussian, schmidt_ratio, symmetrized_pair_state
+from twoatom.packets import make_packet, overlap, sample_packet
+from twoatom.pairstate import TwoAtomState, make_two_atom_gaussian, symmetrized_norm
+
+from oracles import schmidt_ratio
 
 GRID = SpatialGrid.centered(16.0, 512)
 STATE = make_two_atom_gaussian(2.0, 1.0, GRID)
-PAIR = symmetrized_pair_state(make_packet(-1.0, 0.4, 1.0), make_packet(1.5, 0.0, 0.8), GRID)
+
+
+def symmetrized_pair(a, b):
+    """The pair state N (a(x) b(y) + b(x) a(y)) of two packets on GRID."""
+    fa, fb = sample_packet(a, GRID.points), sample_packet(b, GRID.points)
+    kernel = symmetrized_norm((a, b)) * (np.outer(fa, fb) + np.outer(fb, fa))
+    return TwoAtomState(GRID, kernel, symmetrized_norm(TwoAtomState(GRID, kernel)))
+
+
+PAIR = symmetrized_pair(make_packet(-1.0, 0.4, 1.0), make_packet(1.5, 0.0, 0.8))
 
 
 def test_amplitude_onto_dominant_schmidt_pair():
@@ -59,11 +70,9 @@ def test_amplitude_of_product_state_from_1d_overlaps():
 
 def test_amplitude_of_symmetrized_pair_from_1d_overlaps():
     # sqrt(2) N (<o1|chi><o2|xi> + <o1|xi><o2|chi>), all factors closed form
-    from twoatom.pairstate import symmetrized_pair_state, symmetrized_norm
-
     chi = make_packet(-1.0, 0.0, 1.0)
     xi = make_packet(1.5, 0.0, 0.8)
-    st = symmetrized_pair_state(chi, xi, GRID)
+    st = symmetrized_pair(chi, xi)
     o1 = make_packet(-0.5, 0.0, 1.2)
     o2 = make_packet(0.5, 0.0, 0.9)
     coeff = symmetrized_norm((chi, xi))
@@ -74,14 +83,6 @@ def test_amplitude_of_symmetrized_pair_from_1d_overlaps():
     # full-basis ratio of the symmetrized pair is 2 as well
     rep = first_emission_rate_ratio(st)
     assert rep.ratio == pytest.approx(2.0, abs=1e-6)
-
-
-def test_unsymmetrized_pair_state_is_rejected():
-    from twoatom.pairstate import symmetrized_pair_state
-
-    bare = symmetrized_pair_state(make_packet(-1, 0, 1), make_packet(1, 0, 1), GRID, symmetrized=False)
-    with pytest.raises(InvalidStateError):
-        first_emission_rate_ratio(bare)
 
 
 def test_amplitude_vanishes_for_disjoint_support():

@@ -314,7 +314,7 @@ def test_coincidence_differences_sign_convention():
 def test_mode_equivalence_kolmogorov_smirnov():
     # the two generation models share the joint law of (t_f, t_s) at the
     # compatibility point; KS at the 1% level on three observables
-    from twoatom.inference import ks_two_sample
+    from scipy.stats import ks_2samp
 
     n = 100_000
     seq = simulate_ensemble(cfg_for(n, mode="sequential", seed=101))
@@ -327,7 +327,7 @@ def test_mode_equivalence_kolmogorov_smirnov():
         (coincidence_differences(seq_det), coincidence_differences(ind_det)),
     ]
     for a, b in checks:
-        assert ks_two_sample(a, b).p_value > 0.01
+        assert ks_2samp(a, b).pvalue > 0.01
 
 
 def test_histogram_basics():

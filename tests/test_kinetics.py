@@ -2,25 +2,28 @@
 
 Independent oracles: saturation and t = 0 limits are forced analytically;
 the degenerate-rate limit is checked by series expansion (the exact
-first-order coefficient is sup_t G^2 t^2 e^{-Gt} / 2 = 2/e^2); the density
-peak position is found numerically; the coincidence closed form is checked
-against a Monte Carlo histogram in test_eventsim.
+first-order coefficient is sup_t G^2 t^2 e^{-Gt} / 2 = 2/e^2), and both
+second-photon curves are pinned continuous across the switch to it; the
+density peak position is found numerically; the coincidence closed form is
+checked against a Monte Carlo histogram.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from twoatom.errors import InvalidParameterError
 from twoatom.kinetics import (
+    DEGENERATE_SWITCH,
     RateTriple,
-    coincidence_density,
-    cumulative_counts,
     detection_densities,
     second_count_fraction,
-    tabulate_densities,
 )
+
+from oracles import coincidence_density, cumulative_counts
 
 GAMMA = 1.0 / 1.6e-9
 RATES = RateTriple.compatible(GAMMA)
@@ -100,6 +103,25 @@ def test_first_order_convergence_to_limit(eps):
     sup = np.max(np.abs(eq3 - limit))
     assert sup <= 0.3 * eps * N0
     assert sup >= 0.2 * eps * N0  # first order really present
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma_f=st.floats(1e-6, 1e12),
+    x=st.floats(0.0, 60.0),
+    side=st.sampled_from([1.0, -1.0]),
+)
+def test_second_curves_are_continuous_across_the_degenerate_switch(gamma_f, x, side):
+    # G_s just inside the switch takes the analytic limit, just outside it
+    # the general formula; N_s and n_s must agree across the seam
+    inside, outside = (gamma_f * (1.0 + side * DEGENERATE_SWITCH * (1.0 + f)) for f in (-1e-3, 1e-3))
+    assert abs(inside - gamma_f) / gamma_f < DEGENERATE_SWITCH <= abs(outside - gamma_f) / gamma_f
+    t = x / gamma_f
+    jump = second_count_fraction(t, gamma_f, inside) - second_count_fraction(t, gamma_f, outside)
+    assert abs(jump) < 1e-8
+    n_s_in = detection_densities(t, RateTriple(gamma_f / 2.0, gamma_f, inside))[1]
+    n_s_out = detection_densities(t, RateTriple(gamma_f / 2.0, gamma_f, outside))[1]
+    assert abs(n_s_in - n_s_out) / gamma_f < 1e-8
 
 
 def test_density_values_at_zero():
@@ -188,10 +210,3 @@ def test_coincidence_closed_form_against_monte_carlo():
     peak_mc = 0.5 * fit_exponential_mle(np.abs(tau)).rate_hat
     peak_closed = coincidence_density(0.0, RATES)
     assert abs(peak_mc - peak_closed) <= 0.01 * peak_closed
-
-
-def test_tabulate_densities_shape():
-    t = np.linspace(0.0, 8.0 / GAMMA, 401)
-    table = tabulate_densities(RATES, t)
-    assert table.shape == (401, 4)
-    assert np.array_equal(table[:, 0], t)

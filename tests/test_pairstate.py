@@ -2,7 +2,8 @@
 
 The Schmidt oracle is the analytic geometric law for a correlated Gaussian
 (Mehler kernel): lambda_k = sqrt(1 - rho^2) rho^k with rho determined by
-the width ratio; the SVD of the discretized kernel must reproduce it.
+the width ratio; the SVD of the discretized kernel must reproduce it.  The
+evolution oracle is the pair of analytically evolved 1D modes.
 """
 
 import numpy as np
@@ -22,12 +23,11 @@ from twoatom.pairstate import (
     _mode_kernel,
     make_two_atom_gaussian,
     propagate_kernel,
-    schmidt_ratio,
-    schmidt_spectrum,
     swap_overlap,
     symmetrized_norm,
-    symmetrized_pair_state,
 )
+
+from oracles import schmidt_ratio, schmidt_spectrum
 
 GRID = SpatialGrid.centered(16.0, 512)
 
@@ -112,24 +112,14 @@ def test_symmetrized_norm_examples():
     assert symmetrized_norm((a, a)) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_pair_state_normalization_and_symmetry():
-    a, b = make_packet(-2.0, 0.0, 1.0), make_packet(2.0, 0.0, 1.0)
-    st = symmetrized_pair_state(a, b, GRID)
-    mass = np.sum(np.abs(st.kernel) ** 2) * GRID.spacing**2
-    assert mass == pytest.approx(1.0, abs=1e-10)
-    assert np.max(np.abs(st.kernel - st.kernel.T)) < 1e-12
-    bare = symmetrized_pair_state(a, b, GRID, symmetrized=False)
-    assert bare.norm_coefficient == 1.0
-
-
 def test_evolution_preserves_norm_and_symmetry():
     st = make_two_atom_gaussian(2.0, 1.0, GRID)
-    ev = evolve_free(st, 3.0)
-    mass = np.sum(np.abs(ev.kernel) ** 2) * GRID.spacing**2
+    ev = propagate_kernel(st.kernel, GRID, 3.0)
+    mass = np.sum(np.abs(ev) ** 2) * GRID.spacing**2
     assert mass == pytest.approx(1.0, abs=1e-10)
-    assert np.max(np.abs(ev.kernel - ev.kernel.T)) < 1e-12
+    assert np.max(np.abs(ev - ev.T)) < 1e-12
     with pytest.raises(InvalidParameterError):
-        evolve_free(st, -1.0)
+        propagate_kernel(st.kernel, GRID, -1.0)
 
 
 def test_two_particle_evolution_factorizes():
@@ -146,13 +136,15 @@ def test_two_particle_evolution_factorizes():
 
 
 def test_analytic_modes_track_grid_evolution():
-    st = make_two_atom_gaussian(2.0, 1.0, GRID)
+    width_sum, width_diff = 2.0, 1.0
+    st = make_two_atom_gaussian(width_sum, width_diff, GRID)
     dt = 1.5
-    ev = evolve_free(st, dt)
-    # resample the analytically evolved modes and compare with the
-    # spectrally propagated kernel
-    resampled = _mode_kernel(ev.mode_sum, ev.mode_diff, GRID)
-    assert np.max(np.abs(resampled - ev.kernel)) < 1e-8
+    # the state's rotated modes, evolved analytically and resampled, must
+    # match the spectrally propagated kernel
+    mode_sum = evolve_free(make_packet(0.0, 0.0, width_sum / (2.0 * np.sqrt(2.0))), dt)
+    mode_diff = evolve_free(make_packet(0.0, 0.0, width_diff / (2.0 * np.sqrt(2.0))), dt)
+    resampled = _mode_kernel(mode_sum, mode_diff, GRID)
+    assert np.max(np.abs(resampled - propagate_kernel(st.kernel, GRID, dt))) < 1e-8
 
 
 def test_grid_validation():

@@ -422,8 +422,13 @@ def test_cli_simulate_and_fit(tmp_path):
     out = str(tmp_path / "cli")
     rc = cli_main(["simulate", "--n0", "5000", "--seed", "7", "--out", out])
     assert rc == 0
-    rc = cli_main(["fit", "--events", os.path.join(out, "events.csv"), "--out", out])
+    simulated = read_report(os.path.join(out, "report.json"))["config_echo"]
+    rc = cli_main(["fit", "--events", os.path.join(out, "events.csv"), "--n0", "5000", "--seed", "7", "--out", out])
     assert rc == 0
+    # the fit report echoes the config as every other report does
+    echo = read_report(os.path.join(out, "report.json"))["config_echo"]
+    assert echo["si_conversion"] == ExperimentConfig().si_conversion()
+    assert echo == simulated
 
 
 def test_cli_set_override(tmp_path):
