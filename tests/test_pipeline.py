@@ -193,7 +193,9 @@ def test_rerun_is_byte_identical(tmp_path):
 # sha256 of every artifact and the exact fits of a 40 000-molecule run
 # (several draw chunks, efficiency 0.7 so the keep flags matter), frozen
 # from the implementation that hashed the whole ensemble in one block and
-# re-hashed the photon fates per consumer
+# re-hashed the photon fates per consumer; the figure overlays of the same
+# config are pinned from the implementation that histogrammed the whole
+# records and the whole detector-1 stream
 GOLDEN = {
     "sequential": (
         {
@@ -203,6 +205,9 @@ GOLDEN = {
             "hist_det1.csv": "30edde6df4755e6a592cdc2e37a1c648a5b3722b397476ab6aab00a8ea0b7e9c",
             "hist_det2.csv": "f3836e9956b5bc982a547cee7b934d1c630fe7fcd8914c62386364a5637505fa",
             "hist_coincidence.csv": "154ea79cddac5b52f87bd1f54d9245fa20143ffde21fa1b988be6f6b20a9bde3",
+            "fig1_overlay_first.csv": "57bbaac437a340bc38011c15b5eddd9cd0c5626c78cdb9537f2caf7f0547daa7",
+            "fig1_overlay_second.csv": "a4867a4067da577a96a862067f046916f920589a3bfa06decdc765b30a39052b",
+            "fig1_overlay_detector.csv": "652ac5d994cde8c86051c03fa32d6a05ac1914ad716a2c1711d53e3a18adc907",
         },
         {
             "first": {"rate_hat": 1243781832.9737566, "std_error": 6218909.164868783,
@@ -225,6 +230,9 @@ GOLDEN = {
             "hist_det1.csv": "4e99e7dcd7b21bba2c81e6a9ecf1e17d85432721f5ee38ecabc8a71e8e27f4f9",
             "hist_det2.csv": "c43ad3bc94e6ea73ca0ba04d134e9f88c46edf546dafed0b44d3aa55c6f0ad69",
             "hist_coincidence.csv": "d682024ec8e2667b8f10b6b4e738e5bc0034ec8ef731fd55170dd5c3486a3c56",
+            "fig1_overlay_first.csv": "dbaee4a776c5d8cfead47ccfc34d6f8a411ab829e4f1a6af640296edecd289d5",
+            "fig1_overlay_second.csv": "e1b2e23d80243cd352bc92e66edd66cb6fd7d84ca803cd4f3b4200de18ada58f",
+            "fig1_overlay_detector.csv": "8da60b818c8264ea4292aba9aa9c23214e4932f6a4ad02ca57bd7a2007c6aed5",
         },
         {
             "first": {"rate_hat": 1252227072.2818148, "std_error": 6261135.361409074,
@@ -248,6 +256,7 @@ def test_golden_artifact_bytes(tmp_path, mode, workers):
     cfg = small_config(tmp_path, n0=40_000, mode=mode, seed=20261018,
                        detector_efficiency=0.7, workers=workers)
     bundle = run_experiment(cfg, write_events=True)
+    reproduce_figure1(cfg, overlay=True)
     for name, digest in digests.items():
         with open(os.path.join(cfg.output_dir, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
