@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import ConfigValidationError, TwoAtomError
-from .eventsim import coincidence_differences
+from .eventsim import coincidence_differences, detection_counts
 from .pipeline import (
     ExperimentConfig,
     check_report,
@@ -75,7 +75,7 @@ def _cmd_fit(args) -> int:
     fits = supported_fits(mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, "report.json")
-    write_report(path, fit_report(cfg, fits, {"events": args.events}))
+    write_report(path, fit_report(cfg, fits, {"events": args.events}, detection_counts(data)))
     for name, fit in fits.items():
         print(f"{name}: rate/gamma = {fit.rate_hat / g:.4f} +/- {fit.std_error / g:.4f}")
     print(f"wrote {path}")

@@ -192,26 +192,38 @@ def assign_detections(records: np.ndarray) -> np.ndarray:
 
 
 def detector_streams(records: np.ndarray):
-    """All kept photon times per detector, unsorted.
+    """All kept photon times per detector, unsorted: yields the detector-1
+    stream, then the detector-2 stream.
 
     Every kept photon is registered, also the second one of a pair that
     lands on one detector: the count pattern the per-detector cumulative
     fit assumes.  Each stream holds its first photons in molecule order,
-    then its second photons in molecule order.  The fates are the ones
-    stored in the records.
+    then its second photons in molecule order.  A stream is built only
+    when the caller asks for it, so a caller that drops one before asking
+    for the next holds one at a time.  The fates are the ones stored in
+    the records.
     """
     fates = np.ascontiguousarray(records["fates"])
-    streams = []
     for detector in (0, 1):
         first_here, second_here = _kept_at(fates, detector)
-        streams.append(np.concatenate([records["t_f"][first_here], records["t_s"][second_here]]))
-    return streams[0], streams[1]
+        yield np.concatenate([records["t_f"][first_here], records["t_s"][second_here]])
 
 
 def coincidence_differences(detections: np.ndarray) -> np.ndarray:
     """t1 - t2 for all molecules with a photon recorded at both detectors."""
     both = ~np.isnan(detections["t1"]) & ~np.isnan(detections["t2"])
     return detections["t1"][both] - detections["t2"][both]
+
+
+def detection_counts(detections) -> dict[str, int]:
+    """Photons recorded at each detector, and molecules recorded at both,
+    from the t1/t2 columns of detection records or of an events.csv."""
+    hit_1, hit_2 = ~np.isnan(detections["t1"]), ~np.isnan(detections["t2"])
+    return {
+        "recorded_1": int(np.count_nonzero(hit_1)),
+        "recorded_2": int(np.count_nonzero(hit_2)),
+        "coincidences": int(np.count_nonzero(hit_1 & hit_2)),
+    }
 
 
 def build_histogram(samples, bin_width: float, t_range: tuple[float, float]) -> Histogram:

@@ -39,10 +39,6 @@ class Histogram:
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
-    @property
-    def total(self) -> int:
-        return int(np.sum(self.counts))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -75,22 +71,30 @@ def _as_sample_array(samples, minimum: int) -> np.ndarray:
     return x
 
 
+#: sorted samples per block of the KS walk: each block's two temporaries
+#: of KS_BLOCK floats (512 KiB) stay in cache
+KS_BLOCK = 2**16
+
+
 def ks_statistic_exponential(samples: np.ndarray, rate: float) -> float:
     """One-sample KS distance between the data and Exponential(rate)."""
     # at large n this sets a run's memory peak, so the cdf overwrites the
-    # sorted copy, one grid of i/n (i = 0..n) serves both sides and one
-    # buffer holds both sides' differences
+    # sorted copy and the gaps to i/n are taken one block at a time; each
+    # i/n and each gap is computed alone and max picks one of them, so the
+    # blocks give the bits of one whole-array grid
     cdf = np.sort(np.asarray(samples, dtype=float))
     n = cdf.size
     np.multiply(cdf, -rate, out=cdf)
     np.expm1(cdf, out=cdf)
     np.negative(cdf, out=cdf)
-    grid = np.arange(0, n + 1, dtype=float)
-    grid /= n
-    gap = np.subtract(grid[1:], cdf)
-    above = np.max(gap)
-    np.subtract(cdf, grid[:-1], out=gap)
-    return float(max(above, np.max(gap)))
+    above = below = -np.inf
+    for i in range(0, n, KS_BLOCK):
+        block = cdf[i:i + KS_BLOCK]
+        grid = np.arange(i, i + block.size + 1, dtype=float)
+        grid /= n
+        above = max(above, np.max(grid[1:] - block))
+        below = max(below, np.max(block - grid[:-1]))
+    return float(max(above, below))
 
 
 def fit_exponential_mle(samples) -> FitResult:

@@ -58,12 +58,6 @@ class GaussianPacket:
     def complex_width(self) -> complex:
         return self.width_sigma**2 + 0.5j * self.t
 
-    @property
-    def current_sigma(self) -> float:
-        """Position standard deviation after the elapsed free flight."""
-        s = self.width_sigma
-        return float(np.hypot(s, self.t / (2.0 * s)))
-
 
 def make_packet(center: float, momentum: float, width_sigma: float) -> GaussianPacket:
     """Unit-norm minimal-uncertainty packet at its time origin."""

@@ -36,12 +36,13 @@ from .eventsim import (
     assign_detections,
     build_histogram,
     coincidence_differences,
+    detection_counts,
     detector_streams,
     failed_fields,
     simulate_ensemble,
 )
 from .grids import SpatialGrid
-from .inference import FitResult, fit_cumulative_curve, fit_exponential_mle
+from .inference import FitResult, Histogram, fit_cumulative_curve, fit_exponential_mle
 from .kinetics import RateTriple, detection_densities
 from .packets import make_packet
 from .pairstate import make_two_atom_gaussian
@@ -191,6 +192,9 @@ class ReportBundle:
     curve_tables: dict
     config_echo: dict
     version: str
+    #: deterministic detection counts, `eventsim.detection_counts` summed
+    #: over the events
+    counters: dict = field(default_factory=dict)
 
 
 def _ensure_outdir(cfg: ExperimentConfig) -> str:
@@ -205,19 +209,20 @@ def _ensure_outdir(cfg: ExperimentConfig) -> str:
 EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
 
 
-def write_events_csv(path: str, records: np.ndarray, detections: np.ndarray) -> None:
+def write_events_csv(path: str, records: np.ndarray) -> None:
     """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected.
 
     Times are written in scientific notation with 17 significant digits
     (round-trip exact).  The rows are formatted and written one
-    CHUNK_MOLECULES chunk at a time, so the strings of one chunk are alive
-    at once.
+    CHUNK_MOLECULES chunk at a time, each chunk's t1/t2 taken from
+    `assign_detections` on that chunk, so the strings of one chunk are
+    alive at once.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(EVENTS_COLUMNS) + "\n")
         for start in range(0, len(records), CHUNK_MOLECULES):
             rec = records[start:start + CHUNK_MOLECULES]
-            det = detections[start:start + CHUNK_MOLECULES]
+            det = assign_detections(rec)
             # assign_detections copies t_f or t_s into t1/t2, or leaves NaN:
             # code 1 picks the t_f string, 2 the t_s string, 0 the empty field
             codes = [np.where(det[c] == rec["t_f"], 1, np.where(det[c] == rec["t_s"], 2, 0)).tolist()
@@ -321,49 +326,82 @@ def mle_fit_jobs(t_f, t_s, tau):
     yield "coincidence", fit_exponential_mle, np.abs(tau)
 
 
+def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
+    """Every detection-derived result of a run, one CHUNK_MOLECULES chunk
+    of the records at a time.
+
+    Returns (histograms, tau, counters).  The histograms, keyed first,
+    second, det1, det2, coincidence and detector (the detector-1 stream),
+    share cfg's bin width; tau holds the coincidence differences in
+    molecule order; counters are `detection_counts` of the whole ensemble.
+    Bin counts and counters are integer sums over the chunks, so they
+    equal those of the whole-array functions on the whole records.
+    """
+    t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
+    width = t_hi / cfg.bins
+    counts, edges, taus, counters = {}, {}, [], dict.fromkeys(("recorded_1", "recorded_2", "coincidences"), 0)
+    for start in range(0, len(records), CHUNK_MOLECULES):
+        chunk = records[start:start + CHUNK_MOLECULES]
+        det = assign_detections(chunk)
+        tau = coincidence_differences(det)
+        samples = (
+            ("first", chunk["t_f"], 0.0),
+            ("second", chunk["t_s"], 0.0),
+            ("det1", det["t1"][~np.isnan(det["t1"])], 0.0),
+            ("det2", det["t2"][~np.isnan(det["t2"])], 0.0),
+            ("coincidence", tau, -t_hi),
+            ("detector", next(detector_streams(chunk)), 0.0),
+        )
+        for name, x, lo in samples:
+            hist = build_histogram(x, width, (lo, t_hi))
+            counts[name] = counts.get(name, 0) + hist.counts
+            edges[name] = hist.edges
+        taus.append(tau)
+        for key, value in detection_counts(det).items():
+            counters[key] += value
+    hists = {name: Histogram(edges=edges[name], counts=counts[name]) for name in counts}
+    return hists, np.concatenate(taus), counters
+
+
 def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
-    """`run_experiment` up to report.json; also returns the records and
-    the detector-1 stream, from which `run_full` draws the overlays."""
+    """`run_experiment` up to report.json; also returns the histograms of
+    the detection pass, from which `run_full` draws the overlays."""
     cfg.validate()
     out = _ensure_outdir(cfg)
     records = simulate_ensemble(cfg.sim_config())
-    detections = assign_detections(records)
 
     paths = {}
     if write_events:
         paths["events"] = os.path.join(out, "events.csv")
-        write_events_csv(paths["events"], records, detections)
+        write_events_csv(paths["events"], records)
 
-    g = cfg.rates.gamma
-    t_hi = cfg.t_max_lifetimes / g
-    width = t_hi / cfg.bins
-    tau = coincidence_differences(detections)
-    hists = {
-        "first": build_histogram(records["t_f"], width, (0.0, t_hi)),
-        "second": build_histogram(records["t_s"], width, (0.0, t_hi)),
-        "det1": build_histogram(detections["t1"][~np.isnan(detections["t1"])], width, (0.0, t_hi)),
-        "det2": build_histogram(detections["t2"][~np.isnan(detections["t2"])], width, (0.0, t_hi)),
-        "coincidence": build_histogram(tau, width, (-t_hi, t_hi)),
-    }
-    for name, hist in hists.items():
+    hists, tau, counters = detection_pass(records, cfg)
+    for name in ("first", "second", "det1", "det2", "coincidence"):
         p = os.path.join(out, f"hist_{name}.csv")
-        write_histogram_csv(p, hist)
+        write_histogram_csv(p, hists[name])
         paths[f"hist_{name}"] = p
 
     fits = supported_fits(mle_fit_jobs(records["t_f"], records["t_s"], tau))
-    d1, d2 = detector_streams(records)
-    fits.update(supported_fits((f"detector_{i}", fit_cumulative_curve, s) for i, s in enumerate((d1, d2), 1)))
-    return fit_report(cfg, fits, paths), records, d1
+    del tau
+    # one detector stream at a time: each is dropped before the next is
+    # built (an enumerate tuple would still hold it then)
+    streams = detector_streams(records)
+    for i in (1, 2):
+        fits.update(supported_fits([(f"detector_{i}", fit_cumulative_curve, next(streams))]))
+    return fit_report(cfg, fits, paths, counters), hists
 
 
-def fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: dict) -> ReportBundle:
-    """The report of a fit stage: its fits, no rate ratios, the config echo."""
+def fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: dict,
+               counters: dict) -> ReportBundle:
+    """The report of a fit stage: its fits and detection counters, no rate
+    ratios, the config echo."""
     return ReportBundle(
         fits={k: dataclasses.asdict(f) for k, f in fits.items()},
         rate_ratios=[],
         curve_tables=curve_tables,
         config_echo=_echo(cfg),
         version=__version__,
+        counters=counters,
     )
 
 
@@ -373,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBu
     Produces events.csv, hist_{first,second,det1,det2,coincidence}.csv and
     report.json in cfg.output_dir.
     """
-    bundle, _, _ = _simulate_and_fit(cfg, write_events)
+    bundle, _ = _simulate_and_fit(cfg, write_events)
     write_report(os.path.join(cfg.output_dir, "report.json"), bundle)
     return bundle
 
@@ -413,23 +451,19 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False, n_points: in
         for row in zip(t * g, n_f / g, n_s / g, n_i / g, t, n_f, n_s, n_i):
             fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
     if overlay:
-        records = simulate_ensemble(cfg.sim_config())
-        d1, _ = detector_streams(records)
-        _write_overlays(cfg, records, d1)
+        hists, _, _ = detection_pass(simulate_ensemble(cfg.sim_config()), cfg)
+        _write_overlays(cfg, hists)
     return path
 
 
-def _write_overlays(cfg: ExperimentConfig, records, d1) -> None:
-    """fig1_overlay_*.csv from the records and the detector-1 stream."""
+def _write_overlays(cfg: ExperimentConfig, hists: dict[str, Histogram]) -> None:
+    """fig1_overlay_*.csv from the detection pass's histograms of the first
+    and second emission times and of the detector-1 stream."""
     out = cfg.output_dir
     rates = cfg.rates
     g = rates.gamma
-    t_hi = cfg.t_max_lifetimes / g
-    width = t_hi / cfg.bins
-    hists = {
-        kind: build_histogram(samples, width, (0.0, t_hi))
-        for kind, samples in (("first", records["t_f"]), ("second", records["t_s"]), ("detector", d1))
-    }
+    width = cfg.t_max_lifetimes / g / cfg.bins
+    hists = {kind: hists[kind] for kind in ("first", "second", "detector")}
     # the histograms share their bins, so one call gives the three curves
     curves = dict(zip(hists, detection_densities(hists["first"].centers, rates)))
     norm = cfg.n0  # also for the detector stream: ~one photon per molecule
@@ -536,13 +570,10 @@ def run_full(cfg: ExperimentConfig, overlay: bool = True) -> ReportBundle:
 
     One ensemble serves the fits and the figure overlays.
     """
-    bundle, records, d1 = _simulate_and_fit(cfg, write_events=True)
+    bundle, hists = _simulate_and_fit(cfg, write_events=True)
     bundle.curve_tables["fig1"] = reproduce_figure1(cfg)
     if overlay:
-        _write_overlays(cfg, records, d1)
-    # the rate stage sets the run's memory peak; the ensemble must not
-    # sit underneath it
-    del records, d1
+        _write_overlays(cfg, hists)
     bundle.rate_ratios = run_rate_derivation(cfg)
     bundle.curve_tables["rates"] = os.path.join(cfg.output_dir, "rates.json")
     write_report(os.path.join(cfg.output_dir, "report.json"), bundle)

@@ -1,10 +1,12 @@
 """Reference implementations that the tests compare the package against.
 
 None of these serves a pipeline stage: each is an independent route to a
-quantity the package computes another way (a 1D spectral propagator, the
-cumulative count curves behind the detection densities, the coincidence
-density behind the simulated tau histogram, and the Schmidt spectrum of a
-correlated Gaussian behind the dominant-mode amplitude).
+quantity the package computes another way (a 1D spectral propagator and
+the free dispersion law, the cumulative count curves behind the detection
+densities, the coincidence density behind the simulated tau histogram,
+the total of a histogram, the whole-array KS distance behind the blockwise
+one, and the Schmidt spectrum of a correlated Gaussian behind the
+dominant-mode amplitude).
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,32 @@ def propagate_sampled(f: np.ndarray, grid, dt: float) -> np.ndarray:
         raise InvalidParameterError("dt must be nonnegative")
     k = grid.wavenumbers
     return np.fft.ifft(np.fft.fft(f) * np.exp(-0.5j * k**2 * dt))
+
+
+def packet_sigma(packet) -> float:
+    """Position standard deviation of a packet after its elapsed free flight."""
+    s = packet.width_sigma
+    return float(np.hypot(s, packet.t / (2.0 * s)))
+
+
+def histogram_total(hist) -> int:
+    return int(np.sum(hist.counts))
+
+
+def ks_statistic_whole_array(samples, rate: float) -> float:
+    """One-sample KS distance to Exponential(rate) from one grid of i/n
+    (i = 0..n) and one buffer of gaps over the whole sorted sample."""
+    cdf = np.sort(np.asarray(samples, dtype=float))
+    n = cdf.size
+    np.multiply(cdf, -rate, out=cdf)
+    np.expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)
+    grid = np.arange(0, n + 1, dtype=float)
+    grid /= n
+    gap = np.subtract(grid[1:], cdf)
+    above = np.max(gap)
+    np.subtract(cdf, grid[:-1], out=gap)
+    return float(max(above, np.max(gap)))
 
 
 @dataclass(frozen=True)

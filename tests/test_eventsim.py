@@ -31,6 +31,8 @@ from twoatom.eventsim import (
 )
 from twoatom.kinetics import RateTriple
 
+from oracles import histogram_total
+
 GAMMA = 1.0 / 1.6e-9
 RATES = RateTriple.compatible(GAMMA)
 
@@ -330,15 +332,30 @@ def test_mode_equivalence_kolmogorov_smirnov():
         assert ks_2samp(a, b).pvalue > 0.01
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    samples=st.lists(st.floats(-2.0, 3.0), max_size=300),
+    width=st.floats(0.01, 1.0),
+    lo=st.floats(-1.0, 1.0),
+    span=st.floats(0.01, 2.0),
+)
+def test_histogram_conserves_counts(samples, width, lo, span):
+    # every sample in [lo, hi) lands in one bin, also past the last whole
+    # bin, and no other sample is counted: there is no overflow count
+    hist = build_histogram(samples, width, (lo, lo + span))
+    x = np.asarray(samples, dtype=float)
+    assert hist.counts.sum() == np.count_nonzero((x >= lo) & (x < lo + span))
+
+
 def test_histogram_basics():
     h = build_histogram([0.5, 0.5001, 0.4999], 1.0, (0.0, 1.0))
     assert h.counts.tolist() == [3]
     h = build_histogram(np.linspace(0, 0.999, 1000), 0.1, (0.0, 1.0))
-    assert h.total == 1000
+    assert histogram_total(h) == 1000
     assert len(h.counts) == 10
     # half-open bins: a sample exactly at the upper edge is dropped
     h = build_histogram([0.0, 1.0], 0.5, (0.0, 1.0))
-    assert h.total == 1
+    assert histogram_total(h) == 1
     with pytest.raises(InvalidParameterError):
         build_histogram([1.0], 0.0, (0.0, 1.0))
     with pytest.raises(InvalidParameterError):

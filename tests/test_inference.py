@@ -7,10 +7,13 @@ KS distance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoatom.errors import InsufficientDataError, InvalidParameterError
 from twoatom.eventsim import SimConfig, simulate_ensemble
 from twoatom.inference import (
+    KS_BLOCK,
     FitResult,
     Histogram,
     fit_cumulative_curve,
@@ -18,6 +21,8 @@ from twoatom.inference import (
     ks_statistic_exponential,
 )
 from twoatom.kinetics import RateTriple
+
+from oracles import ks_statistic_whole_array
 
 GAMMA = 1.0 / 1.6e-9
 RATES = RateTriple.compatible(GAMMA)
@@ -110,6 +115,18 @@ def _ks_exponential_reference(samples, rate):
 def test_ks_statistic_is_bit_identical_to_the_direct_expression(samples):
     for rate in (1.0 / float(np.mean(samples)), GAMMA):
         assert ks_statistic_exponential(samples, rate) == _ks_exponential_reference(samples, rate)
+
+
+@pytest.mark.parametrize("n", [2, 3, KS_BLOCK - 1, KS_BLOCK, KS_BLOCK + 1, 3 * KS_BLOCK + 7])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rate_factor=st.floats(0.05, 20.0))
+def test_blockwise_ks_is_bit_identical_to_the_whole_array(n, seed, rate_factor):
+    # the last block, full or partial, and the block boundaries against
+    # one grid of i/n over the whole sorted sample
+    x = draws(n, seed)
+    for rate in (1.0 / float(np.mean(x)), rate_factor * GAMMA):
+        got = ks_statistic_exponential(x, rate)
+        assert float.hex(got) == float.hex(ks_statistic_whole_array(x, rate))
 
 
 def test_fit_result_validation():

@@ -21,7 +21,7 @@ from twoatom.packets import (
     sample_packet,
 )
 
-from oracles import l2_norm, propagate_sampled
+from oracles import l2_norm, packet_sigma, propagate_sampled
 
 
 def quad_norm(p, grid):
@@ -135,7 +135,7 @@ def test_dispersion_law_matches_spectral_propagation():
     for dt in [0.5, 2.0, 4.0]:
         expected_sigma = np.sqrt(sigma**2 + (dt / (2 * sigma)) ** 2)
         q = evolve_free(p, dt)
-        assert q.current_sigma == pytest.approx(expected_sigma, rel=1e-12)
+        assert packet_sigma(q) == pytest.approx(expected_sigma, rel=1e-12)
         # independent route: spectral propagation of the sampled packet
         ft = propagate_sampled(f0, grid, dt)
         dens = np.abs(ft) ** 2 * grid.spacing

@@ -25,6 +25,7 @@ from twoatom.errors import ConfigValidationError, InsufficientDataError
 from twoatom.eventsim import (
     MODES,
     assign_detections,
+    build_histogram,
     coincidence_differences,
     detector_streams,
     simulate_ensemble,
@@ -34,6 +35,7 @@ from twoatom.pipeline import (
     EVENTS_COLUMNS,
     AmplitudeParams,
     ExperimentConfig,
+    detection_pass,
     read_events_csv,
     reproduce_figure1,
     run_experiment,
@@ -344,22 +346,35 @@ def test_golden_rates_bytes(tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RATES_256
 
 
-def test_rate_stage_peak_memory(tmp_path):
-    # the rate stage holds at most the state kernel, two evolved channels
-    # and one real |e|^2 buffer: 3.5 dense complex kernels of 16 n^2 bytes
-    n = 512
-    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n))
+def traced_peak(call) -> int:
+    """Peak bytes that `call()` allocates above what is allocated before it."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run_rate_derivation(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 3.6 * 16 * n * n
+
+
+def test_rate_stage_peak_memory(tmp_path):
+    # the rate stage holds at most the state kernel, two evolved channels
+    # and one real |e|^2 buffer: 3.5 dense complex kernels of 16 n^2 bytes
+    n = 512
+    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n))
+    assert traced_peak(lambda: run_rate_derivation(cfg)) <= 3.6 * 16 * n * n
+
+
+def test_event_stage_peak_memory(tmp_path):
+    # the records (25 B/molecule) with one fit's sample and its sorted copy
+    # on top, or tau and its pieces; no whole-ensemble detection array, no
+    # n-sized KS grid and never both detector streams
+    n0 = 200_000
+    cfg = small_config(tmp_path, n0=n0)
+    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 56 * n0
 
 
 def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
@@ -378,6 +393,62 @@ def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "amplitude.grid_points" in proc.stderr and "5.96 GiB" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n0=st.sampled_from([1, 2, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 7]),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n0=3 * 2**14 + 7, efficiency=0.7, mode="sequential", seed=5)
+@example(n0=3 * 2**14 + 7, efficiency=1.0, mode="independent", seed=6)
+def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed):
+    # the per-chunk pass against the detection functions on whole arrays
+    cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency)
+    records = simulate_ensemble(cfg.sim_config())
+    hists, tau, counters = detection_pass(records, cfg)
+    det = assign_detections(records)
+    want_tau = coincidence_differences(det)
+    d1, _ = detector_streams(records)
+    t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
+    samples = {
+        "first": (records["t_f"], 0.0),
+        "second": (records["t_s"], 0.0),
+        "det1": (det["t1"][~np.isnan(det["t1"])], 0.0),
+        "det2": (det["t2"][~np.isnan(det["t2"])], 0.0),
+        "coincidence": (want_tau, -t_hi),
+        "detector": (d1, 0.0),
+    }
+    assert set(hists) == set(samples)
+    for name, (x, lo) in samples.items():
+        want = build_histogram(x, t_hi / cfg.bins, (lo, t_hi))
+        assert hists[name].edges.tobytes() == want.edges.tobytes(), name
+        assert np.array_equal(hists[name].counts, want.counts), name
+        # count conservation: each sample in [lo, hi) is counted once, and
+        # no other sample is counted
+        assert want.counts.sum() == np.count_nonzero((x >= lo) & (x < t_hi)), name
+    assert tau.tobytes() == want_tau.tobytes()
+    recorded = [int(np.count_nonzero(~np.isnan(det[c]))) for c in ("t1", "t2")]
+    assert counters == {"recorded_1": recorded[0], "recorded_2": recorded[1], "coincidences": want_tau.size}
+
+
+def test_simulate_and_fit_report_equal_counters(tmp_path):
+    # the counters of `simulate` come from the pass, those of `fit` from
+    # the columns of the events.csv that `simulate` wrote
+    out, refit = str(tmp_path / "sim"), str(tmp_path / "refit")
+    flags = ["--n0", str(3 * 2**14 + 7), "--seed", "17", "--set", "detector_efficiency=0.7"]
+    assert cli_main(["simulate", *flags, "--out", out]) == 0
+    assert cli_main(["fit", *flags, "--events", os.path.join(out, "events.csv"), "--out", refit]) == 0
+    counters = read_report(os.path.join(out, "report.json"))["counters"]
+    assert read_report(os.path.join(refit, "report.json"))["counters"] == counters
+    cfg = ExperimentConfig(n0=3 * 2**14 + 7, seed=17, detector_efficiency=0.7)
+    det = assign_detections(simulate_ensemble(cfg.sim_config()))
+    hit_1, hit_2 = ~np.isnan(det["t1"]), ~np.isnan(det["t2"])
+    assert counters == {"recorded_1": int(hit_1.sum()), "recorded_2": int(hit_2.sum()),
+                        "coincidences": int((hit_1 & hit_2).sum())}
+    assert 0 < counters["coincidences"] < min(counters["recorded_1"], counters["recorded_2"])
 
 
 def test_cross_engine_agreement(tmp_path):
@@ -643,7 +714,7 @@ def test_events_csv_round_trip(n0, efficiency, mode, seed, crlf, final_newline):
     detections = assign_detections(records)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
-        write_events_csv(path, records, detections)
+        write_events_csv(path, records)
         content = Path(path).read_bytes()
         if crlf:
             content = content.replace(b"\n", b"\r\n")
@@ -682,7 +753,7 @@ def valid_events_bytes() -> bytes:
     records = simulate_ensemble(ExperimentConfig(n0=12, seed=3, detector_efficiency=0.6).sim_config())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
-        write_events_csv(path, records, assign_detections(records))
+        write_events_csv(path, records)
         return Path(path).read_bytes()
 
 
