@@ -339,7 +339,7 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
-    counts, edges, taus, counters = {}, {}, [], dict.fromkeys(("recorded_1", "recorded_2", "coincidences"), 0)
+    counts, edges, taus, counters = {}, {}, [], {}
     for start in range(0, len(records), CHUNK_MOLECULES):
         chunk = records[start:start + CHUNK_MOLECULES]
         det = assign_detections(chunk)
@@ -357,8 +357,7 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
             counts[name] = counts.get(name, 0) + hist.counts
             edges[name] = hist.edges
         taus.append(tau)
-        for key, value in detection_counts(det).items():
-            counters[key] += value
+        counters = {key: counters.get(key, 0) + value for key, value in detection_counts(det).items()}
     hists = {name: Histogram(edges=edges[name], counts=counts[name]) for name in counts}
     return hists, np.concatenate(taus), counters
 

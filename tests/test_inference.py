@@ -1,8 +1,8 @@
 """Rate estimators.
 
 Oracles: closed-form MLE identities, self-consistency against the event
-generator at the known rates, and a direct expression of the one-sample
-KS distance.
+generator at the known rates, a direct expression of the one-sample KS
+distance, and its whole-array form behind the blockwise walk.
 """
 
 import numpy as np
