@@ -346,6 +346,19 @@ def test_golden_rates_bytes(tmp_path):
         assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RATES_256
 
 
+# sha256 of rates.json on a 320-point grid (2^6 * 5), where pocketfft
+# factorizes the transforms differently than at a power of two; frozen from
+# the implementation that propagated each channel with its own phase block
+GOLDEN_RATES_320 = "06816499bc654196951449e89af158e5d2e42c79746d6edb8b3522baa3e8d4d0"
+
+
+def test_golden_rates_bytes_off_a_power_of_two(tmp_path):
+    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=320))
+    run_rate_derivation(cfg)
+    with open(os.path.join(cfg.output_dir, "rates.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RATES_320
+
+
 def traced_peak(call) -> int:
     """Peak bytes that `call()` allocates above what is allocated before it."""
     tracing = tracemalloc.is_tracing()
