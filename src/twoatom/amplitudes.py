@@ -92,12 +92,6 @@ def _product_channels(a: GaussianPacket, b: GaussianPacket, grid: SpatialGrid):
     return np.outer(fa, fb), np.outer(fb, fa)
 
 
-def _channel_components(state: TwoAtomState):
-    """(C1, C2, N, grid) with the physical spatial state equal to N (C1 + C2)."""
-    # kernel plays the role of Psi(x, y); the swapped channel is its transpose
-    return state.kernel, state.kernel.T, state.norm_coefficient, state.grid
-
-
 def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
     if isinstance(out, GaussianPacket):
         return sample_packet(out, grid.points)
@@ -110,6 +104,12 @@ def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
     return f
 
 
+def _evolved(channels, grid: SpatialGrid, dt: float):
+    """`channels` after a free flight of `dt`: the channels themselves at
+    dt = 0, else one propagation of them all."""
+    return channels if dt == 0 else propagate_kernel(channels, grid, dt)
+
+
 def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) -> complex:
     """Matrix element for the first emission into the product pair (out1, out2)
     after a free flight of `dt`.
@@ -119,12 +119,12 @@ def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) ->
     <out2 out1|U|C1>.  One evolved channel therefore gives both terms, and
     the element is exactly symmetric under out1 <-> out2.
     """
-    c1, _, coeff, grid = _channel_components(psi0)
-    evolved = propagate_kernel(c1, grid, dt)
+    grid = psi0.grid
+    (evolved,) = _evolved((psi0.kernel,), grid, dt)
     f1 = _out_vector(out1, grid)
     f2 = _out_vector(out2, grid)
     terms = np.vdot(np.outer(f1, f2), evolved) + np.vdot(np.outer(f2, f1), evolved)
-    return complex(_SQRT2 * coeff * terms * grid.spacing**2)
+    return complex(_SQRT2 * psi0.norm_coefficient * terms * grid.spacing**2)
 
 
 def _ordered_sum(e1, e2, grid):
@@ -164,18 +164,31 @@ def _restricted_sum(e1, e2, grid, family):
     return s1, s2, cross
 
 
-def _two_channel_rate(channels, dt, convention, family, case_label):
-    """Report and interference of the state N (C1 + C2), `channels` being
-    (C1, C2, N, grid), evolved for `dt` and summed over final states under
-    `convention`."""
-    c1, c2, coeff, grid = channels
+def _channel_sums(c1, c2, grid, dt, convention, family):
+    """(s1, s2, cross) of the channels (C1, C2) evolved for `dt` and summed
+    over final states under `convention`."""
     if convention not in CONVENTIONS:
         raise InvalidParameterError(f"unknown convention {convention!r}")
-    e1, e2 = propagate_kernel(c1, grid, dt), propagate_kernel(c2, grid, dt)
+    e1, e2 = _evolved((c1, c2), grid, dt)
     if convention == "ordered-grid-product":
-        s1, s2, cross = _ordered_sum(e1, e2, grid)
-    else:
-        s1, s2, cross = _restricted_sum(e1, e2, grid, family)
+        return _ordered_sum(e1, e2, grid)
+    return _restricted_sum(e1, e2, grid, family)
+
+
+def _state_sums(state: TwoAtomState, dt, convention, family):
+    """`_channel_sums` of a state, whose channels are C1 = Psi(x, y) and
+    C2 = Psi(y, x).  Under the full product basis at dt = 0 these are the
+    state's squared norm (for both channels) and twice the real part of its
+    swap overlap, which the state keeps once taken."""
+    if dt == 0 and convention == "ordered-grid-product":
+        return state.squared_norm, state.squared_norm, 2.0 * state.swap_overlap.real
+    return _channel_sums(state.kernel, state.kernel.T, state.grid, dt, convention, family)
+
+
+def _two_channel_rate(sums, coeff, convention, case_label):
+    """Report and interference of the state N (C1 + C2) from the channel
+    sums (s1, s2, cross) under `convention`, N being `coeff`."""
+    s1, s2, cross = sums
     n2 = coeff**2
     completeness = n2 * (s1 + s2 + cross)
     report = RateRatioReport(
@@ -201,7 +214,8 @@ def first_emission_rate_ratio(
     the squared norm of the evolved initial amplitude (unity up to grid
     truncation) and a symmetric normalized state gives exactly ratio 2.
     """
-    report, _ = _two_channel_rate(_channel_components(psi0), dt, convention, family, "entangled-main")
+    sums = _state_sums(psi0, dt, convention, family)
+    report, _ = _two_channel_rate(sums, psi0.norm_coefficient, convention, "entangled-main")
     return report
 
 
@@ -296,25 +310,25 @@ def property_case_rate(
             raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
         if grid is None:
             raise InvalidCaseError("prop1 needs an explicit grid")
-        channels = (*_product_channels(chi, xi, grid), symmetrized_norm((chi, xi)), grid)
-        report, interference = _two_channel_rate(channels, dt, convention, family, case)
+        sums = _channel_sums(*_product_channels(chi, xi, grid), grid, dt, convention, family)
+        report, interference = _two_channel_rate(sums, symmetrized_norm((chi, xi)), convention, case)
         return PropertyRateResult(report, abs(interference))
 
     if not isinstance(inputs, TwoAtomState):
         raise InvalidCaseError(f"{case} needs a TwoAtomState input")
 
     if case == "prop2-nonsymmetrized":
-        dx2 = inputs.grid.spacing**2
-        ev = propagate_kernel(inputs.kernel, inputs.grid, dt)
         # both distinguishable channels share the spatial kernel; each one
-        # sums to the captured mass and the probabilities are averaged
-        channel = float(np.sum(abs2(ev))) * dx2
+        # sums to the mass captured by the final states of `convention`,
+        # and the probabilities are averaged
+        channel = _state_sums(inputs, dt, convention, family)[0]
         ratio = 0.5 * channel + 0.5 * channel
         report = RateRatioReport(ratio, channel, 1.0, case, convention)
         return PropertyRateResult(report, 0.0, channel_probabilities=(channel, channel))
 
     if case in ("prop3-entangled-final", "prop4-entangled-second"):
-        report, interference = _two_channel_rate(_channel_components(inputs), dt, convention, family, case)
+        sums = _state_sums(inputs, dt, convention, family)
+        report, interference = _two_channel_rate(sums, inputs.norm_coefficient, convention, case)
         return PropertyRateResult(report, abs(interference))
 
     raise InvalidCaseError(f"unknown case {case!r}")

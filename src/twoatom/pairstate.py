@@ -15,7 +15,8 @@ spectral propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +42,32 @@ ROW_BLOCK = 64
 class TwoAtomState:
     """Two-particle spatial amplitude on a grid.
 
-    `kernel` is the unit-normalized amplitude sampled on `grid` x `grid`;
-    `norm_coefficient` is the symmetrization normalization for the stored
-    overlap.
+    `kernel` is the unit-normalized amplitude sampled on `grid` x `grid`.
+    Its squared norm, its swap overlap and the symmetrization normalization
+    are whole-kernel reductions; each is taken on first use and kept, so it
+    runs once per state.  The kernel must not be written after that.
     """
 
     grid: SpatialGrid
     kernel: np.ndarray
-    norm_coefficient: float = 0.5
+
+    @cached_property
+    def squared_norm(self) -> float:
+        """sum |Psi|^2 dx^2.  The swapped amplitude Psi(y, x) has the same
+        bits: its |.|^2 keeps the kernel's memory order, and so does the sum."""
+        return float(np.sum(abs2(self.kernel))) * self.grid.spacing**2
+
+    @cached_property
+    def swap_overlap(self) -> complex:
+        """<Psi(x,y)|Psi(y,x)> for the stored two-particle amplitude."""
+        k = self.kernel
+        return complex(np.vdot(k, k.T) * self.grid.spacing**2)
+
+    @cached_property
+    def norm_coefficient(self) -> float:
+        """(2 + 2 Re<Psi(x,y)|Psi(y,x)>)^(-1/2), the normalization of the
+        symmetrized state."""
+        return float((2.0 + 2.0 * self.swap_overlap.real) ** -0.5)
 
 
 def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
@@ -101,15 +120,7 @@ def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGri
     # hence sigma_u = W / (2 sqrt 2); likewise for the relative mode.
     mode_sum = make_packet(0.0, 0.0, width_sum / (2.0 * _SQRT2))
     mode_diff = make_packet(0.0, 0.0, width_diff / (2.0 * _SQRT2))
-    kernel = _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid)
-    state = TwoAtomState(grid, kernel)
-    return replace(state, norm_coefficient=symmetrized_norm(state))
-
-
-def swap_overlap(state: TwoAtomState) -> complex:
-    """<Psi(x,y)|Psi(y,x)> for the stored two-particle amplitude."""
-    k = state.kernel
-    return complex(np.vdot(k, k.T) * state.grid.spacing**2)
+    return TwoAtomState(grid, _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid))
 
 
 def symmetrized_norm(obj) -> float:
@@ -119,27 +130,29 @@ def symmetrized_norm(obj) -> float:
     pair of one-particle packets it is (2 + 2 |<a|b>|^2)^(-1/2).
     """
     if isinstance(obj, TwoAtomState):
-        return float((2.0 + 2.0 * swap_overlap(obj).real) ** -0.5)
+        return obj.norm_coefficient
     a, b = obj
     return float((2.0 + 2.0 * abs(overlap(a, b)) ** 2) ** -0.5)
 
 
-def propagate_kernel(kernel: np.ndarray, grid: SpatialGrid, dt: float) -> np.ndarray:
-    """Spectral free propagation of a two-particle kernel.
+def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:
+    """Spectral free propagation of a sequence of two-particle kernels.
 
     The two-particle evolution operator factorizes into identical
     one-particle operators, i.e. a pure phase exp(-i (kx^2 + ky^2) dt / 2)
-    in 2D k-space; the discrete norm is conserved exactly.  `kernel` itself
-    is never written; at dt = 0 it is returned as is.
+    in 2D k-space; the discrete norm is conserved exactly.  Returns the
+    evolved kernels stacked along a new leading axis.  Each kernel is
+    transformed into its slot of one buffer, and one phase block per
+    `ROW_BLOCK` rows multiplies every spectrum.  The kernels themselves are
+    never written.
     """
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
-    if dt == 0:
-        return kernel
     k = grid.wavenumbers
-    spec = np.fft.fft2(kernel, out=np.empty(kernel.shape, complex))
+    spec = np.empty((len(kernels), k.size, k.size), complex)
+    for out, kernel in zip(spec, kernels):
+        np.fft.fft2(kernel, out=out)
     for i in range(0, k.size, ROW_BLOCK):
-        spec[i : i + ROW_BLOCK] *= np.exp(-0.5j * dt * (k[i : i + ROW_BLOCK, None] ** 2 + k[None, :] ** 2))
+        spec[:, i : i + ROW_BLOCK] *= np.exp(-0.5j * dt * (k[i : i + ROW_BLOCK, None] ** 2 + k[None, :] ** 2))
     # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it, bit for bit
     return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
-

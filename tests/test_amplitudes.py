@@ -25,7 +25,7 @@ from twoatom.amplitudes import (
     second_emission_rate_ratio,
 )
 from twoatom.errors import InvalidCaseError, InvalidParameterError, InvalidStateError
-from twoatom.grids import SpatialGrid
+from twoatom.grids import SpatialGrid, abs2
 from twoatom.packets import make_packet, overlap, sample_packet
 from twoatom.pairstate import TwoAtomState, make_two_atom_gaussian, symmetrized_norm
 
@@ -39,7 +39,7 @@ def symmetrized_pair(a, b):
     """The pair state N (a(x) b(y) + b(x) a(y)) of two packets on GRID."""
     fa, fb = sample_packet(a, GRID.points), sample_packet(b, GRID.points)
     kernel = symmetrized_norm((a, b)) * (np.outer(fa, fb) + np.outer(fb, fa))
-    return TwoAtomState(GRID, kernel, symmetrized_norm(TwoAtomState(GRID, kernel)))
+    return TwoAtomState(GRID, kernel)
 
 
 PAIR = symmetrized_pair(make_packet(-1.0, 0.4, 1.0), make_packet(1.5, 0.0, 0.8))
@@ -149,7 +149,7 @@ def test_completeness_equals_evolved_norm():
 
     dt = 1.7
     rep = first_emission_rate_ratio(STATE, dt)
-    ev = propagate_kernel(STATE.kernel, GRID, dt)
+    (ev,) = propagate_kernel((STATE.kernel,), GRID, dt)
     norm2 = float(np.sum(np.abs(ev) ** 2)) * GRID.spacing**2
     assert rep.completeness_sum == pytest.approx(norm2, abs=1e-6)
 
@@ -255,6 +255,22 @@ def test_prop2_probability_weighted_channels():
     assert res.interference_magnitude == 0.0
     ch1, ch2 = res.channel_probabilities
     assert ch1 == ch2  # symmetric amplitude: equal channel probabilities
+
+
+def test_prop2_channel_follows_the_convention():
+    # under a one-packet family f each channel keeps |<f f|Psi>|^2, the
+    # probability that the final pair is (f, f); the full basis keeps 1
+    f = make_packet(0.5, 0.0, 0.7)
+    res = property_case_rate("prop2-nonsymmetrized", STATE, convention="restricted-subset", family=[f])
+    ff = np.outer(sample_packet(f, GRID.points), sample_packet(f, GRID.points))
+    ff /= np.sqrt(np.sum(abs2(ff))) * GRID.spacing
+    expected = abs(np.vdot(ff, STATE.kernel) * GRID.spacing**2) ** 2
+    assert res.report.basis_convention == "restricted-subset"
+    assert res.channel_probabilities == pytest.approx((expected, expected), rel=1e-9)
+    assert res.report.ratio == pytest.approx(expected, rel=1e-9)
+    assert res.report.ratio < 0.9
+    with pytest.raises(InvalidParameterError):
+        property_case_rate("prop2-nonsymmetrized", STATE, convention="restricted-subset")
 
 
 def test_prop3_entangled_final_states():

@@ -16,14 +16,13 @@ from twoatom.errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from twoatom.grids import SpatialGrid
+from twoatom.grids import SpatialGrid, abs2
 from twoatom.packets import evolve_free, make_packet, sample_packet
 from twoatom.pairstate import (
     TwoAtomState,
     _mode_kernel,
     make_two_atom_gaussian,
     propagate_kernel,
-    swap_overlap,
     symmetrized_norm,
 )
 
@@ -60,7 +59,7 @@ def test_kernel_is_unit_normalized_and_bitwise_symmetric():
 def test_norm_coefficient_is_half_for_symmetric_state():
     st = make_two_atom_gaussian(2.0, 1.0, GRID)
     assert st.norm_coefficient == pytest.approx(0.5, abs=1e-12)
-    assert swap_overlap(st).real == pytest.approx(1.0, abs=1e-10)
+    assert st.swap_overlap.real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_separable_iff_equal_widths():
@@ -114,12 +113,12 @@ def test_symmetrized_norm_examples():
 
 def test_evolution_preserves_norm_and_symmetry():
     st = make_two_atom_gaussian(2.0, 1.0, GRID)
-    ev = propagate_kernel(st.kernel, GRID, 3.0)
+    (ev,) = propagate_kernel((st.kernel,), GRID, 3.0)
     mass = np.sum(np.abs(ev) ** 2) * GRID.spacing**2
     assert mass == pytest.approx(1.0, abs=1e-10)
     assert np.max(np.abs(ev - ev.T)) < 1e-12
     with pytest.raises(InvalidParameterError):
-        propagate_kernel(st.kernel, GRID, -1.0)
+        propagate_kernel((st.kernel,), GRID, -1.0)
 
 
 def test_two_particle_evolution_factorizes():
@@ -129,7 +128,7 @@ def test_two_particle_evolution_factorizes():
     dt = 2.0
     fa0 = sample_packet(a, GRID.points)
     fb0 = sample_packet(b, GRID.points)
-    evolved_2d = propagate_kernel(np.outer(fa0, fb0), GRID, dt)
+    (evolved_2d,) = propagate_kernel((np.outer(fa0, fb0),), GRID, dt)
     fa1 = sample_packet(evolve_free(a, dt), GRID.points)
     fb1 = sample_packet(evolve_free(b, dt), GRID.points)
     assert np.max(np.abs(evolved_2d - np.outer(fa1, fb1))) < 1e-8
@@ -144,7 +143,8 @@ def test_analytic_modes_track_grid_evolution():
     mode_sum = evolve_free(make_packet(0.0, 0.0, width_sum / (2.0 * np.sqrt(2.0))), dt)
     mode_diff = evolve_free(make_packet(0.0, 0.0, width_diff / (2.0 * np.sqrt(2.0))), dt)
     resampled = _mode_kernel(mode_sum, mode_diff, GRID)
-    assert np.max(np.abs(resampled - propagate_kernel(st.kernel, GRID, dt))) < 1e-8
+    (evolved,) = propagate_kernel((st.kernel,), GRID, dt)
+    assert np.max(np.abs(resampled - evolved)) < 1e-8
 
 
 def test_grid_validation():
@@ -196,19 +196,29 @@ def test_blocked_mode_kernel_is_bit_identical(n, half, data):
     half=st.floats(4.0, 40.0),
     dt=FLIGHT,
     transposed=st.booleans(),
+    second=st.sampled_from([None, "swapped", "independent"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, seed):
+def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, second, seed):
+    # every kernel of one call shares each phase block, yet comes out as if
+    # propagated alone with one whole-array phase; the rate stage passes a
+    # state's kernel with its transpose
     grid = SpatialGrid.centered(half, n)
     rng = np.random.default_rng(seed)
-    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if transposed:
-        kernel = kernel.T
-    evolved = propagate_kernel(kernel, grid, dt)
-    if dt == 0:
-        assert evolved is kernel
-    else:
-        assert evolved.tobytes() == whole_array_propagation(kernel, grid, dt).tobytes()
+
+    def random_kernel():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    kernel = random_kernel().T if transposed else random_kernel()
+    kernels = {None: (kernel,), "swapped": (kernel, kernel.T), "independent": (kernel, random_kernel())}[second]
+    before = [k.tobytes() for k in kernels]
+    for k in kernels:
+        k.setflags(write=False)  # a write into an input now raises
+    evolved = propagate_kernel(kernels, grid, dt)
+    assert evolved.shape == (len(kernels), n, n)
+    for e, k, b in zip(evolved, kernels, before):
+        assert e.tobytes() == whole_array_propagation(k, grid, dt).tobytes()
+        assert k.tobytes() == b
 
 
 @pytest.mark.parametrize("dt", [0.0, 1.5])
@@ -218,5 +228,21 @@ def test_propagation_never_writes_its_argument(dt, transposed):
     kernel = kernel.T if transposed else kernel
     before = kernel.tobytes()
     kernel.setflags(write=False)  # a write into it now raises
-    propagate_kernel(kernel, GRID, dt)
+    propagate_kernel((kernel,), GRID, dt)
     assert kernel.tobytes() == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(64, 400), seed=st.integers(0, 2**32 - 1))
+def test_state_sums_have_the_bits_of_the_channel_sums(n, seed):
+    # at dt = 0 the rate stage reads the state's squared norm for both
+    # channels and its swap overlap for the cross term, where it once
+    # summed |Psi(y, x)|^2 and took vdot(Psi, Psi^T) itself
+    rng = np.random.default_rng(seed)
+    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    state = TwoAtomState(SpatialGrid.centered(10.0, n), kernel)
+    dx2 = state.grid.spacing**2
+    assert float(np.sum(abs2(kernel.T))).hex() == float(np.sum(abs2(kernel))).hex()
+    assert state.squared_norm.hex() == (float(np.sum(abs2(kernel.T))) * dx2).hex()
+    cross = 2.0 * float((np.vdot(kernel, kernel.T) * dx2).real)
+    assert (2.0 * state.swap_overlap.real).hex() == cross.hex()

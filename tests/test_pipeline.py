@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import pipeline
+from twoatom import amplitudes, pairstate, pipeline
 from twoatom.cli import main as cli_main
 from twoatom.errors import ConfigValidationError, InsufficientDataError
 from twoatom.eventsim import (
@@ -357,6 +357,28 @@ def test_golden_rates_bytes_off_a_power_of_two(tmp_path):
     run_rate_derivation(cfg)
     with open(os.path.join(cfg.output_dir, "rates.json"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_RATES_320
+
+
+def test_rate_stage_takes_each_whole_kernel_product_once(tmp_path, monkeypatch):
+    # one propagation, of both channels at dt > 0, and four whole-kernel
+    # vdots: the state's swap overlap (its dt = 0 cross term, shared by the
+    # identity, prop3 and prop4 cases), the cross term at dt > 0, and one
+    # per full-basis prop1 study, each on its own product channels
+    n = 128
+    calls = {"propagate_kernel": 0, "vdot": 0}
+
+    def counted(name, fn, whole=lambda *a: True):
+        def wrapper(*args, **kwargs):
+            calls[name] += whole(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    propagate = counted("propagate_kernel", pairstate.propagate_kernel)
+    monkeypatch.setattr(pairstate, "propagate_kernel", propagate)
+    monkeypatch.setattr(amplitudes, "propagate_kernel", propagate)
+    monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot, lambda a, b: np.shape(a) == (n, n)))
+    run_rate_derivation(small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n)))
+    assert calls == {"propagate_kernel": 1, "vdot": 4}
 
 
 def traced_peak(call) -> int:
