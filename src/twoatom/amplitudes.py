@@ -294,7 +294,8 @@ def property_case_rate(
       worth inspecting.
     - ``prop2-nonsymmetrized``: a TwoAtomState whose kernel is used without
       symmetrization; the two distinguishable emission channels are summed
-      with probability weights 1/2 each (no interference by construction).
+      with probability weights 1/2 each (no interference by construction),
+      each channel's probability being its sum under `convention`.
     - ``prop3-entangled-final``: symmetric TwoAtomState, final states kept
       entangled and summed over a complete set.
     - ``prop4-entangled-second``: symmetric TwoAtomState standing for the
