@@ -33,11 +33,12 @@ single-atom value (well separated, overlap 0) and twice it (full overlap).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError
-from .grids import SpatialGrid, abs2
+from .grids import SpatialGrid, abs2, each_block
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
 from .pairstate import TwoAtomState, propagate_kernel, symmetrized_norm
 
@@ -86,10 +87,39 @@ class PropertyRateResult:
     channel_probabilities: tuple | None = None
 
 
-def _product_channels(a: GaussianPacket, b: GaussianPacket, grid: SpatialGrid):
-    """The two exchange channels a(x) b(y) and b(x) a(y) of a packet pair."""
-    fa, fb = sample_packet(a, grid.points), sample_packet(b, grid.points)
-    return np.outer(fa, fb), np.outer(fb, fa)
+def _outer(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.outer(f, g)``, one block of rows per thread at a time."""
+    out = np.empty((f.size, g.size), complex)
+    each_block(lambda rows: np.multiply(f[rows, None], g, out=out[rows]), f.size)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ProductPair:
+    """The non-entangled pair state of one-particle packets (chi, xi) on
+    `grid`, to be symmetrized.
+
+    Its two exchange channels chi(x) xi(y) and xi(x) chi(y) are built on
+    first use and kept, so every rate taken of one pair builds them once.
+    For equal packets both channels are one array.
+    """
+
+    chi: GaussianPacket
+    xi: GaussianPacket
+    grid: SpatialGrid
+
+    def __post_init__(self):
+        if not (isinstance(self.chi, GaussianPacket) and isinstance(self.xi, GaussianPacket)):
+            raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
+
+    @cached_property
+    def channels(self) -> tuple[np.ndarray, np.ndarray]:
+        f = sample_packet(self.chi, self.grid.points)
+        if self.chi == self.xi:
+            same = _outer(f, f)
+            return same, same
+        g = sample_packet(self.xi, self.grid.points)
+        return _outer(f, g), _outer(g, f)
 
 
 def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
@@ -274,6 +304,16 @@ def receding_pair(
     return make_packet(0.5 * separation, 0.0, sigma), make_packet(-0.5 * separation, 0.0, sigma)
 
 
+def _product_pair(inputs, grid) -> ProductPair:
+    try:
+        chi, xi = inputs
+    except (TypeError, ValueError):
+        raise InvalidCaseError("prop1 needs a (chi, xi) packet pair")
+    if grid is None:
+        raise InvalidCaseError("prop1 needs an explicit grid")
+    return ProductPair(chi, xi, grid)
+
+
 def property_case_rate(
     case: str,
     inputs,
@@ -288,10 +328,11 @@ def property_case_rate(
     Cases and expected inputs:
 
     - ``prop1-nonentangled``: pair (chi, xi) of one-particle packets (plus
-      `grid`), symmetrized into a non-entangled initial state.  Reported
-      under the chosen convention; the exchange interference collapses to
-      |<chi|xi>|^2 under the full product basis, so both conventions are
-      worth inspecting.
+      `grid`), or a `ProductPair` of them, symmetrized into a
+      non-entangled initial state.  Reported under the chosen convention;
+      the exchange interference collapses to |<chi|xi>|^2 under the full
+      product basis, so both conventions are worth inspecting.  Studies
+      of one `ProductPair` share its channels.
     - ``prop2-nonsymmetrized``: a TwoAtomState whose kernel is used without
       symmetrization; the two distinguishable emission channels are summed
       with probability weights 1/2 each (no interference by construction),
@@ -303,16 +344,9 @@ def property_case_rate(
       symmetric gives ratio 2, not 1.
     """
     if case == "prop1-nonentangled":
-        try:
-            chi, xi = inputs
-        except (TypeError, ValueError):
-            raise InvalidCaseError("prop1 needs a (chi, xi) packet pair")
-        if not (isinstance(chi, GaussianPacket) and isinstance(xi, GaussianPacket)):
-            raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
-        if grid is None:
-            raise InvalidCaseError("prop1 needs an explicit grid")
-        sums = _channel_sums(*_product_channels(chi, xi, grid), grid, dt, convention, family)
-        report, interference = _two_channel_rate(sums, symmetrized_norm((chi, xi)), convention, case)
+        pair = inputs if isinstance(inputs, ProductPair) else _product_pair(inputs, grid)
+        sums = _channel_sums(*pair.channels, pair.grid, dt, convention, family)
+        report, interference = _two_channel_rate(sums, symmetrized_norm((pair.chi, pair.xi)), convention, case)
         return PropertyRateResult(report, abs(interference))
 
     if not isinstance(inputs, TwoAtomState):

@@ -25,13 +25,13 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kern
 from .errors import InvalidParameterError
+from .grids import spread
 from .inference import Histogram
 from .kinetics import RateTriple
 
@@ -111,21 +111,13 @@ def simulate_ensemble(cfg: SimConfig) -> np.ndarray:
 
     Returns records (molecule_id, t_f, t_s, fates) with t_f <= t_s, in
     seconds (or whatever inverse unit the rates carry).  The draws are
-    hashed once, in fixed chunks of CHUNK_MOLECULES molecules; with
-    workers > 1 the chunks are spread over a thread pool.  Each chunk's
-    values depend only on (seed, molecule_id), and the chunk boundaries do
-    not depend on the worker count, so the records are byte-identical for
-    every worker count.
+    hashed once, in fixed chunks of CHUNK_MOLECULES molecules, spread over
+    `workers` threads.  Each chunk's values depend only on (seed,
+    molecule_id), and the chunk boundaries do not depend on the worker
+    count, so the records are byte-identical for every worker count.
     """
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    starts = range(0, cfg.n0, CHUNK_MOLECULES)
-    if cfg.workers == 1:
-        _fill_chunks(cfg, records, starts)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            shares = [starts[w::cfg.workers] for w in range(cfg.workers)]
-            # reading every result re-raises a worker's exception
-            list(pool.map(lambda share: _fill_chunks(cfg, records, share), shares))
+    spread(functools.partial(_fill_chunks, cfg, records), range(0, cfg.n0, CHUNK_MOLECULES), cfg.workers)
     return records
 
 

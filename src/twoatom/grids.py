@@ -1,11 +1,18 @@
-"""Uniform 1D spatial grids used to discretize wave functions.
+"""Uniform 1D spatial grids used to discretize wave functions, and the
+helpers that spread work over threads.
 
 A two-atom kernel is sampled on the product of one grid with itself, and
-its final states are sampled on the same grid.
+its final states are sampled on the same grid.  The amplitude engine's
+dense passes over such kernels are elementwise per row or independent per
+row or column, so they run block by block on every usable CPU; each
+output element is computed by the same code whichever thread takes its
+block, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +53,46 @@ class SpatialGrid:
         return cls(-float(half_width), float(half_width), n_points)
 
 
+#: rows (or columns) of a dense n x n array that a thread takes at a time;
+#: small, so that each thread's temporaries stay a few rows
+ROW_BLOCK = 16
+
+
+def spread(work, items, shares: int) -> None:
+    """Call ``work(items[s::shares])`` for s = 0 .. shares - 1: share 0 on
+    the calling thread, each other share on a thread of its own.  Returns
+    once every share is done, and re-raises an exception that any share
+    raised, MemoryError included.  Shares that would be empty are not run."""
+    with ThreadPoolExecutor(max_workers=max(shares - 1, 1)) as pool:
+        futures = [pool.submit(work, items[s::shares]) for s in range(1, min(shares, len(items)))]
+        work(items[0::shares])
+    for future in futures:
+        future.result()
+
+
+def each_block(work, n: int) -> None:
+    """Call ``work(block)`` for each slice of `ROW_BLOCK` indices that
+    tile range(n), spread over every CPU this process may run on."""
+
+    def run(share):
+        for start in share:
+            work(slice(start, start + ROW_BLOCK))
+
+    spread(run, range(0, n, ROW_BLOCK), len(os.sched_getaffinity(0)))
+
+
 def abs2(a: np.ndarray) -> np.ndarray:
     """|a|^2 elementwise in one real array laid out like `a`; the same
-    bits as ``np.abs(a) ** 2`` without its second temporary."""
-    buf = np.abs(a)
-    buf *= buf
-    return buf
+    bits as ``np.abs(a) ** 2`` without its second temporary.  A
+    Fortran-ordered `a` (such as a kernel's transpose) gives a
+    Fortran-ordered result."""
+    out = np.empty_like(a, dtype=float)
+    # blocks of the leading axis of the C-ordered view, so each is contiguous
+    src, dst = (a.T, out.T) if a.flags.f_contiguous else (a, out)
+
+    def square(rows):
+        np.abs(src[rows], out=dst[rows])
+        dst[rows] *= dst[rows]
+
+    each_block(square, len(src))
+    return out

@@ -25,17 +25,13 @@ from .errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .grids import SpatialGrid, abs2
+from .grids import SpatialGrid, abs2, each_block
 from .packets import make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
 
 #: tolerated loss of probability mass to grid truncation
 TRUNCATION_TOL = 1e-8
-
-#: kernel rows synthesized or phase-multiplied per step; bounds the
-#: temporaries to a row block instead of whole kernels
-ROW_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +71,12 @@ def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
     # is elementwise, so each row block holds the whole-array values
     x = grid.points
     out = np.empty((x.size, x.size), complex)
-    for i in range(0, x.size, ROW_BLOCK):
-        rows = x[i : i + ROW_BLOCK, None]
-        u, v = (rows + x) / _SQRT2, (rows - x) / _SQRT2
-        out[i : i + ROW_BLOCK] = sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+
+    def synthesize(rows):
+        u, v = (x[rows, None] + x) / _SQRT2, (x[rows, None] - x) / _SQRT2
+        out[rows] = sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+
+    each_block(synthesize, x.size)
     return out
 
 
@@ -141,18 +139,35 @@ def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:
     The two-particle evolution operator factorizes into identical
     one-particle operators, i.e. a pure phase exp(-i (kx^2 + ky^2) dt / 2)
     in 2D k-space; the discrete norm is conserved exactly.  Returns the
-    evolved kernels stacked along a new leading axis.  Each kernel is
-    transformed into its slot of one buffer, and one phase block per
-    `ROW_BLOCK` rows multiplies every spectrum.  The kernels themselves are
-    never written.
+    evolved kernels stacked along a new leading axis.  The kernels
+    themselves are never written.
+
+    Each 2D transform is the two 1D passes of ``np.fft.fft2`` and
+    ``np.fft.ifftn`` in their order, rows (the last axis) first, then
+    columns, with the same bits; every 1D transform, and every block of
+    rows multiplied by its phase block, is one thread's job.  One phase
+    block serves every spectrum.
     """
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
     k = grid.wavenumbers
     spec = np.empty((len(kernels), k.size, k.size), complex)
-    for out, kernel in zip(spec, kernels):
-        np.fft.fft2(kernel, out=out)
-    for i in range(0, k.size, ROW_BLOCK):
-        spec[:, i : i + ROW_BLOCK] *= np.exp(-0.5j * dt * (k[i : i + ROW_BLOCK, None] ** 2 + k[None, :] ** 2))
-    # np.fft.ifft2 ignores out= (numpy 2.4); ifftn over the same axes honours it, bit for bit
-    return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
+
+    def transform_rows(rows):
+        for out, kernel in zip(spec, kernels):
+            np.fft.fft(kernel[rows], axis=-1, out=out[rows])
+
+    def transform_columns(fft):
+        def run(columns):
+            fft(spec[..., columns], axis=-2, out=spec[..., columns])
+        return run
+
+    def evolve_rows(rows):
+        spec[:, rows] *= np.exp(-0.5j * dt * (k[rows, None] ** 2 + k[None, :] ** 2))
+        np.fft.ifft(spec[:, rows], axis=-1, out=spec[:, rows])
+
+    each_block(transform_rows, k.size)
+    each_block(transform_columns(np.fft.fft), k.size)
+    each_block(evolve_rows, k.size)
+    each_block(transform_columns(np.fft.ifft), k.size)
+    return spec

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from ._kernels import backend_name
 from .amplitudes import (
+    ProductPair,
     first_emission_rate_ratio,
     property_case_rate,
     receding_pair,
@@ -550,14 +551,16 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool) -> list:
     chi = make_packet(-0.5 * sep, 0.0, a.sigma)
     xi = make_packet(+0.5 * sep, 0.0, a.sigma)
     orthogonal = {"variant": "orthogonal", "separation": sep}
-    study(orthogonal, "prop1-nonentangled", (chi, xi), grid=grid)
+    pair = ProductPair(chi, xi, grid)  # the three orthogonal studies share its channels
+    study(orthogonal, "prop1-nonentangled", pair)
     lopsided = [make_packet(c * a.sigma - 0.5 * sep, 0.0, a.sigma) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    study({**orthogonal, "family": "5 packets around one atom"}, "prop1-nonentangled", (chi, xi),
-          convention="restricted-subset", grid=grid, family=lopsided)
+    study({**orthogonal, "family": "5 packets around one atom"}, "prop1-nonentangled", pair,
+          convention="restricted-subset", family=lopsided)
     spanning = [make_packet(c, 0.0, a.sigma) for c in np.arange(-0.75 * sep, 0.75 * sep + 0.1, 0.25 * sep)]
-    study({**orthogonal, "family": "7 packets spanning both atoms"}, "prop1-nonentangled", (chi, xi),
-          convention="restricted-subset", grid=grid, family=spanning)
-    study({"variant": "identical"}, "prop1-nonentangled", (chi, chi), grid=grid)
+    study({**orthogonal, "family": "7 packets spanning both atoms"}, "prop1-nonentangled", pair,
+          convention="restricted-subset", family=spanning)
+    del pair  # its two channels go before the identical pair builds its one
+    study({"variant": "identical"}, "prop1-nonentangled", ProductPair(chi, chi, grid))
     study({}, "prop2-nonsymmetrized", state)
     study({}, "prop3-entangled-final", state)
     study({"variant": "both-symmetric"}, "prop4-entangled-second", state)

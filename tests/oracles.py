@@ -5,8 +5,9 @@ quantity the package computes another way (a 1D spectral propagator and
 the free dispersion law, the cumulative count curves behind the detection
 densities, the coincidence density behind the simulated tau histogram,
 the total of a histogram, the whole-array KS distance behind the blockwise
-one, and the Schmidt spectrum of a correlated Gaussian behind the
-dominant-mode amplitude).
+one, the Schmidt spectrum of a correlated Gaussian behind the
+dominant-mode amplitude, and the whole-array forms of the amplitude
+engine's row-blocked, threaded passes).
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,32 @@ import numpy as np
 
 from twoatom.errors import InvalidParameterError, NumericalDegeneracyError
 from twoatom.kinetics import RateTriple, second_count_fraction
+from twoatom.packets import sample_packet
+
+
+def meshgrid_mode_kernel(mode_sum, mode_diff, grid):
+    """A two-mode kernel sampled on the whole meshgrid at once."""
+    x = grid.points
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    u = (xx + yy) / np.sqrt(2.0)
+    v = (xx - yy) / np.sqrt(2.0)
+    return sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+
+
+def whole_array_propagation(kernel, grid, dt):
+    """One kernel propagated by 2D transforms and one whole-array phase."""
+    k = grid.wavenumbers
+    phase = np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
+    return np.fft.ifftn(np.fft.fft2(kernel) * phase, axes=(-2, -1))
+
+
+def whole_array_abs2(a):
+    return np.abs(a) ** 2
+
+
+def whole_array_product_channels(f, g):
+    """The exchange channels f(x) g(y) and g(x) f(y) of sampled packets."""
+    return np.outer(f, g), np.outer(g, f)
 
 
 def l2_norm(f: np.ndarray, grid) -> float:

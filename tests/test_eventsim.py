@@ -155,6 +155,20 @@ def test_determinism_across_worker_counts():
         assert base.tobytes() == other.tobytes()
 
 
+def test_a_worker_threads_exception_reaches_the_caller(monkeypatch):
+    # with two workers the second chunk is hashed on a worker thread
+    raw_draws = kern.raw_draws
+
+    def failing_after_the_first_chunk(seed, start, n, out=None):
+        if start >= CHUNK_MOLECULES:
+            raise MemoryError
+        return raw_draws(seed, start, n, out=out)
+
+    monkeypatch.setattr(kern, "raw_draws", failing_after_the_first_chunk)
+    with pytest.raises(MemoryError):
+        simulate_ensemble(cfg_for(CHUNK_MOLECULES + 1, workers=2))
+
+
 def _unchunked_reference(cfg):
     """Times, packed fates, detections and streams from one raw block.
 

@@ -6,11 +6,17 @@ the width ratio; the SVD of the discretized kernel must reproduce it.  The
 evolution oracle is the pair of analytically evolved 1D modes.
 """
 
+import contextlib
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoatom import grids
+from twoatom.amplitudes import ProductPair
 from twoatom.errors import (
     DomainTruncationError,
     InvalidParameterError,
@@ -26,7 +32,14 @@ from twoatom.pairstate import (
     symmetrized_norm,
 )
 
-from oracles import schmidt_ratio, schmidt_spectrum
+from oracles import (
+    meshgrid_mode_kernel,
+    schmidt_ratio,
+    schmidt_spectrum,
+    whole_array_abs2,
+    whole_array_product_channels,
+    whole_array_propagation,
+)
 
 GRID = SpatialGrid.centered(16.0, 512)
 
@@ -154,25 +167,27 @@ def test_grid_validation():
         SpatialGrid(-1.0, 1.0, 32)
 
 
-# Whole-array oracles of the row-blocked builders: the meshgrid synthesis of
-# a two-mode kernel and one phase multiplication of the full spectrum.
-def meshgrid_mode_kernel(mode_sum, mode_diff, grid):
-    x = grid.points
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    u = (xx + yy) / np.sqrt(2.0)
-    v = (xx - yy) / np.sqrt(2.0)
-    return sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
-
-
-def whole_array_propagation(kernel, grid, dt):
-    k = grid.wavenumbers
-    phase = np.exp(-0.5j * dt * (k[:, None] ** 2 + k[None, :] ** 2))
-    return np.fft.ifft2(np.fft.fft2(kernel) * phase)
-
-
-# sizes around and between row blocks, so the last block is partial
+# sizes around and between row blocks, so the last block is partial; with
+# 128-row blocks a grid below 128 points is one partial block
 BLOCK_GRID_POINTS = st.sampled_from([64, 65, 127, 129, 300])
 FLIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
+THREADS = st.integers(1, 4)
+BLOCK = st.sampled_from([grids.ROW_BLOCK, 128])
+
+
+@contextlib.contextmanager
+def threads(count, block):
+    """Run the dense passes in `block`-row blocks on `count` threads,
+    whatever the number of usable CPUs, switching threads often."""
+    spread = grids.spread
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(grids, "spread", lambda work, items, shares: spread(work, items, count)):
+            with mock.patch.object(grids, "ROW_BLOCK", block):
+                yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _packet(draw):
@@ -181,11 +196,12 @@ def _packet(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=BLOCK_GRID_POINTS, half=st.floats(4.0, 40.0), data=st.data())
-def test_blocked_mode_kernel_is_bit_identical(n, half, data):
+@given(n=BLOCK_GRID_POINTS, half=st.floats(4.0, 40.0), count=THREADS, block=BLOCK, data=st.data())
+def test_blocked_mode_kernel_is_bit_identical(n, half, count, block, data):
     grid = SpatialGrid.centered(half, n)
     mode_sum, mode_diff = _packet(data.draw), _packet(data.draw)
-    blocked = _mode_kernel(mode_sum, mode_diff, grid)
+    with threads(count, block):
+        blocked = _mode_kernel(mode_sum, mode_diff, grid)
     # tobytes, not ==, so that signed zeros count
     assert blocked.tobytes() == meshgrid_mode_kernel(mode_sum, mode_diff, grid).tobytes()
 
@@ -198,11 +214,14 @@ def test_blocked_mode_kernel_is_bit_identical(n, half, data):
     transposed=st.booleans(),
     second=st.sampled_from([None, "swapped", "independent"]),
     seed=st.integers(0, 2**32 - 1),
+    count=THREADS,
+    block=BLOCK,
 )
-def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, second, seed):
+def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, second, seed, count, block):
     # every kernel of one call shares each phase block, yet comes out as if
-    # propagated alone with one whole-array phase; the rate stage passes a
-    # state's kernel with its transpose
+    # propagated alone by 2D transforms with one whole-array phase, on any
+    # number of threads; the rate stage passes a state's kernel with its
+    # transpose
     grid = SpatialGrid.centered(half, n)
     rng = np.random.default_rng(seed)
 
@@ -214,11 +233,53 @@ def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, second, s
     before = [k.tobytes() for k in kernels]
     for k in kernels:
         k.setflags(write=False)  # a write into an input now raises
-    evolved = propagate_kernel(kernels, grid, dt)
+    with threads(count, block):
+        evolved = propagate_kernel(kernels, grid, dt)
     assert evolved.shape == (len(kernels), n, n)
     for e, k, b in zip(evolved, kernels, before):
         assert e.tobytes() == whole_array_propagation(k, grid, dt).tobytes()
         assert k.tobytes() == b
+
+
+# below one block, not a multiple of it, and a rate stage's family sizes
+SMALL_OR_ODD = st.sampled_from([1, 5, 7, 15, 17, 33, 64, 65, 129])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(SMALL_OR_ODD), st.tuples(SMALL_OR_ODD, SMALL_OR_ODD)),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    count=THREADS,
+    block=BLOCK,
+)
+def test_blocked_abs2_is_bit_identical(shape, fortran, seed, count, block):
+    # a kernel's transpose is Fortran-ordered, and its |.|^2 must stay so
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = np.asfortranarray(a) if fortran else a
+    with threads(count, block):
+        squared = abs2(a)
+    expected = whole_array_abs2(a)
+    assert squared.flags.c_contiguous == expected.flags.c_contiguous
+    assert squared.flags.f_contiguous == expected.flags.f_contiguous
+    assert squared.tobytes(order="A") == expected.tobytes(order="A")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=BLOCK_GRID_POINTS, data=st.data(), identical=st.booleans(), count=THREADS, block=BLOCK)
+def test_blocked_product_channels_are_bit_identical(n, data, identical, count, block):
+    # equal packets give one array for both channels
+    grid = SpatialGrid.centered(10.0, n)
+    chi = _packet(data.draw)
+    xi = chi if identical else _packet(data.draw)
+    pair = ProductPair(chi, xi, grid)
+    with threads(count, block):
+        c1, c2 = pair.channels
+    f, g = sample_packet(chi, grid.points), sample_packet(xi, grid.points)
+    e1, e2 = whole_array_product_channels(f, g)
+    assert c1.tobytes() == e1.tobytes() and c2.tobytes() == e2.tobytes()
+    assert (c1 is c2) == (chi == xi)
 
 
 @pytest.mark.parametrize("dt", [0.0, 1.5])

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import amplitudes, pairstate, pipeline
+from twoatom import amplitudes, grids, pairstate, pipeline
 from twoatom.cli import main as cli_main
 from twoatom.errors import ConfigValidationError, InsufficientDataError
 from twoatom.eventsim import (
@@ -360,12 +361,14 @@ def test_golden_rates_bytes_off_a_power_of_two(tmp_path):
 
 
 def test_rate_stage_takes_each_whole_kernel_product_once(tmp_path, monkeypatch):
-    # one propagation, of both channels at dt > 0, and four whole-kernel
-    # vdots: the state's swap overlap (its dt = 0 cross term, shared by the
+    # one propagation, of both channels at dt > 0; four whole-kernel vdots:
+    # the state's swap overlap (its dt = 0 cross term, shared by the
     # identity, prop3 and prop4 cases), the cross term at dt > 0, and one
-    # per full-basis prop1 study, each on its own product channels
+    # per full-basis prop1 study, each on its own product channels; and
+    # three product channels: the orthogonal pair's two, which its three
+    # studies share, and the one that serves both slots of the identical pair
     n = 128
-    calls = {"propagate_kernel": 0, "vdot": 0}
+    calls = {"propagate_kernel": 0, "vdot": 0, "channel": 0}
 
     def counted(name, fn, whole=lambda *a: True):
         def wrapper(*args, **kwargs):
@@ -377,8 +380,9 @@ def test_rate_stage_takes_each_whole_kernel_product_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pairstate, "propagate_kernel", propagate)
     monkeypatch.setattr(amplitudes, "propagate_kernel", propagate)
     monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot, lambda a, b: np.shape(a) == (n, n)))
+    monkeypatch.setattr(amplitudes, "_outer", counted("channel", amplitudes._outer))
     run_rate_derivation(small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n)))
-    assert calls == {"propagate_kernel": 1, "vdot": 4}
+    assert calls == {"propagate_kernel": 1, "vdot": 4, "channel": 3}
 
 
 def traced_peak(call) -> int:
@@ -428,6 +432,28 @@ def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "amplitude.grid_points" in proc.stderr and "5.96 GiB" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_memory_error_on_a_worker_thread_exits_2(tmp_path, monkeypatch):
+    # a dense pass re-raises what its worker threads raise, so a grid that
+    # runs out of memory in a thread's row block is reported like one that
+    # fails the kernel's own allocation
+    main_thread = threading.main_thread()
+    sample = pairstate.sample_packet
+
+    def sample_on_the_main_thread(packet, x):
+        if threading.current_thread() is not main_thread:
+            raise MemoryError
+        return sample(packet, x)
+
+    spread = grids.spread
+    monkeypatch.setattr(grids, "spread", lambda work, items, shares: spread(work, items, 2))
+    monkeypatch.setattr(pairstate, "sample_packet", sample_on_the_main_thread)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["rates", "--set", "amplitude.grid_points=256", "--out", str(tmp_path)])
+    assert code == 2
+    assert "amplitude.grid_points" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=12, deadline=None)
