@@ -9,7 +9,6 @@ discretized matrix elements over symmetrized two-particle states.
 __version__ = "0.1.0"
 
 from .amplitudes import (
-    ProductPair,
     PropertyRateResult,
     RateRatioReport,
     first_emission_amplitude,
@@ -67,7 +66,6 @@ __all__ = [
     "FitResult",
     "GaussianPacket",
     "Histogram",
-    "ProductPair",
     "PropertyRateResult",
     "RateRatioReport",
     "RateTriple",

@@ -111,6 +111,8 @@ class ProductPair:
     def __post_init__(self):
         if not (isinstance(self.chi, GaussianPacket) and isinstance(self.xi, GaussianPacket)):
             raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
+        if self.grid is None:
+            raise InvalidCaseError("prop1 needs an explicit grid")
 
     @cached_property
     def channels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +306,6 @@ def receding_pair(
     return make_packet(0.5 * separation, 0.0, sigma), make_packet(-0.5 * separation, 0.0, sigma)
 
 
-def _product_pair(inputs, grid) -> ProductPair:
-    try:
-        chi, xi = inputs
-    except (TypeError, ValueError):
-        raise InvalidCaseError("prop1 needs a (chi, xi) packet pair")
-    if grid is None:
-        raise InvalidCaseError("prop1 needs an explicit grid")
-    return ProductPair(chi, xi, grid)
-
-
 def property_case_rate(
     case: str,
     inputs,
@@ -344,7 +336,12 @@ def property_case_rate(
       symmetric gives ratio 2, not 1.
     """
     if case == "prop1-nonentangled":
-        pair = inputs if isinstance(inputs, ProductPair) else _product_pair(inputs, grid)
+        pair = inputs
+        if not isinstance(pair, ProductPair):
+            try:
+                pair = ProductPair(*inputs, grid)
+            except TypeError:
+                raise InvalidCaseError("prop1 needs a (chi, xi) packet pair")
         sums = _channel_sums(*pair.channels, pair.grid, dt, convention, family)
         report, interference = _two_channel_rate(sums, symmetrized_norm((pair.chi, pair.xi)), convention, case)
         return PropertyRateResult(report, abs(interference))

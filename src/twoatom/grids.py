@@ -4,9 +4,10 @@ helpers that spread work over threads.
 A two-atom kernel is sampled on the product of one grid with itself, and
 its final states are sampled on the same grid.  The amplitude engine's
 dense passes over such kernels are elementwise per row or independent per
-row or column, so they run block by block on every usable CPU; each
-output element is computed by the same code whichever thread takes its
-block, so the bits do not depend on the thread count.
+row or column, so they run block by block on every usable CPU (up to
+`ROWS_IN_FLIGHT`); each output element is computed by the same code
+whichever thread takes its block, so the bits do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -53,9 +54,24 @@ class SpatialGrid:
         return cls(-float(half_width), float(half_width), n_points)
 
 
-#: rows (or columns) of a dense n x n array that a thread takes at a time;
-#: small, so that each thread's temporaries stay a few rows
-ROW_BLOCK = 16
+#: rows (or columns) of a dense n x n array that a pass's threads take
+#: together at a time: each of `thread_count()` threads takes blocks of
+#: ROWS_IN_FLIGHT // thread_count() rows, so their temporaries add up to
+#: the same few rows whatever the number of CPUs
+ROWS_IN_FLIGHT = 32
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def thread_count() -> int:
+    """Threads a dense pass runs on: one per usable CPU, at most
+    `ROWS_IN_FLIGHT`, so that every thread takes at least one row."""
+    return min(usable_cpus(), ROWS_IN_FLIGHT)
 
 
 def spread(work, items, shares: int) -> None:
@@ -71,14 +87,17 @@ def spread(work, items, shares: int) -> None:
 
 
 def each_block(work, n: int) -> None:
-    """Call ``work(block)`` for each slice of `ROW_BLOCK` indices that
-    tile range(n), spread over every CPU this process may run on."""
+    """Call ``work(block)`` for each slice of ROWS_IN_FLIGHT //
+    thread_count() indices that tile range(n), spread over
+    `thread_count()` threads."""
+    threads = thread_count()
+    rows = ROWS_IN_FLIGHT // threads
 
     def run(share):
         for start in share:
-            work(slice(start, start + ROW_BLOCK))
+            work(slice(start, start + rows))
 
-    spread(run, range(0, n, ROW_BLOCK), len(os.sched_getaffinity(0)))
+    spread(run, range(0, n, rows), threads)
 
 
 def abs2(a: np.ndarray) -> np.ndarray:

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import (
     DomainTruncationError,
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .grids import SpatialGrid, abs2, each_block
+from .grids import SpatialGrid, abs2, each_block, thread_count
 from .packets import make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
@@ -142,32 +143,26 @@ def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:
     evolved kernels stacked along a new leading axis.  The kernels
     themselves are never written.
 
-    Each 2D transform is the two 1D passes of ``np.fft.fft2`` and
-    ``np.fft.ifftn`` in their order, rows (the last axis) first, then
-    columns, with the same bits; every 1D transform, and every block of
-    rows multiplied by its phase block, is one thread's job.  One phase
-    block serves every spectrum.
+    The kernels are copied into one buffer, which is then transformed in
+    place by 1D passes of ``scipy.fft`` on `thread_count()` threads: rows
+    (the last axis) first, then columns, the order of ``np.fft.fft2`` and
+    ``np.fft.ifftn``, with their bits.  The inverse is two passes, not one
+    ``scipy.fft.ifftn``, which scales once by 1/n^2 where numpy scales each
+    pass by 1/n (other bits unless n is a power of two).  Between them,
+    each block of rows is multiplied by its phase block, which serves
+    every spectrum.
     """
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
     k = grid.wavenumbers
-    spec = np.empty((len(kernels), k.size, k.size), complex)
+    spec = np.array(kernels, complex)
+    for axis in (-1, -2):
+        spec = scipy.fft.fft(spec, axis=axis, overwrite_x=True, workers=thread_count())
 
-    def transform_rows(rows):
-        for out, kernel in zip(spec, kernels):
-            np.fft.fft(kernel[rows], axis=-1, out=out[rows])
-
-    def transform_columns(fft):
-        def run(columns):
-            fft(spec[..., columns], axis=-2, out=spec[..., columns])
-        return run
-
-    def evolve_rows(rows):
+    def evolve(rows):
         spec[:, rows] *= np.exp(-0.5j * dt * (k[rows, None] ** 2 + k[None, :] ** 2))
-        np.fft.ifft(spec[:, rows], axis=-1, out=spec[:, rows])
 
-    each_block(transform_rows, k.size)
-    each_block(transform_columns(np.fft.fft), k.size)
-    each_block(evolve_rows, k.size)
-    each_block(transform_columns(np.fft.ifft), k.size)
+    each_block(evolve, k.size)
+    for axis in (-1, -2):
+        spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True, workers=thread_count())
     return spec

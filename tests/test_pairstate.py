@@ -7,7 +7,9 @@ evolution oracle is the pair of analytically evolved 1D modes.
 """
 
 import contextlib
+import os
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -172,22 +174,48 @@ def test_grid_validation():
 BLOCK_GRID_POINTS = st.sampled_from([64, 65, 127, 129, 300])
 FLIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 20.0))
 THREADS = st.integers(1, 4)
-BLOCK = st.sampled_from([grids.ROW_BLOCK, 128])
+# one row, as on ROWS_IN_FLIGHT CPUs or more; 16, as on two; and 128
+BLOCK = st.sampled_from([1, 16, 128])
 
 
 @contextlib.contextmanager
 def threads(count, block):
     """Run the dense passes in `block`-row blocks on `count` threads,
     whatever the number of usable CPUs, switching threads often."""
-    spread = grids.spread
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(grids, "spread", lambda work, items, shares: spread(work, items, count)):
-            with mock.patch.object(grids, "ROW_BLOCK", block):
+        with mock.patch.object(grids, "usable_cpus", lambda: count):
+            with mock.patch.object(grids, "ROWS_IN_FLIGHT", count * block):
                 yield
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 31, 32, 64])
+def test_a_pass_works_on_rows_in_flight_at_most(cpus, monkeypatch):
+    # the blocks tile the rows once, and the threads times the rows of a
+    # block stay within ROWS_IN_FLIGHT, so the threads' temporaries do not
+    # grow with the number of CPUs
+    monkeypatch.setattr(grids, "usable_cpus", lambda: cpus)
+    n = 1000
+    blocks = []  # list.append is atomic
+
+    def work(rows):
+        blocks.append((threading.get_ident(), rows.start, min(rows.stop, n)))
+
+    grids.each_block(work, n)
+    assert sorted(i for _, start, stop in blocks for i in range(start, stop)) == list(range(n))
+    rows = max(stop - start for _, start, stop in blocks)
+    threads = len({ident for ident, _, _ in blocks})
+    assert threads <= grids.thread_count() == min(cpus, grids.ROWS_IN_FLIGHT)
+    assert rows * grids.thread_count() <= grids.ROWS_IN_FLIGHT
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert grids.usable_cpus() == (os.cpu_count() or 1)
 
 
 def _packet(draw):

@@ -407,6 +407,17 @@ def test_rate_stage_peak_memory(tmp_path):
     assert traced_peak(lambda: run_rate_derivation(cfg)) <= 3.6 * 16 * n * n
 
 
+def test_rate_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
+    # more threads take smaller row blocks, down to one row each on
+    # ROWS_IN_FLIGHT threads, so their temporaries do not add up with the
+    # number of CPUs and the peak stays that of test_rate_stage_peak_memory
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 64)
+    assert grids.thread_count() == grids.ROWS_IN_FLIGHT
+    n = 512
+    cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n))
+    assert traced_peak(lambda: run_rate_derivation(cfg)) <= 3.6 * 16 * n * n
+
+
 def test_event_stage_peak_memory(tmp_path):
     # the records (25 B/molecule) with one fit's sample and its sorted copy
     # on top, or tau and its pieces; no whole-ensemble detection array, no
@@ -446,8 +457,7 @@ def test_cli_memory_error_on_a_worker_thread_exits_2(tmp_path, monkeypatch):
             raise MemoryError
         return sample(packet, x)
 
-    spread = grids.spread
-    monkeypatch.setattr(grids, "spread", lambda work, items, shares: spread(work, items, 2))
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pairstate, "sample_packet", sample_on_the_main_thread)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
