@@ -37,10 +37,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError
+from .errors import DomainTruncationError, InvalidCaseError, InvalidParameterError, InvalidStateError
 from .grids import SpatialGrid, abs2, each_block
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
-from .pairstate import TwoAtomState, propagate_kernel, symmetrized_norm
+from .pairstate import TRUNCATION_TOL, TwoAtomState, propagate_kernel, symmetrized_norm
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -324,7 +324,8 @@ def property_case_rate(
       non-entangled initial state.  Reported under the chosen convention;
       the exchange interference collapses to |<chi|xi>|^2 under the full
       product basis, so both conventions are worth inspecting.  Studies
-      of one `ProductPair` share its channels.
+      of one `ProductPair` share its channels.  A grid that loses more
+      than `TRUNCATION_TOL` of a packet's mass raises DomainTruncationError.
     - ``prop2-nonsymmetrized``: a TwoAtomState whose kernel is used without
       symmetrization; the two distinguishable emission channels are summed
       with probability weights 1/2 each (no interference by construction),
@@ -342,6 +343,11 @@ def property_case_rate(
                 pair = ProductPair(*inputs, grid)
             except TypeError:
                 raise InvalidCaseError("prop1 needs a (chi, xi) packet pair")
+        for packet in (pair.chi, pair.xi):
+            mass = float(np.sum(abs2(sample_packet(packet, pair.grid.points)))) * pair.grid.spacing
+            if not abs(mass - 1.0) <= TRUNCATION_TOL:
+                raise DomainTruncationError(f"grid holds {mass:.12f} of the probability mass of the"
+                                            f" packet at {packet.center:g} (need 1 +/- {TRUNCATION_TOL:g})")
         sums = _channel_sums(*pair.channels, pair.grid, dt, convention, family)
         report, interference = _two_channel_rate(sums, symmetrized_norm((pair.chi, pair.xi)), convention, case)
         return PropertyRateResult(report, abs(interference))

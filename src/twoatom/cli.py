@@ -14,20 +14,15 @@ import os
 import sys
 
 from .errors import ConfigValidationError, TwoAtomError
-from .eventsim import coincidence_differences, detection_counts
 from .pipeline import (
     ExperimentConfig,
     check_report,
-    fit_report,
-    mle_fit_jobs,
-    read_events_csv,
     reproduce_figure1,
     run_experiment,
+    run_fit,
     run_full,
     run_property_cases,
     run_rate_derivation,
-    supported_fits,
-    write_report,
 )
 from . import __version__
 
@@ -70,15 +65,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = load_config(args)
-    data = read_events_csv(args.events)
+    bundle = run_fit(cfg, args.events)
     g = cfg.rates.gamma
-    fits = supported_fits(mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, "report.json")
-    write_report(path, fit_report(cfg, fits, {"events": args.events}, detection_counts(data)))
-    for name, fit in fits.items():
-        print(f"{name}: rate/gamma = {fit.rate_hat / g:.4f} +/- {fit.std_error / g:.4f}")
-    print(f"wrote {path}")
+    for name, fit in bundle.fits.items():
+        print(f"{name}: rate/gamma = {fit['rate_hat'] / g:.4f} +/- {fit['std_error'] / g:.4f}")
+    print(f"wrote {os.path.join(cfg.output_dir, 'report.json')}")
     return EXIT_OK
 
 

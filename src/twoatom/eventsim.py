@@ -46,17 +46,14 @@ SIM_RULES = {
     "workers": lambda v: v >= 1,
 }
 
-#: `fates` packs the four photon fates drawn with the emission times
-EMISSION_DTYPE = np.dtype(
-    [("molecule_id", np.uint64), ("t_f", np.float64), ("t_s", np.float64), ("fates", np.uint8)]
-)
+#: `fates` packs the four photon fates drawn with the emission times.  A
+#: record's molecule id is its row index: the records hold molecules 0...n0-1
+EMISSION_DTYPE = np.dtype([("t_f", np.float64), ("t_s", np.float64), ("fates", np.uint8)])
 #: bits of `fates`: the detector (0 or 1) each photon lands on, and whether
 #: it survives the detector efficiency
 FATE_DET_FIRST, FATE_DET_SECOND, FATE_KEEP_FIRST, FATE_KEEP_SECOND = 1, 2, 4, 8
 #: NaN in t1/t2 means no photon was recorded at that detector
-DETECTION_DTYPE = np.dtype(
-    [("molecule_id", np.uint64), ("t1", np.float64), ("t2", np.float64)]
-)
+DETECTION_DTYPE = np.dtype([("t1", np.float64), ("t2", np.float64)])
 
 
 #: the values a field of each annotated type takes
@@ -109,10 +106,10 @@ CHUNK_MOLECULES = 2**14
 def simulate_ensemble(cfg: SimConfig) -> np.ndarray:
     """Per-molecule emission times and photon fates as a structured array.
 
-    Returns records (molecule_id, t_f, t_s, fates) with t_f <= t_s, in
-    seconds (or whatever inverse unit the rates carry).  The draws are
-    hashed once, in fixed chunks of CHUNK_MOLECULES molecules, spread over
-    `workers` threads.  Each chunk's values depend only on (seed,
+    Returns records (t_f, t_s, fates) with t_f <= t_s, in seconds (or
+    whatever inverse unit the rates carry); row i holds molecule i.  The
+    draws are hashed once, in fixed chunks of CHUNK_MOLECULES molecules,
+    spread over `workers` threads.  Each chunk's values depend only on (seed,
     molecule_id), and the chunk boundaries do not depend on the worker
     count, so the records are byte-identical for every worker count.
     """
@@ -142,7 +139,6 @@ def _fill_chunks(cfg: SimConfig, records: np.ndarray, starts) -> None:
             life_b = -np.log(u_b) / cfg.rates.gamma
             chunk["t_f"] = np.minimum(life_a, life_b)
             chunk["t_s"] = np.maximum(life_a, life_b)
-        chunk["molecule_id"] = np.arange(start, start + len(chunk), dtype=np.uint64)
 
         fates = kern.to_bit(raw[:, kern.SLOT_DETECTOR_FIRST]) * FATE_DET_FIRST
         fates |= kern.to_bit(raw[:, kern.SLOT_DETECTOR_SECOND]) * FATE_DET_SECOND
@@ -161,7 +157,7 @@ def _kept_at(fates: np.ndarray, detector: int):
 
 
 def assign_detections(records: np.ndarray) -> np.ndarray:
-    """Detector records (molecule_id, t1, t2) under the single-hit rule.
+    """Detector records (t1, t2) under the single-hit rule, row for row.
 
     Each photon independently lands on detector 1 or 2 with probability
     1/2 and survives with probability detector_efficiency; when both kept
@@ -171,15 +167,8 @@ def assign_detections(records: np.ndarray) -> np.ndarray:
     """
     fates = np.ascontiguousarray(records["fates"])
     out = np.empty(len(records), dtype=DETECTION_DTYPE)
-    out["molecule_id"] = records["molecule_id"]
     for detector, col in ((0, "t1"), (1, "t2")):
-        first_here, second_here = _kept_at(fates, detector)
-        times = np.where(
-            first_here,
-            records["t_f"],
-            np.where(second_here, records["t_s"], np.nan),
-        )
-        out[col] = times
+        out[col] = np.select(_kept_at(fates, detector), (records["t_f"], records["t_s"]), np.nan)
     return out
 
 

@@ -117,7 +117,7 @@ def fit_exponential_mle(samples) -> FitResult:
     )
 
 
-def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
+def fit_cumulative_curve(times) -> FitResult:
     """Least-squares fit of the cumulative count pattern N(t) = A (1 - e^{-bt}).
 
     This is the form the per-detector count distributions take; the fitted
@@ -131,7 +131,7 @@ def fit_cumulative_curve(times, n_curve_points: int = 256) -> FitResult:
     t_max = float(xs[-1])
     if t_max <= 0:
         raise InsufficientDataError("all times are zero")
-    grid = np.linspace(0.0, t_max, n_curve_points)
+    grid = np.linspace(0.0, t_max, 256)  # the times the count pattern is fitted at
     emp = np.searchsorted(xs, grid, side="right").astype(float)
 
     def model(t, amp, rate):

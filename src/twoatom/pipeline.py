@@ -29,11 +29,12 @@ from .amplitudes import (
     receding_pair,
     second_emission_rate_ratio,
 )
-from .errors import ConfigValidationError, EventsFileError, InsufficientDataError
+from .errors import ConfigValidationError, DomainTruncationError, EventsFileError, InsufficientDataError
 from .eventsim import (
     CHUNK_MOLECULES,
     SIM_RULES,
     SimConfig,
+    _kept_at,
     assign_detections,
     build_histogram,
     coincidence_differences,
@@ -213,25 +214,22 @@ EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
 def write_events_csv(path: str, records: np.ndarray) -> None:
     """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected.
 
-    Times are written in scientific notation with 17 significant digits
-    (round-trip exact).  The rows are formatted and written one
-    CHUNK_MOLECULES chunk at a time, each chunk's t1/t2 taken from
-    `assign_detections` on that chunk, so the strings of one chunk are
-    alive at once.
+    A record's molecule id is its row index; its t1/t2 fields follow the
+    single-hit rule of `assign_detections`, read from the fates.  Times are
+    in scientific notation with 17 significant digits (round-trip exact),
+    written one CHUNK_MOLECULES chunk at a time, so the strings of one
+    chunk are alive at once.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(EVENTS_COLUMNS) + "\n")
         for start in range(0, len(records), CHUNK_MOLECULES):
             rec = records[start:start + CHUNK_MOLECULES]
-            det = assign_detections(rec)
-            # assign_detections copies t_f or t_s into t1/t2, or leaves NaN:
             # code 1 picks the t_f string, 2 the t_s string, 0 the empty field
-            codes = [np.where(det[c] == rec["t_f"], 1, np.where(det[c] == rec["t_s"], 2, 0)).tolist()
-                     for c in ("t1", "t2")]
+            codes = [np.select(_kept_at(rec["fates"], detector), (1, 2)).tolist() for detector in (0, 1)]
             t_f = ["%.16e" % v for v in rec["t_f"].tolist()]
             t_s = ["%.16e" % v for v in rec["t_s"].tolist()]
             rows = []
-            for i, f, s, a, b in zip(rec["molecule_id"].tolist(), t_f, t_s, *codes):
+            for i, f, s, a, b in zip(range(start, start + len(rec)), t_f, t_s, *codes):
                 pick = ("", f, s)
                 rows.append(f"{i},{f},{s},{pick[a]},{pick[b]}\n")
             fh.write("".join(rows))
@@ -311,7 +309,7 @@ def write_histogram_csv(path: str, hist) -> None:
             fh.write(f"{lo:.16e},{hi:.16e},{int(c)}\n")
 
 
-def supported_fits(jobs) -> dict[str, FitResult]:
+def _supported_fits(jobs) -> dict[str, FitResult]:
     """Run each (name, fit, sample) job; leave out a fit its sample cannot support."""
     fits = {}
     for name, fit, sample in jobs:
@@ -320,7 +318,7 @@ def supported_fits(jobs) -> dict[str, FitResult]:
     return fits
 
 
-def mle_fit_jobs(t_f, t_s, tau):
+def _mle_fit_jobs(t_f, t_s, tau):
     """The MLE fit jobs of the report, each derived sample made for its fit only."""
     yield "first", fit_exponential_mle, t_f
     yield "second_interval", fit_exponential_mle, t_s - t_f
@@ -381,18 +379,18 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
         write_histogram_csv(p, hists[name])
         paths[f"hist_{name}"] = p
 
-    fits = supported_fits(mle_fit_jobs(records["t_f"], records["t_s"], tau))
+    fits = _supported_fits(_mle_fit_jobs(records["t_f"], records["t_s"], tau))
     del tau
     # one detector stream at a time: each is dropped before the next is
     # built (an enumerate tuple would still hold it then)
     streams = detector_streams(records)
     for i in (1, 2):
-        fits.update(supported_fits([(f"detector_{i}", fit_cumulative_curve, next(streams))]))
-    return fit_report(cfg, fits, paths, counters), hists
+        fits.update(_supported_fits([(f"detector_{i}", fit_cumulative_curve, next(streams))]))
+    return _fit_report(cfg, fits, paths, counters), hists
 
 
-def fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: dict,
-               counters: dict) -> ReportBundle:
+def _fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: dict,
+                counters: dict) -> ReportBundle:
     """The report of a fit stage: its fits and detection counters, no rate
     ratios, the config echo."""
     return ReportBundle(
@@ -403,6 +401,18 @@ def fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: 
         version=__version__,
         counters=counters,
     )
+
+
+def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
+    """Fit the rates of an existing events.csv and write report.json; a
+    file that cannot be read leaves no output directory behind."""
+    cfg.validate()
+    data = read_events_csv(events_path)
+    out = _ensure_outdir(cfg)
+    fits = _supported_fits(_mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
+    bundle = _fit_report(cfg, fits, {"events": events_path}, detection_counts(data))
+    write_report(os.path.join(out, "report.json"), bundle)
+    return bundle
 
 
 def run_experiment(cfg: ExperimentConfig, write_events: bool = True) -> ReportBundle:
@@ -430,8 +440,8 @@ def write_report(path: str, bundle: ReportBundle) -> None:
         fh.write("\n")
 
 
-def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False, n_points: int = 401) -> str:
-    """Tabulate the three analytic detection densities (plus SI columns).
+def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
+    """Tabulate the three analytic detection densities at 401 times (plus SI columns).
 
     Columns t,n_f,n_s,n_i are in units of the single-atom lifetime and
     rate; the *_si columns repeat them in seconds and per-second.  With
@@ -443,7 +453,7 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False, n_points: in
     out = _ensure_outdir(cfg)
     rates = cfg.rates
     g = rates.gamma
-    t = np.linspace(0.0, cfg.t_max_lifetimes / g, n_points)
+    t = np.linspace(0.0, cfg.t_max_lifetimes / g, 401)
     n_f, n_s, n_i = detection_densities(t, rates)
     path = os.path.join(out, "fig1.csv")
     with open(path, "w") as fh:
@@ -494,7 +504,7 @@ def run_property_cases(cfg: ExperimentConfig) -> list:
 
 def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     """Compute the rate entries and write rates.json.  A grid too large
-    for memory is a configuration error naming amplitude.grid_points."""
+    for memory or too narrow for the states is a configuration error."""
     cfg.validate()
     out = _ensure_outdir(cfg)
     try:
@@ -506,6 +516,9 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
             f"amplitude.grid_points = {n} does not fit in memory: one dense kernel takes"
             f" 16*n^2 bytes = {16 * n * n / 2**30:.2f} GiB, and the rate stage holds 3.5 of them",
         ) from None
+    except DomainTruncationError as exc:
+        raise ConfigValidationError(["amplitude.grid_span_factor"],
+                                    f"amplitude.grid_span_factor is too small: {exc}") from None
     with open(os.path.join(out, "rates.json"), "w") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -567,15 +580,14 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool) -> list:
     return entries
 
 
-def run_full(cfg: ExperimentConfig, overlay: bool = True) -> ReportBundle:
-    """Everything: simulation+fits, figure table, rate derivation.
+def run_full(cfg: ExperimentConfig) -> ReportBundle:
+    """Everything: simulation+fits, figure table and overlays, rate derivation.
 
     One ensemble serves the fits and the figure overlays.
     """
     bundle, hists = _simulate_and_fit(cfg, write_events=True)
     bundle.curve_tables["fig1"] = reproduce_figure1(cfg)
-    if overlay:
-        _write_overlays(cfg, hists)
+    _write_overlays(cfg, hists)
     bundle.rate_ratios = run_rate_derivation(cfg)
     bundle.curve_tables["rates"] = os.path.join(cfg.output_dir, "rates.json")
     write_report(os.path.join(cfg.output_dir, "report.json"), bundle)

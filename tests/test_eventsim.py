@@ -220,12 +220,10 @@ def test_chunked_pass_matches_unchunked_reference(seed, efficiency, n0, workers,
     cfg = cfg_for(n0, mode=mode, seed=seed, detector_efficiency=efficiency, workers=workers)
     t_f, t_s, fates, detections, streams = _unchunked_reference(cfg)
     rec = simulate_ensemble(cfg)
-    assert _same_bits(rec["molecule_id"], np.arange(n0, dtype=np.uint64))
     assert _same_bits(rec["t_f"], t_f)
     assert _same_bits(rec["t_s"], t_s)
     assert _same_bits(rec["fates"], fates.astype(np.uint8))
     det = assign_detections(rec)
-    assert _same_bits(det["molecule_id"], rec["molecule_id"])
     assert _same_bits(det["t1"], detections[0])
     assert _same_bits(det["t2"], detections[1])
     want_1, want_2 = streams

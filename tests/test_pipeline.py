@@ -419,12 +419,12 @@ def test_rate_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
 
 
 def test_event_stage_peak_memory(tmp_path):
-    # the records (25 B/molecule) with one fit's sample and its sorted copy
+    # the records (17 B/molecule) with one fit's sample and its sorted copy
     # on top, or tau and its pieces; no whole-ensemble detection array, no
     # n-sized KS grid and never both detector streams
     n0 = 200_000
     cfg = small_config(tmp_path, n0=n0)
-    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 56 * n0
+    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 48 * n0
 
 
 def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
@@ -464,6 +464,17 @@ def test_cli_memory_error_on_a_worker_thread_exits_2(tmp_path, monkeypatch):
         code = cli_main(["rates", "--set", "amplitude.grid_points=256", "--out", str(tmp_path)])
     assert code == 2
     assert "amplitude.grid_points" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys):
+    # a grid of half-width 8 * 0.5 = 4 cannot hold the prop1 packets at
+    # +/-6 sigma; the run names the field that widens it, not a wrong ratio
+    code = cli_main(["properties", "--set", "amplitude.width_sum=0.5", "--set", "amplitude.width_diff=0.5",
+                     "--set", "amplitude.grid_points=256", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "amplitude.grid_span_factor" in err and "Traceback" not in err
+    assert not (tmp_path / "rates.json").exists()
 
 
 @settings(max_examples=12, deadline=None)
@@ -526,7 +537,7 @@ def test_cross_engine_agreement(tmp_path):
     # the fitted rates equal the amplitude-engine ratios times the
     # configured single-atom rate, within 3 joint standard errors
     cfg = small_config(tmp_path, n0=200_000)
-    bundle = run_full(cfg, overlay=False)
+    bundle = run_full(cfg)
     g = cfg.rates.gamma
     by_case = {}
     for e in bundle.rate_ratios:
@@ -799,7 +810,7 @@ def test_events_csv_round_trip(n0, efficiency, mode, seed, crlf, final_newline):
     for name, want in (("t_f", records["t_f"]), ("t_s", records["t_s"]),
                        ("t1", detections["t1"]), ("t2", detections["t2"])):
         assert_same_bits(got[name], want)
-    assert np.array_equal(got["molecule_id"], records["molecule_id"])
+    assert np.array_equal(got["molecule_id"], np.arange(n0))
 
 
 @pytest.mark.parametrize("content, t1, t2", [
