@@ -46,9 +46,9 @@ from .packets import (
     sample_packet,
 )
 from .pairstate import (
+    ProductPair,
     TwoAtomState,
     make_two_atom_gaussian,
-    symmetrized_norm,
 )
 from .pipeline import (
     AmplitudeParams,
@@ -66,6 +66,7 @@ __all__ = [
     "FitResult",
     "GaussianPacket",
     "Histogram",
+    "ProductPair",
     "PropertyRateResult",
     "RateRatioReport",
     "RateTriple",
@@ -97,5 +98,4 @@ __all__ = [
     "second_emission_amplitude",
     "second_emission_rate_ratio",
     "simulate_ensemble",
-    "symmetrized_norm",
 ]

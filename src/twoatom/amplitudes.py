@@ -12,6 +12,9 @@ one spatial term per channel:
 
     amp = sqrt(2) * N * (<out1 out2|U|C1> + <out1 out2|U|C2>)
 
+Either pair state of `pairstate` supplies C1, C2 and N, and every rate on
+the grid is taken from the one sum of its channels, `_pair_sums`.
+
 The emission rate relative to a single atom is the sum of |amp|^2 over a
 complete set of final product states.  On a grid the ordered product basis
 of position states is complete by construction, so the sum reduces to
@@ -33,25 +36,20 @@ single-atom value (well separated, overlap 0) and twice it (full overlap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainTruncationError, InvalidCaseError, InvalidParameterError, InvalidStateError
-from .grids import SpatialGrid, abs2, each_block
+from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError
+from .grids import SpatialGrid, abs2
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
-from .pairstate import TRUNCATION_TOL, TwoAtomState, propagate_kernel, symmetrized_norm
+from .pairstate import ProductPair, TwoAtomState, _ordered_sum, check_packet_mass, propagate_kernel
 
 _SQRT2 = np.sqrt(2.0)
 
-CASE_LABELS = (
-    "entangled-main",
-    "second-emission",
-    "prop1-nonentangled",
-    "prop2-nonsymmetrized",
-    "prop3-entangled-final",
-    "prop4-entangled-second",
-)
+#: the kind of pair state each case study takes
+_CASE_INPUTS = {"prop1-nonentangled": ProductPair, "prop2-nonsymmetrized": TwoAtomState,
+                "prop3-entangled-final": TwoAtomState, "prop4-entangled-second": TwoAtomState}
+CASE_LABELS = ("entangled-main", "second-emission", *_CASE_INPUTS)
 CONVENTIONS = ("ordered-grid-product", "restricted-subset")
 
 
@@ -84,44 +82,6 @@ class PropertyRateResult:
 
     report: RateRatioReport
     interference_magnitude: float
-    channel_probabilities: tuple | None = None
-
-
-def _outer(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``np.outer(f, g)``, one block of rows per thread at a time."""
-    out = np.empty((f.size, g.size), complex)
-    each_block(lambda rows: np.multiply(f[rows, None], g, out=out[rows]), f.size)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class ProductPair:
-    """The non-entangled pair state of one-particle packets (chi, xi) on
-    `grid`, to be symmetrized.
-
-    Its two exchange channels chi(x) xi(y) and xi(x) chi(y) are built on
-    first use and kept, so every rate taken of one pair builds them once.
-    For equal packets both channels are one array.
-    """
-
-    chi: GaussianPacket
-    xi: GaussianPacket
-    grid: SpatialGrid
-
-    def __post_init__(self):
-        if not (isinstance(self.chi, GaussianPacket) and isinstance(self.xi, GaussianPacket)):
-            raise InvalidCaseError("prop1 needs two GaussianPacket inputs")
-        if self.grid is None:
-            raise InvalidCaseError("prop1 needs an explicit grid")
-
-    @cached_property
-    def channels(self) -> tuple[np.ndarray, np.ndarray]:
-        f = sample_packet(self.chi, self.grid.points)
-        if self.chi == self.xi:
-            same = _outer(f, f)
-            return same, same
-        g = sample_packet(self.xi, self.grid.points)
-        return _outer(f, g), _outer(g, f)
 
 
 def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
@@ -159,34 +119,13 @@ def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) ->
     return complex(_SQRT2 * psi0.norm_coefficient * terms * grid.spacing**2)
 
 
-def _ordered_sum(e1, e2, grid):
-    """Channel norms and cross term under the full product basis.
-
-    The basis sum collapses onto norms of the evolved channels (pairwise
-    numpy summation keeps the reduction order-independent):
-
-        sum |amp|^2 = 2 N^2 (||U C1||^2 + ||U C2||^2 + 2 Re<U C1|U C2>)
-    """
-    dx2 = grid.spacing**2
-    s1 = float(np.sum(abs2(e1))) * dx2
-    s2 = float(np.sum(abs2(e2))) * dx2
-    cross = 2.0 * float((np.vdot(e1, e2) * dx2).real)
-    return s1, s2, cross
-
-
-def _orthonormal_family(family, grid: SpatialGrid) -> np.ndarray:
-    """Orthonormalized column vectors (l2) for a finite packet family."""
-    if not family:
-        raise InvalidParameterError("restricted-subset convention needs a packet family")
-    m = np.stack([_out_vector(p, grid) for p in family], axis=1) * np.sqrt(grid.spacing)
-    q, _ = np.linalg.qr(m)
-    return q
-
-
 def _restricted_sum(e1, e2, grid, family):
     """Same decomposition as `_ordered_sum` but over an orthonormalized
     finite family of final one-particle states (ordered pairs)."""
-    q = _orthonormal_family(family, grid)
+    if not family:
+        raise InvalidParameterError("restricted-subset convention needs a packet family")
+    m = np.stack([_out_vector(p, grid) for p in family], axis=1) * np.sqrt(grid.spacing)
+    q, _ = np.linalg.qr(m)  # orthonormal (l2) columns
     dx = grid.spacing
     a1 = q.conj().T @ e1 @ q.conj() * dx
     a2 = q.conj().T @ e2 @ q.conj() * dx
@@ -196,31 +135,25 @@ def _restricted_sum(e1, e2, grid, family):
     return s1, s2, cross
 
 
-def _channel_sums(c1, c2, grid, dt, convention, family):
-    """(s1, s2, cross) of the channels (C1, C2) evolved for `dt` and summed
-    over final states under `convention`."""
+def _pair_sums(pair, dt, convention, family):
+    """(s1, s2, cross) of the pair's channels (C1, C2) evolved for `dt` and
+    summed over final states under `convention`.  Under the full product
+    basis at dt = 0 these are the sums the pair keeps once taken."""
     if convention not in CONVENTIONS:
         raise InvalidParameterError(f"unknown convention {convention!r}")
-    e1, e2 = _evolved((c1, c2), grid, dt)
-    if convention == "ordered-grid-product":
-        return _ordered_sum(e1, e2, grid)
-    return _restricted_sum(e1, e2, grid, family)
-
-
-def _state_sums(state: TwoAtomState, dt, convention, family):
-    """`_channel_sums` of a state, whose channels are C1 = Psi(x, y) and
-    C2 = Psi(y, x).  Under the full product basis at dt = 0 these are the
-    state's squared norm (for both channels) and twice the real part of its
-    swap overlap, which the state keeps once taken."""
     if dt == 0 and convention == "ordered-grid-product":
-        return state.squared_norm, state.squared_norm, 2.0 * state.swap_overlap.real
-    return _channel_sums(state.kernel, state.kernel.T, state.grid, dt, convention, family)
+        return pair.full_basis_sums
+    e1, e2 = _evolved(pair.channels, pair.grid, dt)
+    if convention == "ordered-grid-product":
+        return _ordered_sum(e1, e2, pair.grid)
+    return _restricted_sum(e1, e2, pair.grid, family)
 
 
-def _two_channel_rate(sums, coeff, convention, case_label):
-    """Report and interference of the state N (C1 + C2) from the channel
-    sums (s1, s2, cross) under `convention`, N being `coeff`."""
-    s1, s2, cross = sums
+def _pair_rate(pair, dt, convention, family, case_label) -> PropertyRateResult:
+    """Report and interference of the symmetrized pair N (C1 + C2) after a
+    free flight of `dt`, summed over final states under `convention`."""
+    s1, s2, cross = _pair_sums(pair, dt, convention, family)
+    coeff = pair.norm_coefficient
     n2 = coeff**2
     completeness = n2 * (s1 + s2 + cross)
     report = RateRatioReport(
@@ -230,7 +163,7 @@ def _two_channel_rate(sums, coeff, convention, case_label):
         case_label=case_label,
         basis_convention=convention,
     )
-    return report, 2.0 * n2 * cross
+    return PropertyRateResult(report, abs(2.0 * n2 * cross))
 
 
 def first_emission_rate_ratio(
@@ -246,9 +179,7 @@ def first_emission_rate_ratio(
     the squared norm of the evolved initial amplitude (unity up to grid
     truncation) and a symmetric normalized state gives exactly ratio 2.
     """
-    sums = _state_sums(psi0, dt, convention, family)
-    report, _ = _two_channel_rate(sums, psi0.norm_coefficient, convention, "entangled-main")
-    return report
+    return _pair_rate(psi0, dt, convention, family, "entangled-main").report
 
 
 def _second_emission(psi_ts: GaussianPacket, varphi: GaussianPacket):
@@ -308,24 +239,23 @@ def receding_pair(
 
 def property_case_rate(
     case: str,
-    inputs,
+    pair,
     dt: float = 0.0,
     convention: str = "ordered-grid-product",
-    grid: SpatialGrid | None = None,
     family=None,
 ) -> PropertyRateResult:
     """Rate ratios for the four comparison case studies, after a free
     flight of `dt`.
 
-    Cases and expected inputs:
+    Cases and the pair state each one takes:
 
-    - ``prop1-nonentangled``: pair (chi, xi) of one-particle packets (plus
-      `grid`), or a `ProductPair` of them, symmetrized into a
-      non-entangled initial state.  Reported under the chosen convention;
-      the exchange interference collapses to |<chi|xi>|^2 under the full
-      product basis, so both conventions are worth inspecting.  Studies
-      of one `ProductPair` share its channels.  A grid that loses more
-      than `TRUNCATION_TOL` of a packet's mass raises DomainTruncationError.
+    - ``prop1-nonentangled``: a `ProductPair` of one-particle packets
+      (chi, xi), symmetrized into a non-entangled initial state.  Reported
+      under the chosen convention; the exchange interference collapses to
+      |<chi|xi>|^2 under the full product basis, so both conventions are
+      worth inspecting.  Studies of one `ProductPair` share its channels.
+      A grid that loses more than `TRUNCATION_TOL` of a packet's mass
+      raises DomainTruncationError.
     - ``prop2-nonsymmetrized``: a TwoAtomState whose kernel is used without
       symmetrization; the two distinguishable emission channels are summed
       with probability weights 1/2 each (no interference by construction),
@@ -336,37 +266,19 @@ def property_case_rate(
       still-entangled state after the first emission; both wave functions
       symmetric gives ratio 2, not 1.
     """
-    if case == "prop1-nonentangled":
-        pair = inputs
-        if not isinstance(pair, ProductPair):
-            try:
-                pair = ProductPair(*inputs, grid)
-            except TypeError:
-                raise InvalidCaseError("prop1 needs a (chi, xi) packet pair")
-        for packet in (pair.chi, pair.xi):
-            mass = float(np.sum(abs2(sample_packet(packet, pair.grid.points)))) * pair.grid.spacing
-            if not abs(mass - 1.0) <= TRUNCATION_TOL:
-                raise DomainTruncationError(f"grid holds {mass:.12f} of the probability mass of the"
-                                            f" packet at {packet.center:g} (need 1 +/- {TRUNCATION_TOL:g})")
-        sums = _channel_sums(*pair.channels, pair.grid, dt, convention, family)
-        report, interference = _two_channel_rate(sums, symmetrized_norm((pair.chi, pair.xi)), convention, case)
-        return PropertyRateResult(report, abs(interference))
-
-    if not isinstance(inputs, TwoAtomState):
-        raise InvalidCaseError(f"{case} needs a TwoAtomState input")
+    if case not in _CASE_INPUTS:
+        raise InvalidCaseError(f"unknown case {case!r}")
+    if not isinstance(pair, _CASE_INPUTS[case]):
+        raise InvalidCaseError(f"{case} needs a {_CASE_INPUTS[case].__name__} input")
 
     if case == "prop2-nonsymmetrized":
         # both distinguishable channels share the spatial kernel; each one
         # sums to the mass captured by the final states of `convention`,
         # and the probabilities are averaged
-        channel = _state_sums(inputs, dt, convention, family)[0]
+        channel = _pair_sums(pair, dt, convention, family)[0]
         ratio = 0.5 * channel + 0.5 * channel
-        report = RateRatioReport(ratio, channel, 1.0, case, convention)
-        return PropertyRateResult(report, 0.0, channel_probabilities=(channel, channel))
+        return PropertyRateResult(RateRatioReport(ratio, channel, 1.0, case, convention), 0.0)
 
-    if case in ("prop3-entangled-final", "prop4-entangled-second"):
-        sums = _state_sums(inputs, dt, convention, family)
-        report, interference = _two_channel_rate(sums, inputs.norm_coefficient, convention, case)
-        return PropertyRateResult(report, abs(interference))
-
-    raise InvalidCaseError(f"unknown case {case!r}")
+    if case == "prop1-nonentangled":
+        check_packet_mass((pair.chi, pair.xi), pair.grid)
+    return _pair_rate(pair, dt, convention, family, case)

@@ -1,6 +1,10 @@
 """Two-particle center-of-mass states for the dissociated atom pair.
 
-Every state is a unit-normalized kernel Psi(x, y) sampled on a
+Both pair states, the entangled `TwoAtomState` and the packet pair
+`ProductPair`, give the amplitude engine one interface: `grid`,
+`channels` (C1, C2), `norm_coefficient` and `full_basis_sums`.
+
+A `TwoAtomState` is a unit-normalized kernel Psi(x, y) sampled on a
 `SpatialGrid` x `SpatialGrid`.  The workhorse is the correlated Gaussian
 
     Psi(x, y) ~ exp(-(x + y)^2 / W^2 - (x - y)^2 / V^2)
@@ -23,16 +27,32 @@ import scipy.fft
 
 from .errors import (
     DomainTruncationError,
+    InvalidCaseError,
     InvalidParameterError,
     NumericalDegeneracyError,
 )
 from .grids import SpatialGrid, abs2, each_block, thread_count
-from .packets import make_packet, overlap, sample_packet
+from .packets import GaussianPacket, make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
 
 #: tolerated loss of probability mass to grid truncation
 TRUNCATION_TOL = 1e-8
+
+
+def _ordered_sum(e1, e2, grid):
+    """Channel norms and cross term under the full product basis.
+
+    The basis sum collapses onto norms of the evolved channels (pairwise
+    numpy summation keeps the reduction order-independent):
+
+        sum |amp|^2 = 2 N^2 (||U C1||^2 + ||U C2||^2 + 2 Re<U C1|U C2>)
+    """
+    dx2 = grid.spacing**2
+    s1 = float(np.sum(abs2(e1))) * dx2
+    s2 = float(np.sum(abs2(e2))) * dx2
+    cross = 2.0 * float((np.vdot(e1, e2) * dx2).real)
+    return s1, s2, cross
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +85,74 @@ class TwoAtomState:
         """(2 + 2 Re<Psi(x,y)|Psi(y,x)>)^(-1/2), the normalization of the
         symmetrized state."""
         return float((2.0 + 2.0 * self.swap_overlap.real) ** -0.5)
+
+    @property
+    def channels(self) -> tuple[np.ndarray, np.ndarray]:
+        """C1 = Psi(x, y) and C2 = Psi(y, x), both views of the kernel."""
+        return self.kernel, self.kernel.T
+
+    @property
+    def full_basis_sums(self) -> tuple[float, float, float]:
+        """`_ordered_sum` of the channels, with its bits, from the kept sums."""
+        return self.squared_norm, self.squared_norm, 2.0 * self.swap_overlap.real
+
+
+def _outer(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.outer(f, g)``, one block of rows per thread at a time."""
+    out = np.empty((f.size, g.size), complex)
+    each_block(lambda rows: np.multiply(f[rows, None], g, out=out[rows]), f.size)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ProductPair:
+    """The non-entangled pair state of one-particle packets (chi, xi) on
+    `grid`, to be symmetrized.
+
+    Its two exchange channels chi(x) xi(y) and xi(x) chi(y), its
+    normalization and its channel sums are built on first use and kept,
+    so every rate taken of one pair builds them once.  For equal packets
+    both channels are one array.
+    """
+
+    chi: GaussianPacket
+    xi: GaussianPacket
+    grid: SpatialGrid
+
+    def __post_init__(self):
+        if not (isinstance(self.chi, GaussianPacket) and isinstance(self.xi, GaussianPacket)):
+            raise InvalidCaseError("a ProductPair needs two GaussianPacket inputs")
+        if self.grid is None:
+            raise InvalidCaseError("a ProductPair needs an explicit grid")
+
+    @cached_property
+    def channels(self) -> tuple[np.ndarray, np.ndarray]:
+        f = sample_packet(self.chi, self.grid.points)
+        if self.chi == self.xi:
+            same = _outer(f, f)
+            return same, same
+        g = sample_packet(self.xi, self.grid.points)
+        return _outer(f, g), _outer(g, f)
+
+    @cached_property
+    def norm_coefficient(self) -> float:
+        """(2 + 2 |<chi|xi>|^2)^(-1/2), the normalization of the
+        symmetrized state."""
+        return float((2.0 + 2.0 * abs(overlap(self.chi, self.xi)) ** 2) ** -0.5)
+
+    @cached_property
+    def full_basis_sums(self) -> tuple[float, float, float]:
+        return _ordered_sum(*self.channels, self.grid)
+
+
+def check_packet_mass(packets, grid: SpatialGrid) -> None:
+    """Raise DomainTruncationError unless `grid` holds all but
+    `TRUNCATION_TOL` of each packet's probability mass."""
+    for packet in packets:
+        mass = float(np.sum(abs2(sample_packet(packet, grid.points)))) * grid.spacing
+        if not abs(mass - 1.0) <= TRUNCATION_TOL:
+            raise DomainTruncationError(f"grid holds {mass:.12f} of the probability mass of the"
+                                        f" packet at {packet.center:g} (need 1 +/- {TRUNCATION_TOL:g})")
 
 
 def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
@@ -120,18 +208,6 @@ def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGri
     mode_sum = make_packet(0.0, 0.0, width_sum / (2.0 * _SQRT2))
     mode_diff = make_packet(0.0, 0.0, width_diff / (2.0 * _SQRT2))
     return TwoAtomState(grid, _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid))
-
-
-def symmetrized_norm(obj) -> float:
-    """Normalization coefficient of a symmetrized two-particle state.
-
-    For a `TwoAtomState` this is (2 + 2 Re<Psi(x,y)|Psi(y,x)>)^(-1/2); for a
-    pair of one-particle packets it is (2 + 2 |<a|b>|^2)^(-1/2).
-    """
-    if isinstance(obj, TwoAtomState):
-        return obj.norm_coefficient
-    a, b = obj
-    return float((2.0 + 2.0 * abs(overlap(a, b)) ** 2) ** -0.5)
 
 
 def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from ._kernels import backend_name
 from .amplitudes import (
-    ProductPair,
     first_emission_rate_ratio,
     property_case_rate,
     receding_pair,
@@ -47,7 +46,7 @@ from .grids import SpatialGrid
 from .inference import FitResult, Histogram, fit_cumulative_curve, fit_exponential_mle
 from .kinetics import RateTriple, detection_densities
 from .packets import make_packet
-from .pairstate import make_two_atom_gaussian
+from .pairstate import ProductPair, check_packet_mass, make_two_atom_gaussian
 
 _HBAR_SI = 1.054571817e-34  # J s
 
@@ -476,7 +475,9 @@ def _write_overlays(cfg: ExperimentConfig, hists: dict[str, Histogram]) -> None:
     hists = {kind: hists[kind] for kind in ("first", "second", "detector")}
     # the histograms share their bins, so one call gives the three curves
     curves = dict(zip(hists, detection_densities(hists["first"].centers, rates)))
-    norm = cfg.n0  # also for the detector stream: ~one photon per molecule
+    # also for the detector-1 stream, which holds ~detector_efficiency photons
+    # per molecule: below efficiency 1 its density reads low by that factor
+    norm = cfg.n0
     for kind, hist in hists.items():
         curve = curves[kind]
         expected = norm * curve * width  # expected counts per bin
@@ -506,11 +507,16 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     """Compute the rate entries and write rates.json.  A grid too large
     for memory or too narrow for the states is a configuration error."""
     cfg.validate()
-    out = _ensure_outdir(cfg)
+    a = cfg.amplitude
+    grid = SpatialGrid.centered(a.grid_span_factor * max(a.width_sum, a.width_diff), a.grid_points)
+    sep = 12.0 * a.sigma  # prop1's packets: well separated, hence orthogonal
+    chi, xi = make_packet(-0.5 * sep, 0.0, a.sigma), make_packet(+0.5 * sep, 0.0, a.sigma)
     try:
-        entries = _rate_entries(cfg, main_cases)
+        check_packet_mass((chi, xi), grid)  # before any dense work or any file
+        out = _ensure_outdir(cfg)
+        entries = _rate_entries(cfg, main_cases, grid, chi, xi)
     except MemoryError:
-        n = cfg.amplitude.grid_points
+        n = a.grid_points
         raise ConfigValidationError(
             ["amplitude.grid_points"],
             f"amplitude.grid_points = {n} does not fit in memory: one dense kernel takes"
@@ -525,12 +531,10 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     return entries
 
 
-def _rate_entries(cfg: ExperimentConfig, main_cases: bool) -> list:
-    """Build the grid and the two-atom state once; one entry per report."""
+def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, chi, xi) -> list:
+    """Build the two-atom state once on `grid`; one entry per report."""
     a = cfg.amplitude
     g = cfg.rates.gamma
-    half = a.grid_span_factor * max(a.width_sum, a.width_diff)
-    grid = SpatialGrid.centered(half, a.grid_points)
     state = make_two_atom_gaussian(a.width_sum, a.width_diff, grid)
     entries = []
 
@@ -545,8 +549,8 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool) -> list:
             entry["interference_magnitude"] = interference
         entries.append(entry)
 
-    def study(params: dict, case: str, inputs, **kwargs):
-        result = property_case_rate(case, inputs, **kwargs)
+    def study(params: dict, case: str, pair, **kwargs):
+        result = property_case_rate(case, pair, **kwargs)
         add(params, result.report, result.interference_magnitude)
 
     if main_cases:
@@ -558,11 +562,9 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool) -> list:
             add({"separation": sep, "dt": a.dt, "recoil_k": a.recoil_k, "sigma": a.sigma}, report)
 
     # the case studies.  Non-entangled initial state: symmetrized pair of
-    # well-separated (hence orthogonal) packets, reported under both
-    # final-state conventions, plus the identical-packet variant
-    sep = 12.0 * a.sigma
-    chi = make_packet(-0.5 * sep, 0.0, a.sigma)
-    xi = make_packet(+0.5 * sep, 0.0, a.sigma)
+    # the packets (chi, xi), reported under both final-state conventions,
+    # plus the identical-packet variant
+    sep = xi.center - chi.center
     orthogonal = {"variant": "orthogonal", "separation": sep}
     pair = ProductPair(chi, xi, grid)  # the three orthogonal studies share its channels
     study(orthogonal, "prop1-nonentangled", pair)

@@ -30,7 +30,7 @@ from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_exponential_mle
 from twoatom.kinetics import second_count_fraction
 from twoatom.packets import make_packet
-from twoatom.pairstate import make_two_atom_gaussian
+from twoatom.pairstate import ProductPair, make_two_atom_gaussian
 from twoatom.pipeline import ExperimentConfig, run_experiment
 
 import dataclasses
@@ -195,10 +195,11 @@ def test_criterion_7_property_case_studies():
     # the non-entangled case carries no fixed target: both conventions are
     # reported together with the interference magnitude
     chi, xi = make_packet(-6.0, 0.0, 1.0), make_packet(6.0, 0.0, 1.0)
-    full = property_case_rate("prop1-nonentangled", (chi, xi), grid=grid)
+    pair = ProductPair(chi, xi, grid)
+    full = property_case_rate("prop1-nonentangled", pair)
     family = [make_packet(c - 6.0, 0.0, 1.0) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     restricted = property_case_rate(
-        "prop1-nonentangled", (chi, xi), convention="restricted-subset", grid=grid, family=family
+        "prop1-nonentangled", pair, convention="restricted-subset", family=family
     )
     assert full.report.basis_convention == "ordered-grid-product"
     assert restricted.report.basis_convention == "restricted-subset"

@@ -27,7 +27,7 @@ from twoatom.amplitudes import (
 from twoatom.errors import InvalidCaseError, InvalidParameterError, InvalidStateError
 from twoatom.grids import SpatialGrid, abs2
 from twoatom.packets import make_packet, overlap, sample_packet
-from twoatom.pairstate import TwoAtomState, make_two_atom_gaussian, symmetrized_norm
+from twoatom.pairstate import ProductPair, TwoAtomState, make_two_atom_gaussian
 
 from oracles import schmidt_ratio
 
@@ -38,7 +38,7 @@ STATE = make_two_atom_gaussian(2.0, 1.0, GRID)
 def symmetrized_pair(a, b):
     """The pair state N (a(x) b(y) + b(x) a(y)) of two packets on GRID."""
     fa, fb = sample_packet(a, GRID.points), sample_packet(b, GRID.points)
-    kernel = symmetrized_norm((a, b)) * (np.outer(fa, fb) + np.outer(fb, fa))
+    kernel = ProductPair(a, b, GRID).norm_coefficient * (np.outer(fa, fb) + np.outer(fb, fa))
     return TwoAtomState(GRID, kernel)
 
 
@@ -75,7 +75,7 @@ def test_amplitude_of_symmetrized_pair_from_1d_overlaps():
     st = symmetrized_pair(chi, xi)
     o1 = make_packet(-0.5, 0.0, 1.2)
     o2 = make_packet(0.5, 0.0, 0.9)
-    coeff = symmetrized_norm((chi, xi))
+    coeff = ProductPair(chi, xi, GRID).norm_coefficient
     expected = np.sqrt(2.0) * coeff * (
         overlap(o1, chi) * overlap(o2, xi) + overlap(o1, xi) * overlap(o2, chi)
     )
@@ -226,13 +226,13 @@ def test_second_emission_with_recoil_still_decays():
 def test_prop1_full_basis_collapses_interference():
     chi = make_packet(-6.0, 0.0, 1.0)
     xi = make_packet(6.0, 0.0, 1.0)
-    res = property_case_rate("prop1-nonentangled", (chi, xi), grid=GRID)
+    res = property_case_rate("prop1-nonentangled", ProductPair(chi, xi, GRID))
     # orthogonal pair: normalization 1/sqrt(2), interference |<chi|xi>|^2 ~ 0
     assert res.report.norm_coefficient_used == pytest.approx(2**-0.5, abs=1e-10)
     assert res.report.ratio == pytest.approx(2.0, abs=1e-6)
     assert res.interference_magnitude < 1e-10
     # identical pair: normalization 1/2, interference contributes fully
-    res_id = property_case_rate("prop1-nonentangled", (chi, chi), grid=GRID)
+    res_id = property_case_rate("prop1-nonentangled", ProductPair(chi, chi, GRID))
     assert res_id.report.norm_coefficient_used == pytest.approx(0.5, abs=1e-10)
     assert res_id.report.ratio == pytest.approx(2.0, abs=1e-6)
     assert res_id.interference_magnitude == pytest.approx(1.0, abs=1e-6)
@@ -243,7 +243,7 @@ def test_prop1_restricted_family_breaks_the_relation():
     xi = make_packet(6.0, 0.0, 1.0)
     fam = [make_packet(c - 6.0, 0.0, 1.0) for c in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     res = property_case_rate(
-        "prop1-nonentangled", (chi, xi), convention="restricted-subset", grid=GRID, family=fam
+        "prop1-nonentangled", ProductPair(chi, xi, GRID), convention="restricted-subset", family=fam
     )
     assert abs(res.report.ratio - 2.0) > 0.5  # far from the complete-basis value
     assert res.report.completeness_sum < 0.5
@@ -253,8 +253,8 @@ def test_prop2_probability_weighted_channels():
     res = property_case_rate("prop2-nonsymmetrized", STATE)
     assert res.report.ratio == pytest.approx(1.0, abs=1e-6)
     assert res.interference_magnitude == 0.0
-    ch1, ch2 = res.channel_probabilities
-    assert ch1 == ch2  # symmetric amplitude: equal channel probabilities
+    # symmetric amplitude: equal channel probabilities, so their average is each one
+    assert res.report.ratio == res.report.completeness_sum
 
 
 def test_prop2_channel_follows_the_convention():
@@ -266,7 +266,7 @@ def test_prop2_channel_follows_the_convention():
     ff /= np.sqrt(np.sum(abs2(ff))) * GRID.spacing
     expected = abs(np.vdot(ff, STATE.kernel) * GRID.spacing**2) ** 2
     assert res.report.basis_convention == "restricted-subset"
-    assert res.channel_probabilities == pytest.approx((expected, expected), rel=1e-9)
+    assert res.report.completeness_sum == pytest.approx(expected, rel=1e-9)
     assert res.report.ratio == pytest.approx(expected, rel=1e-9)
     assert res.report.ratio < 0.9
     with pytest.raises(InvalidParameterError):
@@ -300,14 +300,16 @@ def test_rate_calls_leave_the_state_kernel_untouched():
 
 def test_property_case_validation():
     with pytest.raises(InvalidCaseError):
-        property_case_rate("prop1-nonentangled", STATE, grid=GRID)
+        property_case_rate("prop1-nonentangled", STATE)
     with pytest.raises(InvalidCaseError):
         property_case_rate("prop2-nonsymmetrized", (make_packet(0, 0, 1),) * 2)
     with pytest.raises(InvalidCaseError):
         property_case_rate("no-such-case", STATE)
     chi = make_packet(0.0, 0.0, 1.0)
     with pytest.raises(InvalidCaseError):
-        property_case_rate("prop1-nonentangled", (chi, chi))  # no grid
+        property_case_rate("prop1-nonentangled", (chi, chi))  # not a ProductPair
+    with pytest.raises(InvalidCaseError):
+        ProductPair(chi, chi, None)  # no grid
 
 
 def test_report_validation():

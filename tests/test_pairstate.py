@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import grids
-from twoatom.amplitudes import ProductPair
 from twoatom.errors import (
     DomainTruncationError,
     InvalidParameterError,
@@ -27,11 +26,12 @@ from twoatom.errors import (
 from twoatom.grids import SpatialGrid, abs2
 from twoatom.packets import evolve_free, make_packet, sample_packet
 from twoatom.pairstate import (
+    ProductPair,
     TwoAtomState,
     _mode_kernel,
+    _ordered_sum,
     make_two_atom_gaussian,
     propagate_kernel,
-    symmetrized_norm,
 )
 
 from oracles import (
@@ -116,14 +116,17 @@ def test_schmidt_rejects_degenerate_kernel():
         schmidt_spectrum(bad)
 
 
-def test_symmetrized_norm_examples():
+def test_norm_coefficient_examples():
     # symmetric two-particle amplitude -> 1/2
     st = make_two_atom_gaussian(2.0, 1.0, GRID)
-    assert symmetrized_norm(st) == pytest.approx(0.5, abs=1e-10)
+    assert st.norm_coefficient == pytest.approx(0.5, abs=1e-10)
     # orthogonal packet pair -> 1/sqrt(2); identical -> 1/2
     a, b = make_packet(-6.0, 0.0, 1.0), make_packet(6.0, 0.0, 1.0)
-    assert symmetrized_norm((a, b)) == pytest.approx(2**-0.5, abs=1e-10)
-    assert symmetrized_norm((a, a)) == pytest.approx(0.5, abs=1e-12)
+    assert ProductPair(a, b, GRID).norm_coefficient == pytest.approx(2**-0.5, abs=1e-10)
+    assert ProductPair(a, a, GRID).norm_coefficient == pytest.approx(0.5, abs=1e-12)
+    # the order of the packets does not matter
+    c = make_packet(0.8, 0.3, 1.2)
+    assert ProductPair(a, c, GRID).norm_coefficient == ProductPair(c, a, GRID).norm_coefficient
 
 
 def test_evolution_preserves_norm_and_symmetry():
@@ -322,8 +325,8 @@ def test_propagation_never_writes_its_argument(dt, transposed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(64, 400), seed=st.integers(0, 2**32 - 1))
-def test_state_sums_have_the_bits_of_the_channel_sums(n, seed):
+@given(n=st.integers(64, 400), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_state_sums_have_the_bits_of_the_channel_sums(n, seed, data):
     # at dt = 0 the rate stage reads the state's squared norm for both
     # channels and its swap overlap for the cross term, where it once
     # summed |Psi(y, x)|^2 and took vdot(Psi, Psi^T) itself
@@ -335,3 +338,16 @@ def test_state_sums_have_the_bits_of_the_channel_sums(n, seed):
     assert state.squared_norm.hex() == (float(np.sum(abs2(kernel.T))) * dx2).hex()
     cross = 2.0 * float((np.vdot(kernel, kernel.T) * dx2).real)
     assert (2.0 * state.swap_overlap.real).hex() == cross.hex()
+    # either kind of pair state: its full-basis sums are the ordered sums
+    # of its own channels
+    pair = ProductPair(_packet(data.draw), _packet(data.draw), state.grid)
+    for kind in (state, pair):
+        c1, c2 = kind.channels
+        ordered = (
+            float(np.sum(abs2(c1))) * dx2,
+            float(np.sum(abs2(c2))) * dx2,
+            2.0 * float((np.vdot(c1, c2) * dx2).real),
+        )
+        want = [x.hex() for x in ordered]
+        assert [x.hex() for x in kind.full_basis_sums] == want
+        assert [x.hex() for x in _ordered_sum(c1, c2, kind.grid)] == want

@@ -380,7 +380,7 @@ def test_rate_stage_takes_each_whole_kernel_product_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pairstate, "propagate_kernel", propagate)
     monkeypatch.setattr(amplitudes, "propagate_kernel", propagate)
     monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot, lambda a, b: np.shape(a) == (n, n)))
-    monkeypatch.setattr(amplitudes, "_outer", counted("channel", amplitudes._outer))
+    monkeypatch.setattr(pairstate, "_outer", counted("channel", pairstate._outer))
     run_rate_derivation(small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n)))
     assert calls == {"propagate_kernel": 1, "vdot": 4, "channel": 3}
 
@@ -466,15 +466,22 @@ def test_cli_memory_error_on_a_worker_thread_exits_2(tmp_path, monkeypatch):
     assert "amplitude.grid_points" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
-def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys):
+def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys, monkeypatch):
     # a grid of half-width 8 * 0.5 = 4 cannot hold the prop1 packets at
-    # +/-6 sigma; the run names the field that widens it, not a wrong ratio
-    code = cli_main(["properties", "--set", "amplitude.width_sum=0.5", "--set", "amplitude.width_diff=0.5",
-                     "--set", "amplitude.grid_points=256", "--out", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "amplitude.grid_span_factor" in err and "Traceback" not in err
-    assert not (tmp_path / "rates.json").exists()
+    # +/-6 sigma; the run names the field that widens it, not a wrong ratio,
+    # and says so before it builds the state or makes the output directory
+    def no_state(*args):
+        raise AssertionError("the two-atom state was built")
+
+    monkeypatch.setattr(pipeline, "make_two_atom_gaussian", no_state)
+    for command in ("rates", "properties"):
+        out = tmp_path / command
+        code = cli_main([command, "--set", "amplitude.width_sum=0.5", "--set", "amplitude.width_diff=0.5",
+                         "--set", "amplitude.grid_points=256", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "amplitude.grid_span_factor" in err and "Traceback" not in err
+        assert not out.exists(), command
 
 
 @settings(max_examples=12, deadline=None)
