@@ -13,7 +13,8 @@ one spatial term per channel:
     amp = sqrt(2) * N * (<out1 out2|U|C1> + <out1 out2|U|C2>)
 
 Either pair state of `pairstate` supplies C1, C2 and N, and every rate on
-the grid is taken from the one sum of its channels, `_pair_sums`.
+the grid is taken from the one sum of its channels, `_pair_sums`, but
+prop2's, which needs C1's part alone (`_first_channel_sum`).
 
 The emission rate relative to a single atom is the sum of |amp|^2 over a
 complete set of final product states.  On a grid the ordered product basis
@@ -119,34 +120,55 @@ def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) ->
     return complex(_SQRT2 * psi0.norm_coefficient * terms * grid.spacing**2)
 
 
-def _restricted_sum(e1, e2, grid, family):
-    """Same decomposition as `_ordered_sum` but over an orthonormalized
-    finite family of final one-particle states (ordered pairs)."""
+def _restricted_amplitudes(channels, grid, family):
+    """Each channel's amplitudes onto the ordered pairs of an orthonormalized
+    finite family of final one-particle states."""
     if not family:
         raise InvalidParameterError("restricted-subset convention needs a packet family")
     m = np.stack([_out_vector(p, grid) for p in family], axis=1) * np.sqrt(grid.spacing)
     q, _ = np.linalg.qr(m)  # orthonormal (l2) columns
-    dx = grid.spacing
-    a1 = q.conj().T @ e1 @ q.conj() * dx
-    a2 = q.conj().T @ e2 @ q.conj() * dx
+    return [q.conj().T @ e @ q.conj() * grid.spacing for e in channels]
+
+
+def _restricted_sum(e1, e2, grid, family):
+    """Same decomposition as `_ordered_sum` but over an orthonormalized
+    finite family of final one-particle states (ordered pairs)."""
+    a1, a2 = _restricted_amplitudes((e1, e2), grid, family)
     s1 = float(np.sum(abs2(a1)))
     s2 = float(np.sum(abs2(a2)))
     cross = 2.0 * float(np.vdot(a1, a2).real)
     return s1, s2, cross
 
 
+def _check_convention(convention):
+    if convention not in CONVENTIONS:
+        raise InvalidParameterError(f"unknown convention {convention!r}")
+
+
 def _pair_sums(pair, dt, convention, family):
     """(s1, s2, cross) of the pair's channels (C1, C2) evolved for `dt` and
     summed over final states under `convention`.  Under the full product
     basis at dt = 0 these are the sums the pair keeps once taken."""
-    if convention not in CONVENTIONS:
-        raise InvalidParameterError(f"unknown convention {convention!r}")
+    _check_convention(convention)
     if dt == 0 and convention == "ordered-grid-product":
         return pair.full_basis_sums
     e1, e2 = _evolved(pair.channels, pair.grid, dt)
     if convention == "ordered-grid-product":
         return _ordered_sum(e1, e2, pair.grid)
     return _restricted_sum(e1, e2, pair.grid, family)
+
+
+def _first_channel_sum(pair, dt, convention, family) -> float:
+    """s1 of `_pair_sums`, with its bits, from C1 alone: C2 is neither
+    evolved nor summed."""
+    _check_convention(convention)
+    if dt == 0 and convention == "ordered-grid-product":
+        return pair.full_basis_sums[0]
+    (e1,) = _evolved(pair.channels[:1], pair.grid, dt)
+    if convention == "ordered-grid-product":
+        return float(np.sum(abs2(e1))) * pair.grid.spacing**2
+    (a1,) = _restricted_amplitudes((e1,), pair.grid, family)
+    return float(np.sum(abs2(a1)))
 
 
 def _pair_rate(pair, dt, convention, family, case_label) -> PropertyRateResult:
@@ -274,8 +296,8 @@ def property_case_rate(
     if case == "prop2-nonsymmetrized":
         # both distinguishable channels share the spatial kernel; each one
         # sums to the mass captured by the final states of `convention`,
-        # and the probabilities are averaged
-        channel = _pair_sums(pair, dt, convention, family)[0]
+        # and the probabilities are averaged, so C1 alone gives the ratio
+        channel = _first_channel_sum(pair, dt, convention, family)
         ratio = 0.5 * channel + 0.5 * channel
         return PropertyRateResult(RateRatioReport(ratio, channel, 1.0, case, convention), 0.0)
 

@@ -207,22 +207,45 @@ def detection_counts(detections) -> dict[str, int]:
     }
 
 
-def build_histogram(samples, bin_width: float, t_range: tuple[float, float]) -> Histogram:
-    """Fixed-width histogram with half-open bins [lo, hi).
-
-    Bin membership is floor((x - lo) / bin_width); samples outside
-    [lo, hi) are dropped.
-    """
+def histogram_edges(bin_width: float, t_range: tuple[float, float]) -> np.ndarray:
+    """Edges lo + k * bin_width, k = 0...n_bins, of the fewest fixed-width
+    bins from lo that cover [lo, hi)."""
     if not bin_width > 0:
         raise InvalidParameterError("bin_width must be positive")
     lo, hi = float(t_range[0]), float(t_range[1])
     if not hi > lo:
         raise InvalidParameterError("empty time range")
-    x = np.asarray(samples, dtype=float).ravel()
     n_bins = int(np.ceil((hi - lo) / bin_width - 1e-9))
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    in_range = (x >= lo) & (x < hi)
-    idx = np.floor((x[in_range] - lo) / bin_width).astype(np.intp)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=n_bins)
+    return lo + bin_width * np.arange(n_bins + 1)
+
+
+def bin_index(x: np.ndarray, edges: np.ndarray, hi: float, bin_width: float) -> np.ndarray:
+    """The bin of each value of `x` among `histogram_edges`' n_bins bins.
+
+    floor((x - lo) / bin_width), clipped to n_bins - 1, for values in
+    [lo, hi); n_bins for every other value, NaN included.  The clipping is
+    done in float, so no value far outside the range reaches the integer
+    cast.
+    """
+    lo, n_bins = edges[0], len(edges) - 1
+    q = np.fmin(np.fmax(x, lo), hi)  # NaN goes to lo
+    q -= lo
+    q /= bin_width
+    np.floor(q, out=q)
+    np.minimum(q, n_bins - 1, out=q)
+    idx = q.astype(np.intp)
+    idx[~((x >= lo) & (x < hi))] = n_bins
+    return idx
+
+
+def build_histogram(samples, bin_width: float, t_range: tuple[float, float]) -> Histogram:
+    """Fixed-width histogram with half-open bins [lo, hi).
+
+    Bin membership is `bin_index`: floor((x - lo) / bin_width); samples
+    outside [lo, hi) are dropped.
+    """
+    edges = histogram_edges(bin_width, t_range)
+    x = np.asarray(samples, dtype=float).ravel()
+    idx = bin_index(x, edges, float(t_range[1]), bin_width)
+    counts = np.bincount(idx, minlength=len(edges))[:-1]
     return Histogram(edges=edges, counts=counts)

@@ -31,15 +31,16 @@ from .amplitudes import (
 from .errors import ConfigValidationError, DomainTruncationError, EventsFileError, InsufficientDataError
 from .eventsim import (
     CHUNK_MOLECULES,
+    FATE_KEEP_SECOND,
     SIM_RULES,
     SimConfig,
     _kept_at,
-    assign_detections,
-    build_histogram,
+    bin_index,
     coincidence_differences,
     detection_counts,
     detector_streams,
     failed_fields,
+    histogram_edges,
     simulate_ensemble,
 )
 from .grids import SpatialGrid
@@ -210,6 +211,18 @@ def _ensure_outdir(cfg: ExperimentConfig) -> str:
 EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
 
 
+#: every value of the fates byte
+_FATES = np.arange(2 * FATE_KEEP_SECOND, dtype=np.uint8)
+#: per detector, the masks over _FATES of the first and of the second
+#: photons kept there
+_KEPT_AT = [_kept_at(_FATES, detector) for detector in (0, 1)]
+#: per detector, the photon that the single-hit rule records there for each
+#: fates value: 0 none, 1 the first, 2 the second
+_RECORDED = [np.select(masks, (1, 2)) for masks in _KEPT_AT]
+#: the fates values with a photon recorded at both detectors
+_COINCIDENT = (_RECORDED[0] > 0) & (_RECORDED[1] > 0)
+
+
 def write_events_csv(path: str, records: np.ndarray) -> None:
     """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected.
 
@@ -224,7 +237,7 @@ def write_events_csv(path: str, records: np.ndarray) -> None:
         for start in range(0, len(records), CHUNK_MOLECULES):
             rec = records[start:start + CHUNK_MOLECULES]
             # code 1 picks the t_f string, 2 the t_s string, 0 the empty field
-            codes = [np.select(_kept_at(rec["fates"], detector), (1, 2)).tolist() for detector in (0, 1)]
+            codes = [recorded[rec["fates"]].tolist() for recorded in _RECORDED]
             t_f = ["%.16e" % v for v in rec["t_f"].tolist()]
             t_s = ["%.16e" % v for v in rec["t_s"].tolist()]
             rows = []
@@ -332,31 +345,52 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     second, det1, det2, coincidence and detector (the detector-1 stream),
     share cfg's bin width; tau holds the coincidence differences in
     molecule order; counters are `detection_counts` of the whole ensemble.
-    Bin counts and counters are integer sums over the chunks, so they
-    equal those of the whole-array functions on the whole records.
+
+    Apart from tau, a molecule enters every result only through its fates
+    byte and the bins of its t_f and t_s.  So each chunk adds the counts
+    of its (fates, bin) pairs, one `bincount` per time, to one table per
+    time of 16 x (n_bins + 1) integers, the last column counting the times
+    outside the range; each histogram is a sum of table rows, and each
+    counter a sum of molecules per fates value.  They equal those of the
+    whole-array functions on the whole records.
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
-    counts, edges, taus, counters = {}, {}, [], {}
+    edges = histogram_edges(width, (0.0, t_hi))
+    tau_edges = histogram_edges(width, (-t_hi, t_hi))
+    row = len(edges)  # n_bins + 1 slots per fates value
+    tables = np.zeros((2, _FATES.size * row), np.intp)
+    tau_counts, taus = 0, []
     for start in range(0, len(records), CHUNK_MOLECULES):
         chunk = records[start:start + CHUNK_MOLECULES]
-        det = assign_detections(chunk)
-        tau = coincidence_differences(det)
-        samples = (
-            ("first", chunk["t_f"], 0.0),
-            ("second", chunk["t_s"], 0.0),
-            ("det1", det["t1"][~np.isnan(det["t1"])], 0.0),
-            ("det2", det["t2"][~np.isnan(det["t2"])], 0.0),
-            ("coincidence", tau, -t_hi),
-            ("detector", next(detector_streams(chunk)), 0.0),
-        )
-        for name, x, lo in samples:
-            hist = build_histogram(x, width, (lo, t_hi))
-            counts[name] = counts.get(name, 0) + hist.counts
-            edges[name] = hist.edges
+        fates = chunk["fates"].astype(np.intp)  # an intp index looks up tables fastest
+        offset = fates * row
+        for table, name in zip(tables, ("t_f", "t_s")):
+            table += np.bincount(offset + bin_index(chunk[name], edges, t_hi, width), minlength=table.size)
+        # t1 - t2 of the coincidences: one photon at each detector
+        both = np.flatnonzero(_COINCIDENT[fates])
+        t1_is_first = _RECORDED[0][fates[both]] == 1
+        t_f, t_s = chunk["t_f"][both], chunk["t_s"][both]
+        tau = np.where(t1_is_first, t_f, t_s) - np.where(t1_is_first, t_s, t_f)
+        tau_counts += np.bincount(bin_index(tau, tau_edges, t_hi, width), minlength=len(tau_edges))
         taus.append(tau)
-        counters = {key: counters.get(key, 0) + value for key, value in detection_counts(det).items()}
-    hists = {name: Histogram(edges=edges[name], counts=counts[name]) for name in counts}
+    by_first, by_second = tables.reshape(2, _FATES.size, row)  # the t_f and the t_s table
+    (first_at_1, second_at_1), _ = _KEPT_AT
+    counts = {
+        "first": by_first.sum(axis=0),
+        "second": by_second.sum(axis=0),
+        "det1": by_first[_RECORDED[0] == 1].sum(axis=0) + by_second[_RECORDED[0] == 2].sum(axis=0),
+        "det2": by_first[_RECORDED[1] == 1].sum(axis=0) + by_second[_RECORDED[1] == 2].sum(axis=0),
+        "detector": by_first[first_at_1].sum(axis=0) + by_second[second_at_1].sum(axis=0),
+    }
+    hists = {name: Histogram(edges=edges, counts=c[:-1]) for name, c in counts.items()}
+    hists["coincidence"] = Histogram(edges=tau_edges, counts=tau_counts[:-1])
+    molecules = by_first.sum(axis=1)  # per fates value
+    counters = {
+        "recorded_1": int(molecules[_RECORDED[0] > 0].sum()),
+        "recorded_2": int(molecules[_RECORDED[1] > 0].sum()),
+        "coincidences": int(molecules[_COINCIDENT].sum()),
+    }
     return hists, np.concatenate(taus), counters
 
 

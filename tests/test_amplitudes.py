@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoatom import amplitudes
 from twoatom.amplitudes import (
     RateRatioReport,
     property_case_rate,
@@ -27,7 +28,7 @@ from twoatom.amplitudes import (
 from twoatom.errors import InvalidCaseError, InvalidParameterError, InvalidStateError
 from twoatom.grids import SpatialGrid, abs2
 from twoatom.packets import make_packet, overlap, sample_packet
-from twoatom.pairstate import ProductPair, TwoAtomState, make_two_atom_gaussian
+from twoatom.pairstate import ProductPair, TwoAtomState, make_two_atom_gaussian, propagate_kernel
 
 from oracles import schmidt_ratio
 
@@ -296,6 +297,27 @@ def test_rate_calls_leave_the_state_kernel_untouched():
         for case in ("prop2-nonsymmetrized", "prop3-entangled-final", "prop4-entangled-second"):
             property_case_rate(case, state, dt=dt)
     assert state.kernel.tobytes() == before
+
+
+def test_prop2_propagates_its_first_channel_alone(monkeypatch):
+    # prop2 reads only C1's sum, so a flight evolves C1 alone; the ratio
+    # keeps the bits it had when both channels were evolved, under both
+    # conventions
+    kernels = []
+
+    def counted(channels, grid, dt):
+        kernels.append(len(channels))
+        return propagate_kernel(channels, grid, dt)
+
+    monkeypatch.setattr(amplitudes, "propagate_kernel", counted)
+    state = make_two_atom_gaussian(2.0, 1.0, SpatialGrid.centered(16.0, 256))
+    full = property_case_rate("prop2-nonsymmetrized", state, dt=1.5)
+    family = [make_packet(c, 0.0, 1.0) for c in (-1.0, 0.0, 1.0)]
+    restricted = property_case_rate("prop2-nonsymmetrized", state, dt=1.5,
+                                    convention="restricted-subset", family=family)
+    assert kernels == [1, 1]
+    assert full.report.ratio.hex() == "0x1.0000000000001p+0"
+    assert restricted.report.ratio.hex() == "0x1.5ff6080226732p-1"
 
 
 def test_property_case_validation():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import amplitudes, grids, pairstate, pipeline
+from twoatom import amplitudes, eventsim, grids, pairstate, pipeline
 from twoatom.cli import main as cli_main
 from twoatom.errors import ConfigValidationError, InsufficientDataError
 from twoatom.eventsim import (
@@ -490,12 +490,18 @@ def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys, monkeypatch):
     efficiency=st.floats(0.0, 1.0, exclude_min=True),
     mode=st.sampled_from(MODES),
     seed=st.integers(0, 2**32 - 1),
+    bins=st.integers(1, 400),
+    t_max_lifetimes=st.floats(1e-30, 50.0),
 )
-@example(n0=3 * 2**14 + 7, efficiency=0.7, mode="sequential", seed=5)
-@example(n0=3 * 2**14 + 7, efficiency=1.0, mode="independent", seed=6)
-def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed):
+@example(n0=3 * 2**14 + 7, efficiency=0.7, mode="sequential", seed=5, bins=80, t_max_lifetimes=8.0)
+@example(n0=3 * 2**14 + 7, efficiency=1.0, mode="independent", seed=6, bins=80, t_max_lifetimes=8.0)
+# every time far past the range: no bin index may overflow its cast
+@example(n0=2**14 + 1, efficiency=0.7, mode="sequential", seed=7, bins=80, t_max_lifetimes=1e-30)
+@example(n0=2**14 + 1, efficiency=0.7, mode="independent", seed=8, bins=1, t_max_lifetimes=8.0)
+def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed, bins, t_max_lifetimes):
     # the per-chunk pass against the detection functions on whole arrays
-    cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency)
+    cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency, bins=bins,
+                           t_max_lifetimes=t_max_lifetimes)
     records = simulate_ensemble(cfg.sim_config())
     hists, tau, counters = detection_pass(records, cfg)
     det = assign_detections(records)
@@ -521,6 +527,26 @@ def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed):
     assert tau.tobytes() == want_tau.tobytes()
     recorded = [int(np.count_nonzero(~np.isnan(det[c]))) for c in ("t1", "t2")]
     assert counters == {"recorded_1": recorded[0], "recorded_2": recorded[1], "coincidences": want_tau.size}
+
+
+def test_detection_pass_takes_no_per_chunk_detection_records(tmp_path, monkeypatch):
+    # the pass counts (fates, bin) pairs and builds neither the detection
+    # records nor a detector stream; the fit stage takes the detector-1
+    # stream once (and the detector-2 stream from the same generator)
+    calls = {"assign_detections": 0, "detector_streams": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(eventsim, name))
+        for module in (eventsim, pipeline):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    run_experiment(small_config(tmp_path, n0=3 * 2**14 + 7), write_events=False)
+    assert calls == {"assign_detections": 0, "detector_streams": 1}
 
 
 def test_simulate_and_fit_report_equal_counters(tmp_path):
