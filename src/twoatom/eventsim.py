@@ -156,6 +156,18 @@ def _kept_at(fates: np.ndarray, detector: int):
     return first, second
 
 
+#: every value of the fates byte
+_FATES = np.arange(2 * FATE_KEEP_SECOND, dtype=np.uint8)
+#: per detector, the masks over _FATES of the first and of the second
+#: photons kept there
+_KEPT_AT = [_kept_at(_FATES, detector) for detector in (0, 1)]
+#: per detector, the photon that the single-hit rule records there for each
+#: fates value: 0 none, 1 the first, 2 the second
+_RECORDED = [np.select(masks, (1, 2)) for masks in _KEPT_AT]
+#: the fates values with a photon recorded at both detectors
+_COINCIDENT = (_RECORDED[0] > 0) & (_RECORDED[1] > 0)
+
+
 def assign_detections(records: np.ndarray) -> np.ndarray:
     """Detector records (t1, t2) under the single-hit rule, row for row.
 

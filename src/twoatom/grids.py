@@ -78,9 +78,15 @@ def spread(work, items, shares: int) -> None:
     """Call ``work(items[s::shares])`` for s = 0 .. shares - 1: share 0 on
     the calling thread, each other share on a thread of its own.  Returns
     once every share is done, and re-raises an exception that any share
-    raised, MemoryError included.  Shares that would be empty are not run."""
-    with ThreadPoolExecutor(max_workers=max(shares - 1, 1)) as pool:
-        futures = [pool.submit(work, items[s::shares]) for s in range(1, min(shares, len(items)))]
+    raised, MemoryError included.  `shares` is cut to `thread_count()` and
+    to the number of items, so no share is empty and at most
+    `thread_count()` - 1 threads are started."""
+    shares = min(shares, thread_count(), len(items))
+    if shares <= 1:
+        work(items)
+        return
+    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+        futures = [pool.submit(work, items[s::shares]) for s in range(1, shares)]
         work(items[0::shares])
     for future in futures:
         future.result()

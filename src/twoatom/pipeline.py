@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, grids
+from ._csvtext import Field, float_field, int_field, rows
 from ._kernels import backend_name
 from .amplitudes import (
     first_emission_rate_ratio,
@@ -30,11 +31,14 @@ from .amplitudes import (
 )
 from .errors import ConfigValidationError, DomainTruncationError, EventsFileError, InsufficientDataError
 from .eventsim import (
+    _COINCIDENT,
+    _FATES,
+    _KEPT_AT,
+    _RECORDED,
     CHUNK_MOLECULES,
-    FATE_KEEP_SECOND,
+    EMISSION_DTYPE,
     SIM_RULES,
     SimConfig,
-    _kept_at,
     bin_index,
     coincidence_differences,
     detection_counts,
@@ -211,40 +215,42 @@ def _ensure_outdir(cfg: ExperimentConfig) -> str:
 EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
 
 
-#: every value of the fates byte
-_FATES = np.arange(2 * FATE_KEEP_SECOND, dtype=np.uint8)
-#: per detector, the masks over _FATES of the first and of the second
-#: photons kept there
-_KEPT_AT = [_kept_at(_FATES, detector) for detector in (0, 1)]
-#: per detector, the photon that the single-hit rule records there for each
-#: fates value: 0 none, 1 the first, 2 the second
-_RECORDED = [np.select(masks, (1, 2)) for masks in _KEPT_AT]
-#: the fates values with a photon recorded at both detectors
-_COINCIDENT = (_RECORDED[0] > 0) & (_RECORDED[1] > 0)
-
-
 def write_events_csv(path: str, records: np.ndarray) -> None:
     """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected.
 
     A record's molecule id is its row index; its t1/t2 fields follow the
     single-hit rule of `assign_detections`, read from the fates.  Times are
-    in scientific notation with 17 significant digits (round-trip exact),
-    written one CHUNK_MOLECULES chunk at a time, so the strings of one
-    chunk are alive at once.
+    the bytes of ``"%.16e" % t``: scientific notation with 17 significant
+    digits (round-trip exact).  The rows of each CHUNK_MOLECULES chunk are
+    made on a thread of their own, `thread_count()` chunks at a time, and
+    written in chunk order, so the bytes of at most that many chunks are
+    alive at once and do not depend on the number of threads.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(EVENTS_COLUMNS) + "\n")
-        for start in range(0, len(records), CHUNK_MOLECULES):
-            rec = records[start:start + CHUNK_MOLECULES]
-            # code 1 picks the t_f string, 2 the t_s string, 0 the empty field
-            codes = [recorded[rec["fates"]].tolist() for recorded in _RECORDED]
-            t_f = ["%.16e" % v for v in rec["t_f"].tolist()]
-            t_s = ["%.16e" % v for v in rec["t_s"].tolist()]
-            rows = []
-            for i, f, s, a, b in zip(range(start, start + len(rec)), t_f, t_s, *codes):
-                pick = ("", f, s)
-                rows.append(f"{i},{f},{s},{pick[a]},{pick[b]}\n")
-            fh.write("".join(rows))
+    threads = grids.thread_count()
+    starts = range(0, len(records), CHUNK_MOLECULES)
+    with open(path, "wb") as fh:
+        fh.write((",".join(EVENTS_COLUMNS) + "\n").encode())
+        for first in range(0, len(starts), threads):
+            group = starts[first:first + threads]
+            text = {}
+            grids.spread(lambda share: text.update((start, _event_rows(records, start)) for start in share),
+                         group, threads)
+            fh.writelines(text[start] for start in group)
+
+
+def _event_rows(records: np.ndarray, start: int) -> np.ndarray:
+    """The events.csv rows of the CHUNK_MOLECULES chunk from molecule `start`."""
+    chunk = records[start:start + CHUNK_MOLECULES]
+    t_f, t_s = float_field(chunk["t_f"]), float_field(chunk["t_s"])
+    # row i of the t_f texts, then row i of the t_s texts, at i and n + i
+    texts = np.concatenate((t_f.text, t_s.text))
+    widths = np.concatenate((t_f.width, t_s.width))
+    detectors = []
+    for recorded in _RECORDED:
+        code = recorded[chunk["fates"]]  # 0 no photon, 1 the first, 2 the second
+        at = np.arange(len(chunk)) + len(chunk) * (code == 2)
+        detectors.append(Field(np.take(texts, at, axis=0), np.where(code > 0, widths[at], 0), t_f.masks))
+    return rows([int_field(np.arange(start, start + len(chunk))), t_f, t_s, *detectors])
 
 
 #: an empty field: a comma followed by a comma, a line end or the end of file
@@ -315,10 +321,9 @@ def read_events_csv(path: str) -> dict[str, np.ndarray]:
 
 
 def write_histogram_csv(path: str, hist) -> None:
-    with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi,count\n")
-        for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            fh.write(f"{lo:.16e},{hi:.16e},{int(c)}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"bin_lo,bin_hi,count\n")
+        fh.write(rows([float_field(hist.edges[:-1]), float_field(hist.edges[1:]), int_field(hist.counts)]))
 
 
 def _supported_fits(jobs) -> dict[str, FitResult]:
@@ -356,10 +361,18 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
-    edges = histogram_edges(width, (0.0, t_hi))
-    tau_edges = histogram_edges(width, (-t_hi, t_hi))
-    row = len(edges)  # n_bins + 1 slots per fates value
-    tables = np.zeros((2, _FATES.size * row), np.intp)
+    try:
+        edges = histogram_edges(width, (0.0, t_hi))
+        tau_edges = histogram_edges(width, (-t_hi, t_hi))
+        row = len(edges)  # n_bins + 1 slots per fates value
+        tables = np.zeros((2, _FATES.size * row), np.intp)
+    except MemoryError:
+        size = 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
+        raise ConfigValidationError(
+            ["bins"],
+            f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
+            f" 2*16*(bins + 1) (fates, bin) pairs, {size / 2**30:.2f} GiB",
+        ) from None
     tau_counts, taus = 0, []
     for start in range(0, len(records), CHUNK_MOLECULES):
         chunk = records[start:start + CHUNK_MOLECULES]
@@ -394,19 +407,32 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     return hists, np.concatenate(taus), counters
 
 
+def _simulate(cfg: ExperimentConfig) -> np.ndarray:
+    """The ensemble of `cfg`; records too large for memory are a
+    configuration error."""
+    try:
+        return simulate_ensemble(cfg.sim_config())
+    except MemoryError:
+        size = cfg.n0 * EMISSION_DTYPE.itemsize
+        raise ConfigValidationError(
+            ["n0"],
+            f"n0 = {cfg.n0} does not fit in memory: the event records take"
+            f" {EMISSION_DTYPE.itemsize} B per molecule, {size / 2**30:.2f} GiB",
+        ) from None
+
+
 def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     """`run_experiment` up to report.json; also returns the histograms of
     the detection pass, from which `run_full` draws the overlays."""
     cfg.validate()
+    records = _simulate(cfg)
+    hists, tau, counters = detection_pass(records, cfg)
     out = _ensure_outdir(cfg)
-    records = simulate_ensemble(cfg.sim_config())
 
     paths = {}
     if write_events:
         paths["events"] = os.path.join(out, "events.csv")
         write_events_csv(paths["events"], records)
-
-    hists, tau, counters = detection_pass(records, cfg)
     for name in ("first", "second", "det1", "det2", "coincidence"):
         p = os.path.join(out, f"hist_{name}.csv")
         write_histogram_csv(p, hists[name])
@@ -489,12 +515,11 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
     t = np.linspace(0.0, cfg.t_max_lifetimes / g, 401)
     n_f, n_s, n_i = detection_densities(t, rates)
     path = os.path.join(out, "fig1.csv")
-    with open(path, "w") as fh:
-        fh.write("t,n_f,n_s,n_i,t_si,n_f_si,n_s_si,n_i_si\n")
-        for row in zip(t * g, n_f / g, n_s / g, n_i / g, t, n_f, n_s, n_i):
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"t,n_f,n_s,n_i,t_si,n_f_si,n_s_si,n_i_si\n")
+        fh.write(rows([float_field(v) for v in (t * g, n_f / g, n_s / g, n_i / g, t, n_f, n_s, n_i)]))
     if overlay:
-        hists, _, _ = detection_pass(simulate_ensemble(cfg.sim_config()), cfg)
+        hists, _, _ = detection_pass(_simulate(cfg), cfg)
         _write_overlays(cfg, hists)
     return path
 
@@ -515,12 +540,11 @@ def _write_overlays(cfg: ExperimentConfig, hists: dict[str, Histogram]) -> None:
     for kind, hist in hists.items():
         curve = curves[kind]
         expected = norm * curve * width  # expected counts per bin
-        with open(os.path.join(out, f"fig1_overlay_{kind}.csv"), "w") as fh:
-            fh.write("t,density,curve,band\n")
-            for tc, c, cv, mu in zip(hist.centers, hist.counts, curve, expected):
-                dens = c / (norm * width) / g
-                band = 4.0 * np.sqrt(mu) / (norm * width) / g
-                fh.write(f"{tc * g:.16e},{dens:.16e},{cv / g:.16e},{band:.16e}\n")
+        density = hist.counts / (norm * width) / g
+        band = 4.0 * np.sqrt(expected) / (norm * width) / g
+        with open(os.path.join(out, f"fig1_overlay_{kind}.csv"), "wb") as fh:
+            fh.write(b"t,density,curve,band\n")
+            fh.write(rows([float_field(v) for v in (hist.centers * g, density, curve / g, band)]))
 
 
 def run_rate_derivation(cfg: ExperimentConfig) -> list:

@@ -6,8 +6,9 @@ the free dispersion law, the cumulative count curves behind the detection
 densities, the coincidence density behind the simulated tau histogram,
 the total of a histogram, the whole-array KS distance behind the blockwise
 one, the Schmidt spectrum of a correlated Gaussian behind the
-dominant-mode amplitude, and the whole-array forms of the amplitude
-engine's row-blocked, threaded passes).
+dominant-mode amplitude, the whole-array forms of the amplitude
+engine's row-blocked, threaded passes, and events.csv written one
+``"%.16e" %`` string per time).
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from twoatom.errors import InvalidParameterError, NumericalDegeneracyError
+from twoatom.eventsim import _RECORDED
 from twoatom.kinetics import RateTriple, second_count_fraction
 from twoatom.packets import sample_packet
 
@@ -149,3 +151,16 @@ def schmidt_ratio(width_sum: float, width_diff: float) -> float:
     b = abs(1.0 / width_diff**2 - 1.0 / width_sum**2)
     r = a / b
     return r - np.sqrt(r * r - 1.0)
+
+
+def write_events_csv_per_value(path, records):
+    """events.csv as `pipeline.write_events_csv` writes it, from one
+    ``"%.16e" %`` string per time and one f-string per row."""
+    codes = [recorded[records["fates"]].tolist() for recorded in _RECORDED]
+    t_f = ["%.16e" % v for v in records["t_f"].tolist()]
+    t_s = ["%.16e" % v for v in records["t_s"].tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("molecule_id,t_f,t_s,t1,t2\n")
+        for i, f, s, a, b in zip(range(len(records)), t_f, t_s, *codes):
+            pick = ("", f, s)  # code 1 picks the t_f string, 2 the t_s string
+            fh.write(f"{i},{f},{s},{pick[a]},{pick[b]}\n")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom import _kernels as kern
+from twoatom import grids
 from twoatom.errors import InvalidParameterError
 from twoatom.eventsim import (
     CHUNK_MOLECULES,
@@ -169,6 +170,28 @@ def test_a_worker_threads_exception_reaches_the_caller(monkeypatch):
         simulate_ensemble(cfg_for(CHUNK_MOLECULES + 1, workers=2))
 
 
+def test_spread_starts_at_most_one_thread_per_usable_cpu_but_one(monkeypatch):
+    # workers has no upper bound; the threads started are cut to the CPUs
+    asked = []
+
+    class Recorder(grids.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, *args):
+            asked.append("submit")
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(grids, "ThreadPoolExecutor", Recorder)
+    n0 = 5 * CHUNK_MOLECULES
+    many = simulate_ensemble(cfg_for(n0, seed=17, workers=10**6))
+    limit = grids.thread_count() - 1
+    assert all(workers <= limit for workers in asked if workers != "submit")
+    assert asked.count("submit") <= limit
+    assert many.tobytes() == simulate_ensemble(cfg_for(n0, seed=17, workers=1)).tobytes()
+
+
 def _unchunked_reference(cfg):
     """Times, packed fates, detections and streams from one raw block.
 
@@ -232,10 +255,11 @@ def test_chunked_pass_matches_unchunked_reference(seed, efficiency, n0, workers,
     assert _same_bits(got_2, want_2)
 
 
-def test_thread_pool_stress_keeps_records_byte_identical():
+def test_thread_pool_stress_keeps_records_byte_identical(monkeypatch):
     # seven threads over twenty chunks with a tiny switch interval, so the
     # threads interleave as often as possible while writing their slices
     n0 = 20 * CHUNK_MOLECULES + 5
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 7)  # spread starts at most one per CPU
     base = simulate_ensemble(cfg_for(n0, seed=7, detector_efficiency=0.6))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

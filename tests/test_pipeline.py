@@ -427,6 +427,16 @@ def test_event_stage_peak_memory(tmp_path):
     assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 48 * n0
 
 
+def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
+    # the bytes of at most thread_count() chunks are alive at once, about
+    # 8 MiB a chunk, whatever the number of rows
+    monkeypatch.setattr(grids, "thread_count", lambda: 2)
+    path = str(tmp_path / "events.csv")
+    for n0 in (2**16, 2**20):
+        records = simulate_ensemble(ExperimentConfig(n0=n0, seed=4, detector_efficiency=0.7).sim_config())
+        assert traced_peak(lambda: write_events_csv(path, records)) <= 2 * 10 * 2**20, n0
+
+
 def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     # one 20000-point kernel takes 6 GiB; the child caps its own address
     # space at 3 GiB, so the allocation fails whatever the host's
@@ -443,6 +453,29 @@ def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "amplitude.grid_points" in proc.stderr and "5.96 GiB" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--n0", "1000000000000"], "n0"),  # 17 B per molecule: 15.5 TiB of records
+    (["--n0", "1000", "--set", "bins=1000000000"], "bins"),  # 7.45 GiB of edges, 238 GiB of counts
+])
+def test_cli_event_stage_too_large_for_memory_exits_2(tmp_path, args, field):
+    # the child caps its own address space at 2 GiB, so the allocation
+    # fails whatever the host's overcommit policy
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    out = str(tmp_path / "out")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from twoatom.cli import main\n"
+        f"sys.exit(main(['simulate', *{args!r}, '--out', {out!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"{field} = " in proc.stderr and "does not fit in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
 
 
 def test_cli_memory_error_on_a_worker_thread_exits_2(tmp_path, monkeypatch):
