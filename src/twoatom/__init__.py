@@ -20,9 +20,6 @@ from .amplitudes import (
 )
 from .eventsim import (
     SimConfig,
-    assign_detections,
-    build_histogram,
-    coincidence_differences,
     detector_streams,
     simulate_ensemble,
 )
@@ -75,9 +72,6 @@ __all__ = [
     "SpatialGrid",
     "TwoAtomState",
     "apply_recoil",
-    "assign_detections",
-    "build_histogram",
-    "coincidence_differences",
     "detection_densities",
     "detector_streams",
     "evolve_free",

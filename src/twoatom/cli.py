@@ -51,7 +51,6 @@ def load_config(args) -> ExperimentConfig:
     for key in ("seed", "n0", "mode", "output_dir"):  # the shortcut flags
         if getattr(args, key) is not None:
             cfg.set(key, getattr(args, key))
-    cfg.validate()
     return cfg
 
 

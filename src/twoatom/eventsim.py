@@ -15,9 +15,10 @@ disentanglement signature the analysis module tests for.
 Every random draw is a counter-based function of (seed, molecule_id), so
 results are byte-identical for any worker count or chunking (see
 `twoatom._kernels`).  Detection uses two detectors hit with probability
-1/2 each per photon and an efficiency thinning.  The detection records
-follow the single-hit rule (when both photons land on one detector only
-the earlier is recorded); the per-detector streams keep every photon.
+1/2 each per photon and an efficiency thinning.  What each detector
+records follows the single-hit rule (when both photons land on one
+detector only the earlier is recorded), spelled once, as the fates tables
+below; the per-detector streams keep every photon.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from . import _kernels as kern
 from .errors import InvalidParameterError
 from .grids import spread
-from .inference import Histogram
 from .kinetics import RateTriple
 
 MODES = ("sequential", "independent")
@@ -52,8 +52,6 @@ EMISSION_DTYPE = np.dtype([("t_f", np.float64), ("t_s", np.float64), ("fates", n
 #: bits of `fates`: the detector (0 or 1) each photon lands on, and whether
 #: it survives the detector efficiency
 FATE_DET_FIRST, FATE_DET_SECOND, FATE_KEEP_FIRST, FATE_KEEP_SECOND = 1, 2, 4, 8
-#: NaN in t1/t2 means no photon was recorded at that detector
-DETECTION_DTYPE = np.dtype([("t1", np.float64), ("t2", np.float64)])
 
 
 #: the values a field of each annotated type takes
@@ -168,22 +166,6 @@ _RECORDED = [np.select(masks, (1, 2)) for masks in _KEPT_AT]
 _COINCIDENT = (_RECORDED[0] > 0) & (_RECORDED[1] > 0)
 
 
-def assign_detections(records: np.ndarray) -> np.ndarray:
-    """Detector records (t1, t2) under the single-hit rule, row for row.
-
-    Each photon independently lands on detector 1 or 2 with probability
-    1/2 and survives with probability detector_efficiency; when both kept
-    photons land on the same detector only the earlier (the first photon)
-    is recorded there.  Missing entries are NaN.  The fates are the ones
-    `simulate_ensemble` stored in the records.
-    """
-    fates = np.ascontiguousarray(records["fates"])
-    out = np.empty(len(records), dtype=DETECTION_DTYPE)
-    for detector, col in ((0, "t1"), (1, "t2")):
-        out[col] = np.select(_kept_at(fates, detector), (records["t_f"], records["t_s"]), np.nan)
-    return out
-
-
 def detector_streams(records: np.ndarray):
     """All kept photon times per detector, unsorted: yields the detector-1
     stream, then the detector-2 stream.
@@ -200,23 +182,6 @@ def detector_streams(records: np.ndarray):
     for detector in (0, 1):
         first_here, second_here = _kept_at(fates, detector)
         yield np.concatenate([records["t_f"][first_here], records["t_s"][second_here]])
-
-
-def coincidence_differences(detections: np.ndarray) -> np.ndarray:
-    """t1 - t2 for all molecules with a photon recorded at both detectors."""
-    both = ~np.isnan(detections["t1"]) & ~np.isnan(detections["t2"])
-    return detections["t1"][both] - detections["t2"][both]
-
-
-def detection_counts(detections) -> dict[str, int]:
-    """Photons recorded at each detector, and molecules recorded at both,
-    from the t1/t2 columns of detection records or of an events.csv."""
-    hit_1, hit_2 = ~np.isnan(detections["t1"]), ~np.isnan(detections["t2"])
-    return {
-        "recorded_1": int(np.count_nonzero(hit_1)),
-        "recorded_2": int(np.count_nonzero(hit_2)),
-        "coincidences": int(np.count_nonzero(hit_1 & hit_2)),
-    }
 
 
 def histogram_edges(bin_width: float, t_range: tuple[float, float]) -> np.ndarray:
@@ -248,16 +213,3 @@ def bin_index(x: np.ndarray, edges: np.ndarray, hi: float, bin_width: float) -> 
     idx = q.astype(np.intp)
     idx[~((x >= lo) & (x < hi))] = n_bins
     return idx
-
-
-def build_histogram(samples, bin_width: float, t_range: tuple[float, float]) -> Histogram:
-    """Fixed-width histogram with half-open bins [lo, hi).
-
-    Bin membership is `bin_index`: floor((x - lo) / bin_width); samples
-    outside [lo, hi) are dropped.
-    """
-    edges = histogram_edges(bin_width, t_range)
-    x = np.asarray(samples, dtype=float).ravel()
-    idx = bin_index(x, edges, float(t_range[1]), bin_width)
-    counts = np.bincount(idx, minlength=len(edges))[:-1]
-    return Histogram(edges=edges, counts=counts)

@@ -1,4 +1,4 @@
-"""Closed-form emission-count and detection-density curves.
+"""Closed-form detection-density curves.
 
 With n0 molecules photodissociated at t = 0, the expected numbers of first
 and second photons recorded up to time t are
@@ -8,14 +8,14 @@ and second photons recorded up to time t are
 
 while each detector accumulates N_i(t) = n0 (1 - exp(-G t)) with G the
 single-atom rate.  All three are compatible exactly when G_f = 2 G and
-G_s = G.  The G_s -> G_f limit of N_s is removable; below a relative rate
-difference of `DEGENERATE_SWITCH` the analytic limit
+G_s = G.  The detection densities of figure 1 are the time derivatives of
+these curves, per molecule.  The G_s -> G_f limit of n_s is removable;
+below a relative rate difference of `DEGENERATE_SWITCH` the analytic limit
 
-    N_s(t) = n0 (1 - exp(-G t) - G t exp(-G t))
+    n_s(t) = G^2 t exp(-G t)
 
 is used instead.  Differences of exponentials are evaluated through expm1
-so the near-degenerate regime stays accurate to machine precision.  The
-detection densities of figure 1 are the time derivatives of these curves.
+so the near-degenerate regime stays accurate to machine precision.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-#: relative rate difference below which the degenerate N_s limit is used
+#: relative rate difference below which the degenerate n_s limit is used
 DEGENERATE_SWITCH = 1e-9
 
 
@@ -46,18 +46,6 @@ class RateTriple:
     def compatible(cls, gamma: float) -> "RateTriple":
         """The compatibility point: first rate 2*gamma, second rate gamma."""
         return cls(gamma=gamma, gamma_f=2.0 * gamma, gamma_s=gamma)
-
-
-def second_count_fraction(t, gamma_f: float, gamma_s: float):
-    """N_s(t) / n0, handling the removable G_s = G_f singularity."""
-    t = np.asarray(t, dtype=float)
-    if abs(gamma_s - gamma_f) / gamma_f < DEGENERATE_SWITCH:
-        g = gamma_f
-        return -np.expm1(-g * t) - g * t * np.exp(-g * t)
-    delta = gamma_s - gamma_f
-    # exp(-G_f t) - exp(-G_s t) = -exp(-G_f t) * expm1(-(G_s - G_f) t)
-    diff = -np.exp(-gamma_f * t) * np.expm1(-delta * t)
-    return -np.expm1(-gamma_f * t) - gamma_f / delta * diff
 
 
 def detection_densities(t, rates: RateTriple):

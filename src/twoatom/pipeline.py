@@ -40,8 +40,6 @@ from .eventsim import (
     SIM_RULES,
     SimConfig,
     bin_index,
-    coincidence_differences,
-    detection_counts,
     detector_streams,
     failed_fields,
     histogram_edges,
@@ -198,8 +196,8 @@ class ReportBundle:
     curve_tables: dict
     config_echo: dict
     version: str
-    #: deterministic detection counts, `eventsim.detection_counts` summed
-    #: over the events
+    #: deterministic detection counts: photons recorded at each detector
+    #: (recorded_1, recorded_2) and molecules recorded at both (coincidences)
     counters: dict = field(default_factory=dict)
 
 
@@ -218,10 +216,10 @@ EVENTS_COLUMNS = ("molecule_id", "t_f", "t_s", "t1", "t2")
 def write_events_csv(path: str, records: np.ndarray) -> None:
     """molecule_id,t_f,t_s,t1,t2 in seconds; empty field = undetected.
 
-    A record's molecule id is its row index; its t1/t2 fields follow the
-    single-hit rule of `assign_detections`, read from the fates.  Times are
-    the bytes of ``"%.16e" % t``: scientific notation with 17 significant
-    digits (round-trip exact).  The rows of each CHUNK_MOLECULES chunk are
+    A record's molecule id is its row index; its t1/t2 fields are the
+    photons that the single-hit rule records, read from the fates through
+    `eventsim._RECORDED`.  Times are the bytes of ``"%.16e" % t``:
+    scientific notation with 17 significant digits (round-trip exact).  The rows of each CHUNK_MOLECULES chunk are
     made on a thread of their own, `thread_count()` chunks at a time, and
     written in chunk order, so the bytes of at most that many chunks are
     alive at once and do not depend on the number of threads.
@@ -320,6 +318,20 @@ def read_events_csv(path: str) -> dict[str, np.ndarray]:
     return {c: table[:, names.index(c)] for c in EVENTS_COLUMNS}
 
 
+def _coincidences_and_counters(columns) -> tuple[np.ndarray, dict[str, int]]:
+    """The coincidence differences t1 - t2, in row order, and the counters
+    of `detection_pass`, from the t1/t2 columns of an events table (NaN =
+    not recorded)."""
+    hit_1, hit_2 = ~np.isnan(columns["t1"]), ~np.isnan(columns["t2"])
+    both = hit_1 & hit_2
+    counters = {
+        "recorded_1": int(np.count_nonzero(hit_1)),
+        "recorded_2": int(np.count_nonzero(hit_2)),
+        "coincidences": int(np.count_nonzero(both)),
+    }
+    return columns["t1"][both] - columns["t2"][both], counters
+
+
 def write_histogram_csv(path: str, hist) -> None:
     with open(path, "wb") as fh:
         fh.write(b"bin_lo,bin_hi,count\n")
@@ -349,7 +361,8 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     Returns (histograms, tau, counters).  The histograms, keyed first,
     second, det1, det2, coincidence and detector (the detector-1 stream),
     share cfg's bin width; tau holds the coincidence differences in
-    molecule order; counters are `detection_counts` of the whole ensemble.
+    molecule order; counters hold the photons recorded at each detector and
+    the molecules recorded at both.
 
     Apart from tau, a molecule enters every result only through its fates
     byte and the bins of its t_f and t_s.  So each chunk adds the counts
@@ -357,7 +370,7 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     time of 16 x (n_bins + 1) integers, the last column counting the times
     outside the range; each histogram is a sum of table rows, and each
     counter a sum of molecules per fates value.  They equal those of the
-    whole-array functions on the whole records.
+    whole-array detection records on the whole ensemble.
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
@@ -468,8 +481,9 @@ def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
     cfg.validate()
     data = read_events_csv(events_path)
     out = _ensure_outdir(cfg)
-    fits = _supported_fits(_mle_fit_jobs(data["t_f"], data["t_s"], coincidence_differences(data)))
-    bundle = _fit_report(cfg, fits, {"events": events_path}, detection_counts(data))
+    tau, counters = _coincidences_and_counters(data)
+    fits = _supported_fits(_mle_fit_jobs(data["t_f"], data["t_s"], tau))
+    bundle = _fit_report(cfg, fits, {"events": events_path}, counters)
     write_report(os.path.join(out, "report.json"), bundle)
     return bundle
 
@@ -509,6 +523,8 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
     Poisson four-sigma band.
     """
     cfg.validate()
+    # an ensemble too large for memory fails before the output directory is made
+    hists = detection_pass(_simulate(cfg), cfg)[0] if overlay else None
     out = _ensure_outdir(cfg)
     rates = cfg.rates
     g = rates.gamma
@@ -519,7 +535,6 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
         fh.write(b"t,n_f,n_s,n_i,t_si,n_f_si,n_s_si,n_i_si\n")
         fh.write(rows([float_field(v) for v in (t * g, n_f / g, n_s / g, n_i / g, t, n_f, n_s, n_i)]))
     if overlay:
-        hists, _, _ = detection_pass(_simulate(cfg), cfg)
         _write_overlays(cfg, hists)
     return path
 

@@ -7,17 +7,29 @@ densities, the coincidence density behind the simulated tau histogram,
 the total of a histogram, the whole-array KS distance behind the blockwise
 one, the Schmidt spectrum of a correlated Gaussian behind the
 dominant-mode amplitude, the whole-array forms of the amplitude
-engine's row-blocked, threaded passes, and events.csv written one
+engine's row-blocked, threaded passes, the single-hit rule read bit by
+bit from the fates byte, with the whole-array detection records,
+coincidence differences and histograms built from it, behind the fates
+tables and the per-chunk detection pass, and events.csv written one
 ``"%.16e" %`` string per time).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from twoatom.errors import InvalidParameterError, NumericalDegeneracyError
-from twoatom.eventsim import _RECORDED
-from twoatom.kinetics import RateTriple, second_count_fraction
+from twoatom.eventsim import (
+    FATE_DET_FIRST,
+    FATE_DET_SECOND,
+    FATE_KEEP_FIRST,
+    FATE_KEEP_SECOND,
+    bin_index,
+    histogram_edges,
+)
+from twoatom.inference import Histogram
+from twoatom.kinetics import DEGENERATE_SWITCH, RateTriple
 from twoatom.packets import sample_packet
 
 
@@ -68,6 +80,53 @@ def packet_sigma(packet) -> float:
     return float(np.hypot(s, packet.t / (2.0 * s)))
 
 
+def photons_kept_at(fates, detector: int):
+    """Whether the first and whether the second photon of each fates byte
+    is kept at `detector`: its keep bit is set and its detector bit reads
+    `detector`."""
+    fates = np.asarray(fates)
+    first = ((fates & FATE_KEEP_FIRST) != 0) & (((fates & FATE_DET_FIRST) != 0) == bool(detector))
+    second = ((fates & FATE_KEEP_SECOND) != 0) & (((fates & FATE_DET_SECOND) != 0) == bool(detector))
+    return first, second
+
+
+def recorded_photon(fates, detector: int) -> np.ndarray:
+    """The photon the single-hit rule records at `detector`: 1 the first
+    (the earlier one wins when both are kept there), 2 the second, 0 none."""
+    first, second = photons_kept_at(fates, detector)
+    return np.where(first, 1, np.where(second, 2, 0))
+
+
+#: NaN in t1/t2 means no photon was recorded at that detector
+DETECTION_DTYPE = np.dtype([("t1", np.float64), ("t2", np.float64)])
+
+
+def assign_detections(records: np.ndarray) -> np.ndarray:
+    """Detector records (t1, t2) under the single-hit rule, row for row;
+    missing entries are NaN."""
+    out = np.empty(len(records), dtype=DETECTION_DTYPE)
+    for detector, col in ((0, "t1"), (1, "t2")):
+        code = recorded_photon(records["fates"], detector)
+        out[col] = np.choose(code, (np.nan, records["t_f"], records["t_s"]))
+    return out
+
+
+def coincidence_differences(detections: np.ndarray) -> np.ndarray:
+    """t1 - t2 for all molecules with a photon recorded at both detectors."""
+    both = ~np.isnan(detections["t1"]) & ~np.isnan(detections["t2"])
+    return detections["t1"][both] - detections["t2"][both]
+
+
+def build_histogram(samples, bin_width: float, t_range: tuple[float, float]) -> Histogram:
+    """Fixed-width histogram with half-open bins [lo, hi), binned by
+    `eventsim.bin_index`; samples outside [lo, hi) are dropped."""
+    edges = histogram_edges(bin_width, t_range)
+    x = np.asarray(samples, dtype=float).ravel()
+    idx = bin_index(x, edges, float(t_range[1]), bin_width)
+    counts = np.bincount(idx, minlength=len(edges))[:-1]
+    return Histogram(edges=edges, counts=counts)
+
+
 def histogram_total(hist) -> int:
     return int(np.sum(hist.counts))
 
@@ -86,6 +145,18 @@ def ks_statistic_whole_array(samples, rate: float) -> float:
     above = np.max(gap)
     np.subtract(cdf, grid[:-1], out=gap)
     return float(max(above, np.max(gap)))
+
+
+def second_count_fraction(t, gamma_f: float, gamma_s: float):
+    """N_s(t) / n0, handling the removable G_s = G_f singularity."""
+    t = np.asarray(t, dtype=float)
+    if abs(gamma_s - gamma_f) / gamma_f < DEGENERATE_SWITCH:
+        g = gamma_f
+        return -np.expm1(-g * t) - g * t * np.exp(-g * t)
+    delta = gamma_s - gamma_f
+    # exp(-G_f t) - exp(-G_s t) = -exp(-G_f t) * expm1(-(G_s - G_f) t)
+    diff = -np.exp(-gamma_f * t) * np.expm1(-delta * t)
+    return -np.expm1(-gamma_f * t) - gamma_f / delta * diff
 
 
 @dataclass(frozen=True)
@@ -155,12 +226,12 @@ def schmidt_ratio(width_sum: float, width_diff: float) -> float:
 
 def write_events_csv_per_value(path, records):
     """events.csv as `pipeline.write_events_csv` writes it, from one
-    ``"%.16e" %`` string per time and one f-string per row."""
-    codes = [recorded[records["fates"]].tolist() for recorded in _RECORDED]
-    t_f = ["%.16e" % v for v in records["t_f"].tolist()]
-    t_s = ["%.16e" % v for v in records["t_s"].tolist()]
+    ``"%.16e" %`` string per time, the t1/t2 times of `assign_detections`
+    and one f-string per row."""
+    det = assign_detections(records)
+    columns = [["" if math.isnan(v) else "%.16e" % v for v in column.tolist()]
+               for column in (records["t_f"], records["t_s"], det["t1"], det["t2"])]
     with open(path, "w", newline="") as fh:
         fh.write("molecule_id,t_f,t_s,t1,t2\n")
-        for i, f, s, a, b in zip(range(len(records)), t_f, t_s, *codes):
-            pick = ("", f, s)  # code 1 picks the t_f string, 2 the t_s string
-            fh.write(f"{i},{f},{s},{pick[a]},{pick[b]}\n")
+        for i, f, s, a, b in zip(range(len(records)), *columns):
+            fh.write(f"{i},{f},{s},{a},{b}\n")

@@ -19,21 +19,16 @@ from twoatom.amplitudes import (
     receding_pair,
     second_emission_rate_ratio,
 )
-from twoatom.eventsim import (
-    assign_detections,
-    build_histogram,
-    coincidence_differences,
-    detector_streams,
-    simulate_ensemble,
-)
+from twoatom.eventsim import detector_streams, simulate_ensemble
 from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_exponential_mle
-from twoatom.kinetics import second_count_fraction
 from twoatom.packets import make_packet
 from twoatom.pairstate import ProductPair, make_two_atom_gaussian
 from twoatom.pipeline import ExperimentConfig, run_experiment
 
 import dataclasses
+
+from oracles import assign_detections, build_histogram, coincidence_differences, second_count_fraction
 
 SEED = 20260810
 GAMMA_INVERSE = 1.6e-9

@@ -18,21 +18,28 @@ from twoatom import _kernels as kern
 from twoatom import grids
 from twoatom.errors import InvalidParameterError
 from twoatom.eventsim import (
+    _COINCIDENT,
+    _KEPT_AT,
+    _RECORDED,
     CHUNK_MOLECULES,
+    EMISSION_DTYPE,
     FATE_DET_FIRST,
     FATE_DET_SECOND,
     FATE_KEEP_FIRST,
     FATE_KEEP_SECOND,
     SimConfig,
-    assign_detections,
-    build_histogram,
-    coincidence_differences,
     detector_streams,
     simulate_ensemble,
 )
 from twoatom.kinetics import RateTriple
 
-from oracles import histogram_total
+from oracles import (
+    assign_detections,
+    build_histogram,
+    coincidence_differences,
+    histogram_total,
+    photons_kept_at,
+)
 
 GAMMA = 1.0 / 1.6e-9
 RATES = RateTriple.compatible(GAMMA)
@@ -306,6 +313,20 @@ def test_single_hit_records_the_earlier_photon():
             got = det[col][i]
             want = expected[detector]
             assert (np.isnan(got) and np.isnan(want)) or got == want
+
+
+def test_fates_tables_match_the_oracle_on_every_fates_byte():
+    # one molecule per fates value, t_f < t_s: an ensemble at efficiency 1
+    # shows only the 4 values with both keep bits set
+    for fates in range(16):
+        record = np.array([(1.0, 2.0, fates)], dtype=EMISSION_DTYPE)
+        det = assign_detections(record)[0]
+        for detector, col in ((0, "t1"), (1, "t2")):
+            first, second = photons_kept_at(record["fates"], detector)
+            assert (_KEPT_AT[detector][0][fates], _KEPT_AT[detector][1][fates]) == (first[0], second[0])
+            want = {1.0: 1, 2.0: 2}.get(det[col], 0)  # NaN: no photon
+            assert _RECORDED[detector][fates] == want, (fates, col)
+        assert _COINCIDENT[fates] == (not np.isnan(det["t1"]) and not np.isnan(det["t2"])), fates
 
 
 def test_detection_times_nonnegative_and_sources_match():

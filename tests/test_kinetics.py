@@ -20,10 +20,9 @@ from twoatom.kinetics import (
     DEGENERATE_SWITCH,
     RateTriple,
     detection_densities,
-    second_count_fraction,
 )
 
-from oracles import coincidence_density, cumulative_counts
+from oracles import coincidence_density, cumulative_counts, second_count_fraction
 
 GAMMA = 1.0 / 1.6e-9
 RATES = RateTriple.compatible(GAMMA)
@@ -182,13 +181,8 @@ def test_coincidence_closed_form_against_monte_carlo():
     # gamma_s/2 is recovered to 1% through the fitted magnitude rate
     from scipy.stats import norm, poisson
 
-    from twoatom.eventsim import (
-        SimConfig,
-        assign_detections,
-        build_histogram,
-        coincidence_differences,
-        simulate_ensemble,
-    )
+    from twoatom.eventsim import SimConfig, simulate_ensemble
+    from oracles import assign_detections, build_histogram, coincidence_differences
     from twoatom.inference import fit_exponential_mle
 
     cfg = SimConfig(n0=1_000_000, mode="sequential", rates=RATES, seed=777)

@@ -1,6 +1,14 @@
-"""The package's public surface: `twoatom.__all__`."""
+"""The package's public surface: `twoatom.__all__`, and no src code
+without a src caller."""
+
+import ast
+from pathlib import Path
 
 import twoatom
+
+#: kept with only test callers: they carry the amplitude engine's
+#: closed-form checks
+TEST_ONLY = {"first_emission_amplitude", "second_emission_amplitude"}
 
 
 def test_every_public_name_resolves_once():
@@ -9,3 +17,26 @@ def test_every_public_name_resolves_once():
     namespace = {}
     exec("from twoatom import *", namespace)
     assert set(twoatom.__all__) <= set(namespace)
+
+
+def test_every_top_level_definition_has_a_src_caller():
+    # a function or class that only tests call belongs in tests/oracles.py
+    trees = {path.name: ast.parse(path.read_text()) for path in Path(twoatom.__file__).parent.glob("*.py")}
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    referenced = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert sorted(defined - referenced - TEST_ONLY) == []

@@ -23,14 +23,7 @@ from hypothesis import strategies as st
 from twoatom import amplitudes, eventsim, grids, pairstate, pipeline
 from twoatom.cli import main as cli_main
 from twoatom.errors import ConfigValidationError, InsufficientDataError
-from twoatom.eventsim import (
-    MODES,
-    assign_detections,
-    build_histogram,
-    coincidence_differences,
-    detector_streams,
-    simulate_ensemble,
-)
+from twoatom.eventsim import MODES, detector_streams, simulate_ensemble
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
 from twoatom.pipeline import (
     EVENTS_COLUMNS,
@@ -44,6 +37,8 @@ from twoatom.pipeline import (
     run_rate_derivation,
     write_events_csv,
 )
+
+from oracles import assign_detections, build_histogram, coincidence_differences
 
 
 def small_config(tmp_path, **kw):
@@ -456,8 +451,9 @@ def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("args, field", [
-    (["--n0", "1000000000000"], "n0"),  # 17 B per molecule: 15.5 TiB of records
-    (["--n0", "1000", "--set", "bins=1000000000"], "bins"),  # 7.45 GiB of edges, 238 GiB of counts
+    (["simulate", "--n0", "1000000000000"], "n0"),  # 17 B per molecule: 15.5 TiB of records
+    (["simulate", "--n0", "1000", "--set", "bins=1000000000"], "bins"),  # 7.45 GiB of edges, 238 GiB of counts
+    (["fig1", "--overlay", "--n0", "1000000000000"], "n0"),  # the overlay's ensemble, before fig1.csv
 ])
 def test_cli_event_stage_too_large_for_memory_exits_2(tmp_path, args, field):
     # the child caps its own address space at 2 GiB, so the allocation
@@ -469,7 +465,7 @@ def test_cli_event_stage_too_large_for_memory_exits_2(tmp_path, args, field):
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         f"sys.path.insert(0, {src!r})\n"
         "from twoatom.cli import main\n"
-        f"sys.exit(main(['simulate', *{args!r}, '--out', {out!r}]))\n"
+        f"sys.exit(main([*{args!r}, '--out', {out!r}]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
@@ -566,7 +562,7 @@ def test_detection_pass_takes_no_per_chunk_detection_records(tmp_path, monkeypat
     # the pass counts (fates, bin) pairs and builds neither the detection
     # records nor a detector stream; the fit stage takes the detector-1
     # stream once (and the detector-2 stream from the same generator)
-    calls = {"assign_detections": 0, "detector_streams": 0}
+    calls = {"detector_streams": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -579,7 +575,8 @@ def test_detection_pass_takes_no_per_chunk_detection_records(tmp_path, monkeypat
         for module in (eventsim, pipeline):
             monkeypatch.setattr(module, name, wrapper, raising=False)
     run_experiment(small_config(tmp_path, n0=3 * 2**14 + 7), write_events=False)
-    assert calls == {"assign_detections": 0, "detector_streams": 1}
+    assert calls == {"detector_streams": 1}
+    assert not hasattr(eventsim, "assign_detections")
 
 
 def test_simulate_and_fit_report_equal_counters(tmp_path):
