@@ -19,7 +19,6 @@ from .amplitudes import (
     second_emission_rate_ratio,
 )
 from .eventsim import (
-    SimConfig,
     detector_streams,
     simulate_ensemble,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "RateRatioReport",
     "RateTriple",
     "ReportBundle",
-    "SimConfig",
     "SpatialGrid",
     "TwoAtomState",
     "apply_recoil",

@@ -12,39 +12,28 @@ models produce identically distributed (t_f, t_s) pairs; telling them
 apart from any detection statistic is impossible, which is exactly the
 disentanglement signature the analysis module tests for.
 
-Every random draw is a counter-based function of (seed, molecule_id), so
-results are byte-identical for any worker count or chunking (see
-`twoatom._kernels`).  Detection uses two detectors hit with probability
-1/2 each per photon and an efficiency thinning.  What each detector
-records follows the single-hit rule (when both photons land on one
-detector only the earlier is recorded), spelled once, as the fates tables
-below; the per-detector streams keep every photon.
+`simulate_ensemble` reads the fields of a `pipeline.ExperimentConfig`,
+whose rules live with it.  Every random draw is a counter-based function
+of (seed, molecule_id), so results are byte-identical for any worker
+count or chunking (see `twoatom._kernels`).  Detection uses two detectors
+hit with probability 1/2 each per photon and an efficiency thinning.
+What each detector records follows the single-hit rule (when both photons
+land on one detector only the earlier is recorded), spelled once, as the
+fates tables below; the per-detector streams keep every photon.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import typing
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
 from . import _kernels as kern
 from .errors import InvalidParameterError
 from .grids import spread
-from .kinetics import RateTriple
 
 MODES = ("sequential", "independent")
-
-#: range rules of the ensemble fields an ExperimentConfig shares, keyed by
-#: field name; each is a positive predicate, so NaN fails
-SIM_RULES = {
-    "n0": lambda v: v >= 1,
-    "mode": lambda v: v in MODES,
-    "detector_efficiency": lambda v: 0.0 < v <= 1.0,
-    "workers": lambda v: v >= 1,
-}
 
 #: `fates` packs the four photon fates drawn with the emission times.  A
 #: record's molecule id is its row index: the records hold molecules 0...n0-1
@@ -54,70 +43,34 @@ EMISSION_DTYPE = np.dtype([("t_f", np.float64), ("t_s", np.float64), ("fates", n
 FATE_DET_FIRST, FATE_DET_SECOND, FATE_KEEP_FIRST, FATE_KEEP_SECOND = 1, 2, 4, 8
 
 
-#: the values a field of each annotated type takes
-TYPE_RULES = {
-    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
-    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-    str: lambda v: isinstance(v, str),
-    tuple: lambda v: isinstance(v, (list, tuple)) and all(map(TYPE_RULES[float], v)),
-}
-
-
-# get_type_hints evaluates the annotation strings anew on every call
-_field_types = functools.cache(typing.get_type_hints)
-
-
-def failed_fields(config, rules: dict) -> list[str]:
-    """The dotted names in `rules` whose value in the dataclass `config`
-    breaks the type rule of its annotation or, if not, its range rule."""
-    def holds(dotted, rule):
-        *sections, name = dotted.split(".")
-        owner = functools.reduce(getattr, sections, config)
-        value = getattr(owner, name)
-        return TYPE_RULES[_field_types(type(owner))[name]](value) and rule(value)
-
-    return [dotted for dotted, rule in rules.items() if not holds(dotted, rule)]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Ensemble generation parameters."""
-
-    n0: int
-    mode: str
-    rates: RateTriple
-    seed: int
-    detector_efficiency: float = 1.0
-    workers: int = 1
-
-    def __post_init__(self):
-        failed = failed_fields(self, SIM_RULES)
-        if failed:
-            raise InvalidParameterError(f"invalid ensemble parameters: {', '.join(failed)}")
-
-
 #: molecules per draw chunk: a chunk's raw block (2^14 x 6 uint64 draws,
 #: 768 KiB) stays in cache while all of its slots are transformed
 CHUNK_MOLECULES = 2**14
 
 
-def simulate_ensemble(cfg: SimConfig) -> np.ndarray:
-    """Per-molecule emission times and photon fates as a structured array.
+def simulate_ensemble(cfg) -> np.ndarray:
+    """Per-molecule emission times and photon fates of the `ExperimentConfig`
+    `cfg`, which it validates first, as a structured array.
 
-    Returns records (t_f, t_s, fates) with t_f <= t_s, in seconds (or
-    whatever inverse unit the rates carry); row i holds molecule i.  The
-    draws are hashed once, in fixed chunks of CHUNK_MOLECULES molecules,
-    spread over `workers` threads.  Each chunk's values depend only on (seed,
+    Returns records (t_f, t_s, fates) with t_f <= t_s, in seconds; row i
+    holds molecule i.  Records past what numpy can address raise
+    MemoryError, as records past the free memory do.  The draws are hashed
+    once, in fixed chunks of CHUNK_MOLECULES molecules, spread over
+    `workers` threads.  Each chunk's values depend only on (seed,
     molecule_id), and the chunk boundaries do not depend on the worker
     count, so the records are byte-identical for every worker count.
     """
+    cfg.validate()
+    if cfg.n0 * EMISSION_DTYPE.itemsize > sys.maxsize:
+        raise MemoryError
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    spread(functools.partial(_fill_chunks, cfg, records), range(0, cfg.n0, CHUNK_MOLECULES), cfg.workers)
+    spread(functools.partial(_fill_chunks, cfg, cfg.rates, records), range(0, cfg.n0, CHUNK_MOLECULES), cfg.workers)
     return records
 
 
-def _fill_chunks(cfg: SimConfig, records: np.ndarray, starts) -> None:
-    """Hash the chunks beginning at `starts` and write their records.
+def _fill_chunks(cfg, rates, records: np.ndarray, starts) -> None:
+    """Hash the chunks beginning at `starts` and write their records, at
+    the rates of `cfg`, read once as `rates`.
 
     One draw buffer serves every chunk of the call.
     """
@@ -129,12 +82,12 @@ def _fill_chunks(cfg: SimConfig, records: np.ndarray, starts) -> None:
         u_a = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_A])
         u_b = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_B])
         if cfg.mode == "sequential":
-            t_f = -np.log(u_a) / cfg.rates.gamma_f
+            t_f = -np.log(u_a) / rates.gamma_f
             chunk["t_f"] = t_f
-            chunk["t_s"] = t_f + -np.log(u_b) / cfg.rates.gamma_s
+            chunk["t_s"] = t_f + -np.log(u_b) / rates.gamma_s
         else:
-            life_a = -np.log(u_a) / cfg.rates.gamma
-            life_b = -np.log(u_b) / cfg.rates.gamma
+            life_a = -np.log(u_a) / rates.gamma
+            life_b = -np.log(u_b) / rates.gamma
             chunk["t_f"] = np.minimum(life_a, life_b)
             chunk["t_s"] = np.maximum(life_a, life_b)
 

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
+#: the fewest points a grid takes
+MIN_GRID_POINTS = 64
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -32,8 +35,8 @@ class SpatialGrid:
     def __post_init__(self):
         if not self.x_max > self.x_min:
             raise InvalidParameterError("x_max must exceed x_min")
-        if self.n_points < 64:
-            raise InvalidParameterError("n_points must be at least 64")
+        if self.n_points < MIN_GRID_POINTS:
+            raise InvalidParameterError(f"n_points must be at least {MIN_GRID_POINTS}")
 
     @property
     def spacing(self) -> float:

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import re
+import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,9 @@ from .eventsim import (
     _RECORDED,
     CHUNK_MOLECULES,
     EMISSION_DTYPE,
-    SIM_RULES,
-    SimConfig,
+    MODES,
     bin_index,
     detector_streams,
-    failed_fields,
     histogram_edges,
     simulate_ensemble,
 )
@@ -122,16 +123,6 @@ class ExperimentConfig:
             gamma=g, gamma_f=self.gamma_f_factor * g, gamma_s=self.gamma_s_factor * g
         )
 
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            n0=self.n0,
-            mode=self.mode,
-            rates=self.rates,
-            seed=self.seed,
-            detector_efficiency=self.detector_efficiency,
-            workers=self.workers,
-        )
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -165,11 +156,22 @@ class ExperimentConfig:
         }
 
 
+#: the values a field of each annotated type takes
+TYPE_RULES = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+    str: lambda v: isinstance(v, str),
+    tuple: lambda v: isinstance(v, (list, tuple)) and all(map(TYPE_RULES[float], v)),
+}
+
 #: range rule of every settable field, keyed by dotted name, as a positive
 #: predicate (NaN fails); the field's annotation gives its type rule
 _RULES = {
     "gamma_inverse": lambda v: v > 0,
-    **SIM_RULES,
+    "n0": lambda v: v >= 1,
+    "mode": lambda v: v in MODES,
+    "detector_efficiency": lambda v: 0.0 < v <= 1.0,
+    "workers": lambda v: v >= 1,
     "seed": lambda v: True,
     "bins": lambda v: v >= 1,
     "t_max_lifetimes": lambda v: v > 0,
@@ -177,16 +179,31 @@ _RULES = {
     "gamma_f_factor": lambda v: v > 0,
     "gamma_s_factor": lambda v: v > 0,
     "atom_mass_kg": lambda v: v > 0,
-    "length_unit_m": lambda v: v > 0,
+    "length_unit_m": lambda v: 0 < v <= 1e150,  # si_conversion squares it
     "amplitude.width_sum": lambda v: v > 0,
     "amplitude.width_diff": lambda v: v > 0,
     "amplitude.sigma": lambda v: v > 0,
     "amplitude.recoil_k": lambda v: True,
     "amplitude.dt": lambda v: v >= 0,
-    "amplitude.grid_points": lambda v: v >= 64,
+    "amplitude.grid_points": lambda v: v >= grids.MIN_GRID_POINTS,
     "amplitude.grid_span_factor": lambda v: v >= 3,
     "amplitude.separations": lambda v: all(s >= 0 for s in v),
 }
+
+# get_type_hints evaluates the annotation strings anew on every call
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def failed_fields(config, rules: dict) -> list[str]:
+    """The dotted names in `rules` whose value in the dataclass `config`
+    breaks the type rule of its annotation or, if not, its range rule."""
+    def holds(dotted, rule):
+        *sections, name = dotted.split(".")
+        owner = functools.reduce(getattr, sections, config)
+        value = getattr(owner, name)
+        return TYPE_RULES[_field_types(type(owner))[name]](value) and rule(value)
+
+    return [dotted for dotted, rule in rules.items() if not holds(dotted, rule)]
 
 
 @dataclass
@@ -374,13 +391,19 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
+    if not (width > 0 and np.isfinite(2 * t_hi)):  # the coincidence range spans 2 t_hi
+        raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse", "bins"],
+                                    f"t_max_lifetimes * gamma_inverse = {t_hi:g} s in {cfg.bins} bins:"
+                                    " the bin width or the coincidence range leaves the float range")
+    size = 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
     try:
+        if size > sys.maxsize:  # past what numpy can address
+            raise MemoryError
         edges = histogram_edges(width, (0.0, t_hi))
         tau_edges = histogram_edges(width, (-t_hi, t_hi))
         row = len(edges)  # n_bins + 1 slots per fates value
         tables = np.zeros((2, _FATES.size * row), np.intp)
     except MemoryError:
-        size = 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
         raise ConfigValidationError(
             ["bins"],
             f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
@@ -424,7 +447,7 @@ def _simulate(cfg: ExperimentConfig) -> np.ndarray:
     """The ensemble of `cfg`; records too large for memory are a
     configuration error."""
     try:
-        return simulate_ensemble(cfg.sim_config())
+        return simulate_ensemble(cfg)
     except MemoryError:
         size = cfg.n0 * EMISSION_DTYPE.itemsize
         raise ConfigValidationError(
@@ -437,8 +460,7 @@ def _simulate(cfg: ExperimentConfig) -> np.ndarray:
 def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     """`run_experiment` up to report.json; also returns the histograms of
     the detection pass, from which `run_full` draws the overlays."""
-    cfg.validate()
-    records = _simulate(cfg)
+    records = _simulate(cfg)  # validates cfg
     hists, tau, counters = detection_pass(records, cfg)
     out = _ensure_outdir(cfg)
 
@@ -522,7 +544,8 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
     to the analytic curves (fig1_overlay_*.csv) together with the per-bin
     Poisson four-sigma band.
     """
-    cfg.validate()
+    if not overlay:
+        cfg.validate()  # with an overlay, simulating validates cfg
     # an ensemble too large for memory fails before the output directory is made
     hists = detection_pass(_simulate(cfg), cfg)[0] if overlay else None
     out = _ensure_outdir(cfg)
@@ -576,16 +599,33 @@ def run_property_cases(cfg: ExperimentConfig) -> list:
     return _rate_stage(cfg, main_cases=False)
 
 
+@contextlib.contextmanager
+def _arithmetic_of(*fields):
+    """Report an ArithmeticError inside, a float that overflows or divides by
+    an underflowed zero, as a configuration error naming the amplitude `fields`."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        names = [f"amplitude.{name}" for name in fields]
+        raise ConfigValidationError(
+            names, f"{', '.join(names)}: the packet arithmetic leaves the float range ({exc!r})"
+        ) from None
+
+
 def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     """Compute the rate entries and write rates.json.  A grid too large
-    for memory or too narrow for the states is a configuration error."""
+    for memory or too narrow for the states is a configuration error, and
+    so are amplitude fields whose arithmetic leaves the float range."""
     cfg.validate()
     a = cfg.amplitude
     grid = SpatialGrid.centered(a.grid_span_factor * max(a.width_sum, a.width_diff), a.grid_points)
     sep = 12.0 * a.sigma  # prop1's packets: well separated, hence orthogonal
     chi, xi = make_packet(-0.5 * sep, 0.0, a.sigma), make_packet(+0.5 * sep, 0.0, a.sigma)
     try:
-        check_packet_mass((chi, xi), grid)  # before any dense work or any file
+        if 16 * a.grid_points**2 > sys.maxsize:  # past what numpy can address
+            raise MemoryError
+        with _arithmetic_of("sigma"):
+            check_packet_mass((chi, xi), grid)  # before any dense work or any file
         out = _ensure_outdir(cfg)
         entries = _rate_entries(cfg, main_cases, grid, chi, xi)
     except MemoryError:
@@ -608,7 +648,8 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, ch
     """Build the two-atom state once on `grid`; one entry per report."""
     a = cfg.amplitude
     g = cfg.rates.gamma
-    state = make_two_atom_gaussian(a.width_sum, a.width_diff, grid)
+    with _arithmetic_of("width_sum", "width_diff"):
+        state = make_two_atom_gaussian(a.width_sum, a.width_diff, grid)
     entries = []
 
     def add(params: dict, report, interference=None):
@@ -630,8 +671,8 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, ch
         add({"evolution": "identity"}, first_emission_rate_ratio(state))
         add({"evolution": "free-propagation", "dt": a.dt}, first_emission_rate_ratio(state, a.dt))
         for sep in a.separations:
-            pair = receding_pair(sep, a.dt, a.sigma)
-            report = second_emission_rate_ratio(pair, a.dt, a.recoil_k)
+            with _arithmetic_of("separations", "dt", "sigma", "recoil_k"):
+                report = second_emission_rate_ratio(receding_pair(sep, a.dt, a.sigma), a.dt, a.recoil_k)
             add({"separation": sep, "dt": a.dt, "recoil_k": a.recoil_k, "sigma": a.sigma}, report)
 
     # the case studies.  Non-entangled initial state: symmetrized pair of

@@ -71,8 +71,7 @@ def test_criterion_1_rate_compatibility(million_run):
 def test_criterion_2_detector_symmetry(million_run):
     """Detector counts agree within 4 sqrt(n) over 10^6 molecules."""
     cfg, _, _ = million_run
-    sim = cfg.sim_config()
-    records = simulate_ensemble(sim)
+    records = simulate_ensemble(cfg)
     det = assign_detections(records)
     n1 = int(np.sum(~np.isnan(det["t1"])))
     n2 = int(np.sum(~np.isnan(det["t2"])))
@@ -98,8 +97,7 @@ def test_criterion_3_figure_reproduction(million_run):
     # simulated normalized histograms within per-bin Poisson bands at the
     # 4 sigma coverage level (exact quantiles; Gaussian +/-4 sqrt(mu) in
     # the well-populated bins)
-    sim = cfg.sim_config()
-    records = simulate_ensemble(sim)
+    records = simulate_ensemble(cfg)
     d1, _ = detector_streams(records)
     n0 = cfg.n0
     width = 0.1 / g
@@ -129,8 +127,8 @@ def test_criterion_4_disentanglement_signature():
     """Sequential(2G, G) and independent(G) are indistinguishable at n=1e5."""
     cfg_seq = ExperimentConfig(gamma_inverse=GAMMA_INVERSE, n0=100_000, mode="sequential", seed=SEED + 1)
     cfg_ind = ExperimentConfig(gamma_inverse=GAMMA_INVERSE, n0=100_000, mode="independent", seed=SEED + 2)
-    seq = simulate_ensemble(cfg_seq.sim_config())
-    ind = simulate_ensemble(cfg_ind.sim_config())
+    seq = simulate_ensemble(cfg_seq)
+    ind = simulate_ensemble(cfg_ind)
     det_seq = assign_detections(seq)
     det_ind = assign_detections(ind)
     tau_seq = coincidence_differences(det_seq)

@@ -81,7 +81,7 @@ def test_a_decimal_tie_goes_to_percent():
 
 def test_emission_times_go_through_numpy_alone():
     # the hand-over is for ties and rare values, not for the events
-    records = simulate_ensemble(ExperimentConfig(n0=CHUNK_MOLECULES, seed=8).sim_config())
+    records = simulate_ensemble(ExperimentConfig(n0=CHUNK_MOLECULES, seed=8))
     for name in ("t_f", "t_s"):
         _, _, unsettled = _digits(records[name])
         assert not unsettled.any()
@@ -109,7 +109,7 @@ def events_bytes(tmp_path, records, writer=write_events_csv):
 @pytest.mark.parametrize("mode", ["sequential", "independent"])
 def test_events_csv_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, mode):
     cfg = ExperimentConfig(n0=3 * CHUNK_MOLECULES + 7, mode=mode, seed=31, detector_efficiency=0.7)
-    records = simulate_ensemble(cfg.sim_config())
+    records = simulate_ensemble(cfg)
     want = events_bytes(tmp_path, records, write_events_csv_per_value)
     for threads in (1, 3):
         monkeypatch.setattr(grids, "thread_count", lambda: threads)
@@ -118,7 +118,7 @@ def test_events_csv_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatc
 
 def test_a_chunk_across_a_power_of_ten_in_the_molecule_id(tmp_path):
     # the chunk from 6 * 2^14 = 98304 holds ids of 5 and of 6 digits
-    records = simulate_ensemble(ExperimentConfig(n0=10**5 + 5, seed=12, detector_efficiency=0.7).sim_config())
+    records = simulate_ensemble(ExperimentConfig(n0=10**5 + 5, seed=12, detector_efficiency=0.7))
     got = pipeline._event_rows(records, 6 * CHUNK_MOLECULES).tobytes().splitlines()
     lines = events_bytes(tmp_path, records, write_events_csv_per_value).splitlines()
     assert got == lines[1 + 6 * CHUNK_MOLECULES:]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from twoatom import _kernels as kern
 from twoatom import grids
-from twoatom.errors import InvalidParameterError
+from twoatom.errors import ConfigValidationError, InvalidParameterError
 from twoatom.eventsim import (
     _COINCIDENT,
     _KEPT_AT,
@@ -27,11 +27,11 @@ from twoatom.eventsim import (
     FATE_DET_SECOND,
     FATE_KEEP_FIRST,
     FATE_KEEP_SECOND,
-    SimConfig,
     detector_streams,
     simulate_ensemble,
 )
 from twoatom.kinetics import RateTriple
+from twoatom.pipeline import ExperimentConfig
 
 from oracles import (
     assign_detections,
@@ -46,7 +46,7 @@ RATES = RateTriple.compatible(GAMMA)
 
 
 def cfg_for(n0, mode="sequential", seed=20260810, **kw):
-    return SimConfig(n0=n0, mode=mode, rates=RATES, seed=seed, **kw)
+    return ExperimentConfig(n0=n0, mode=mode, seed=seed, **kw)
 
 
 # --- pure-python oracle for the counter-based draws -----------------------
@@ -71,16 +71,16 @@ def _py_uniform(r):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        cfg_for(0)
-    with pytest.raises(InvalidParameterError):
-        cfg_for(10, mode="entangled")
-    with pytest.raises(InvalidParameterError):
-        cfg_for(10, detector_efficiency=0.0)
-    with pytest.raises(InvalidParameterError):
-        cfg_for(10, detector_efficiency=1.5)
-    with pytest.raises(InvalidParameterError):
-        cfg_for(10, workers=0)
+    with pytest.raises(ConfigValidationError):
+        simulate_ensemble(cfg_for(0))
+    with pytest.raises(ConfigValidationError):
+        simulate_ensemble(cfg_for(10, mode="entangled"))
+    with pytest.raises(ConfigValidationError):
+        simulate_ensemble(cfg_for(10, detector_efficiency=0.0))
+    with pytest.raises(ConfigValidationError):
+        simulate_ensemble(cfg_for(10, detector_efficiency=1.5))
+    with pytest.raises(ConfigValidationError):
+        simulate_ensemble(cfg_for(10, workers=0))
 
 
 def test_raw_draws_match_python_oracle():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom.errors import InsufficientDataError, InvalidParameterError
-from twoatom.eventsim import SimConfig, simulate_ensemble
+from twoatom.eventsim import simulate_ensemble
 from twoatom.inference import (
     KS_BLOCK,
     FitResult,
@@ -21,6 +21,7 @@ from twoatom.inference import (
     ks_statistic_exponential,
 )
 from twoatom.kinetics import RateTriple
+from twoatom.pipeline import ExperimentConfig
 
 from oracles import ks_statistic_whole_array
 
@@ -51,7 +52,7 @@ def test_mle_error_paths():
 
 
 def test_mle_recovers_first_emission_rate():
-    rec = simulate_ensemble(SimConfig(n0=1_000_000, mode="sequential", rates=RATES, seed=404))
+    rec = simulate_ensemble(ExperimentConfig(n0=1_000_000, seed=404))
     fit = fit_exponential_mle(rec["t_f"])
     assert abs(fit.rate_hat - RATES.gamma_f) < 3 * fit.std_error
     assert fit.std_error == pytest.approx(fit.rate_hat / 1000.0, rel=1e-12)
@@ -60,7 +61,7 @@ def test_mle_recovers_first_emission_rate():
 
 @pytest.mark.parametrize("n", [1_000, 10_000, 100_000, 1_000_000])
 def test_mle_consistency_with_sample_size(n):
-    rec = simulate_ensemble(SimConfig(n0=n, mode="sequential", rates=RATES, seed=500 + n))
+    rec = simulate_ensemble(ExperimentConfig(n0=n, seed=500 + n))
     fit = fit_exponential_mle(rec["t_f"])
     assert abs(fit.rate_hat - RATES.gamma_f) < 4 * RATES.gamma_f / np.sqrt(n)
 
@@ -108,7 +109,7 @@ def _ks_exponential_reference(samples, rate):
         np.array([1.0, 1.0, 1.0, 2.0, 2.0, 0.5, 2.0, 1.0]),  # ties
         draws(1_001, 7),
         draws(100_003, 8),
-        simulate_ensemble(SimConfig(n0=50_001, mode="sequential", rates=RATES, seed=9))["t_s"],
+        simulate_ensemble(ExperimentConfig(n0=50_001, seed=9))["t_s"],
     ],
     ids=["n2", "ties", "n1001", "n100003", "strided-field"],
 )

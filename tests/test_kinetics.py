@@ -181,11 +181,12 @@ def test_coincidence_closed_form_against_monte_carlo():
     # gamma_s/2 is recovered to 1% through the fitted magnitude rate
     from scipy.stats import norm, poisson
 
-    from twoatom.eventsim import SimConfig, simulate_ensemble
+    from twoatom.eventsim import simulate_ensemble
+    from twoatom.pipeline import ExperimentConfig
     from oracles import assign_detections, build_histogram, coincidence_differences
     from twoatom.inference import fit_exponential_mle
 
-    cfg = SimConfig(n0=1_000_000, mode="sequential", rates=RATES, seed=777)
+    cfg = ExperimentConfig(n0=1_000_000, seed=777)
     det = assign_detections(simulate_ensemble(cfg))
     tau = coincidence_differences(det)
     gs = RATES.gamma_s

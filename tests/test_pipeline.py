@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -84,7 +85,7 @@ VALID_CONFIGS = st.builds(
     gamma_f_factor=POSITIVE,
     gamma_s_factor=POSITIVE,
     atom_mass_kg=POSITIVE,
-    length_unit_m=POSITIVE,
+    length_unit_m=st.floats(min_value=1e-300, max_value=1e150) | st.integers(1, 10**6),
     amplitude=st.builds(
         AmplitudeParams,
         width_sum=POSITIVE,
@@ -428,7 +429,7 @@ def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
     monkeypatch.setattr(grids, "thread_count", lambda: 2)
     path = str(tmp_path / "events.csv")
     for n0 in (2**16, 2**20):
-        records = simulate_ensemble(ExperimentConfig(n0=n0, seed=4, detector_efficiency=0.7).sim_config())
+        records = simulate_ensemble(ExperimentConfig(n0=n0, seed=4, detector_efficiency=0.7))
         assert traced_peak(lambda: write_events_csv(path, records)) <= 2 * 10 * 2**20, n0
 
 
@@ -454,6 +455,11 @@ def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     (["simulate", "--n0", "1000000000000"], "n0"),  # 17 B per molecule: 15.5 TiB of records
     (["simulate", "--n0", "1000", "--set", "bins=1000000000"], "bins"),  # 7.45 GiB of edges, 238 GiB of counts
     (["fig1", "--overlay", "--n0", "1000000000000"], "n0"),  # the overlay's ensemble, before fig1.csv
+    # past what numpy can address: 10.2 EB of records, 512 EB of counts, and
+    # the rate stage's 16 * 10^40 B kernel, refused before numpy is asked
+    (["simulate", "--n0", "600000000000000000"], "n0"),
+    (["simulate", "--n0", "1000", "--set", "bins=2000000000000000000"], "bins"),
+    (["rates", "--set", "amplitude.grid_points=100000000000000000000"], "amplitude.grid_points"),
 ])
 def test_cli_event_stage_too_large_for_memory_exits_2(tmp_path, args, field):
     # the child caps its own address space at 2 GiB, so the allocation
@@ -531,7 +537,7 @@ def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed, bins, t
     # the per-chunk pass against the detection functions on whole arrays
     cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency, bins=bins,
                            t_max_lifetimes=t_max_lifetimes)
-    records = simulate_ensemble(cfg.sim_config())
+    records = simulate_ensemble(cfg)
     hists, tau, counters = detection_pass(records, cfg)
     det = assign_detections(records)
     want_tau = coincidence_differences(det)
@@ -589,7 +595,7 @@ def test_simulate_and_fit_report_equal_counters(tmp_path):
     counters = read_report(os.path.join(out, "report.json"))["counters"]
     assert read_report(os.path.join(refit, "report.json"))["counters"] == counters
     cfg = ExperimentConfig(n0=3 * 2**14 + 7, seed=17, detector_efficiency=0.7)
-    det = assign_detections(simulate_ensemble(cfg.sim_config()))
+    det = assign_detections(simulate_ensemble(cfg))
     hit_1, hit_2 = ~np.isnan(det["t1"]), ~np.isnan(det["t2"])
     assert counters == {"recorded_1": int(hit_1.sum()), "recorded_2": int(hit_2.sum()),
                         "coincidences": int((hit_1 & hit_2).sum())}
@@ -742,7 +748,7 @@ def test_small_ensemble_report_leaves_out_unfittable_fits(tmp_path, n0):
     assert cli_main(["simulate", "--n0", str(n0), "--out", out]) == 0
     fits = read_report(os.path.join(out, "report.json"))["fits"]
     cfg = ExperimentConfig(n0=n0)
-    records = simulate_ensemble(cfg.sim_config())
+    records = simulate_ensemble(cfg)
     tau = coincidence_differences(assign_detections(records))
     d1, d2 = detector_streams(records)
     direct = {
@@ -855,7 +861,7 @@ def assert_same_bits(got, want):
 @example(n0=1, efficiency=1e-9, mode="independent", seed=5, crlf=True, final_newline=False)
 def test_events_csv_round_trip(n0, efficiency, mode, seed, crlf, final_newline):
     cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency)
-    records = simulate_ensemble(cfg.sim_config())
+    records = simulate_ensemble(cfg)
     detections = assign_detections(records)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
@@ -895,7 +901,7 @@ def test_read_events_csv_line_ends(tmp_path, content, t1, t2):
 @functools.cache
 def valid_events_bytes() -> bytes:
     """events.csv of a small ensemble with undetected photons."""
-    records = simulate_ensemble(ExperimentConfig(n0=12, seed=3, detector_efficiency=0.6).sim_config())
+    records = simulate_ensemble(ExperimentConfig(n0=12, seed=3, detector_efficiency=0.6))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
         write_events_csv(path, records)
@@ -940,6 +946,59 @@ def test_cli_fit_fuzz_random_bytes(content):
 def test_cli_fit_fuzz_mutated_file(edits):
     code, err = run_fit(mutate(valid_events_bytes(), edits))
     assert code in (0, 2) and "Traceback" not in err
+
+
+#: every subcommand but `fit`, whose file input has fuzz tests of its own
+FUZZ_COMMANDS = [("simulate",), ("fig1",), ("fig1", "--overlay"), ("rates",), ("properties",),
+                 ("full",), ("full", "--check")]
+#: JSON values of any kind: ints, floats out to +/-1e+/-300 and subnormals,
+#: 2**70 and an int past the float range, strings, lists, booleans and
+#: null.  Most fields take positive numbers, so those come often
+FUZZ_NUMBERS = (st.floats(min_value=0.0, exclude_min=True) | st.floats() | st.integers()
+                | st.sampled_from([2**70, 10**400, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324]))
+FUZZ_VALUES = (FUZZ_NUMBERS | st.lists(FUZZ_NUMBERS, max_size=3)
+               | st.recursive(st.none() | st.booleans() | st.text(max_size=6) | FUZZ_NUMBERS,
+                              lambda inner: st.lists(inner, max_size=3), max_leaves=4))
+#: the largest size each size field takes in-process; sizes past the memory
+#: are the child-process tests' cases
+FUZZ_SIZE_LIMITS = {"n0": 300, "bins": 100, "amplitude.grid_points": 64}
+
+
+def small_sizes(item) -> bool:
+    field, value = item
+    return not (field in FUZZ_SIZE_LIMITS and isinstance(value, int) and value > FUZZ_SIZE_LIMITS[field])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    n0=st.integers(1, 300),
+    sets=st.lists(st.tuples(st.sampled_from(FIELDS), FUZZ_VALUES).filter(small_sizes), min_size=1, max_size=2),
+)
+# finite floats whose arithmetic overflows or divides by zero
+@example(command=("simulate",), n0=5, sets=[("length_unit_m", 1e200)])
+@example(command=("full",), n0=5, sets=[("length_unit_m", 1e200)])
+@example(command=("rates",), n0=5, sets=[("amplitude.sigma", 1e-300)])
+@example(command=("rates",), n0=5, sets=[("amplitude.sigma", 1e300)])
+@example(command=("rates",), n0=5, sets=[("amplitude.dt", 1e-300)])
+@example(command=("rates",), n0=5, sets=[("amplitude.separations", [1e300])])
+@example(command=("simulate",), n0=5, sets=[("gamma_inverse", 10**400)])
+# sizes past what numpy can address, refused before anything is allocated
+@example(command=("simulate",), n0=5, sets=[("n0", 600000000000000000)])
+@example(command=("simulate",), n0=5, sets=[("bins", 2000000000000000000)])
+@example(command=("rates",), n0=5, sets=[("amplitude.grid_points", 100000000000000000000)])
+def test_cli_fuzz_config_values(command, n0, sets):
+    # a run exits 0, 2 or 3 and never with a traceback.  A RuntimeWarning
+    # is printed, not an exit, so the run keeps Python's default filters
+    args = [*command, "--set", f"n0={n0}", "--set", "amplitude.grid_points=64"]
+    for field, value in sets:
+        args += ["--set", f"{field}={json.dumps(value)}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main([*args, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
 
 
 def test_cli_check_fails_without_a_fit(tmp_path, capsys):
