@@ -1,4 +1,4 @@
-"""The text of the CSV artifacts, made by numpy byte work.
+"""The text of the CSV artifacts, made and read back by numpy byte work.
 
 Every float is written as ``"%.16e" % v`` (17 significant digits, which
 read back as the same double) and every count or id as ``"%d" % k``,
@@ -6,17 +6,40 @@ byte for byte, without a Python string per value.  A `Field` holds one
 value's text per row of a uint8 matrix; `rows` puts fields side by side
 with their commas and line ends and keeps the bytes each text occupies.
 
-The digits of a positive double x are those of y = x * 10^(16 - e), which
-lies in [10^16, 10^17) for the decimal exponent e of x.  10^p is kept as a
-double-double hi + lo, built once from exact integers, and y is taken as
-ph + r: ph = fl(x * hi), and r is the rounding error of that product, by
-Dekker's two-product ("A floating-point technique for extending the
-available precision", Numer. Math. 18, 1971), plus x * lo.  ph is an
-integer there, and the 17-digit integer is ph + floor(r), plus one when
-r's fraction exceeds a half.  r is within 2^-47 of y - ph, so that is the
-rounding of the exact y unless r's fraction lies within 2^-38 of a half.
-Such a value, and every zero, subnormal, negative or non-finite value and
-every value outside [1e-280, 1e280), is formatted by ``"%.16e" %`` itself.
+Writing.  The digits of a positive double x are those of
+y = x * 10^(16 - e), which lies in [10^16, 10^17) for the decimal
+exponent e of x.  10^p is kept as a double-double hi + lo, built once from
+exact integers, and y is taken as ph + r: ph = fl(x * hi), and r is the
+rounding error of that product, by Dekker's two-product ("A
+floating-point technique for extending the available precision", Numer.
+Math. 18, 1971), plus x * lo.  ph is an integer there, and the 17-digit
+integer is ph + floor(r), plus one when r's fraction exceeds a half.  r is
+within 2^-47 of y - ph, so that is the rounding of the exact y unless r's
+fraction lies within 2^-38 of a half.  Such a value, and every zero,
+subnormal, negative or non-finite value and every value outside
+[1e-280, 1e280), is formatted by ``"%.16e" %`` itself.
+
+Reading is the mirror, after Clinger ("How to read floating point
+numbers accurately", PLDI 1990) and Lemire ("Number parsing at a gigabyte
+per second", Softw. Pract. Exp. 51, 2021): a fast path for the texts the
+writer makes, and a hand-over of every other text.  A text
+``d.dddddddddddddddde+dd``, with a lead digit 1-9, an exponent sign + or
+- and 2 or 3 exponent digits, is read as the three little-endian words
+that `float_field` builds, and each word's 8 digits are decoded at once
+by integer arithmetic (SWAR) to the 17-digit integer M and the exponent E.  M is
+xh + xl exactly, xh = fl(M) and |xl| <= 8, and y = M * 10^(E - 16) is
+taken as ph + r from the same table and two-product: ph = fl(xh * hi),
+r = (the exact error of ph) + xh * lo + xl * hi.  r is below 2^-49 y and
+takes four roundings of 2^-53 each, and the omitted xh * (10^p - hi - lo)
+and xl * lo are below 2^-103 y, so ph + r is within 2^-99 y of y; for
+E in READ_EXPONENTS no step overflows or underflows.  x = fl(ph + r) is
+then the rounding of y unless the residual err = (ph - x) + r (ph - x is
+exact, as x is within a factor 2 of ph) lies within 2^-36 of the gap
+above x, at least 2^-89 x, of the half-gap on err's side: only then can
+a midpoint between two doubles lie between y and ph + r.  Such a text,
+ties included, and every text in another spelling, of zero, of a
+subnormal, negative or non-finite value or with E outside
+READ_EXPONENTS, is handed over to the caller's reader.
 """
 
 from __future__ import annotations
@@ -207,3 +230,79 @@ def rows(fields: list[Field]) -> np.ndarray:
         col += width + 1
     text[:, -1] = ord("\n")
     return text[keep]
+
+
+#: the SWAR constants of 8 bytes at once: "00000000", the high nibbles, and
+#: the 6 that carries a byte above "9" out of its low nibble
+_ZEROS = np.uint64(0x3030303030303030)
+_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
+#: the decimal exponents E read in numpy: those whose 10^(E - 16) the
+#: table holds, up to the largest at which no 17-digit text overflows
+READ_EXPONENTS = (32 - _E_HI, 307)
+#: the bytes "e+" and "e-" of an exponent, 16 bits up in the last word
+_E_PLUS, _E_MINUS = (int.from_bytes(b"e" + sign, "little") << 16 for sign in (b"+", b"-"))
+
+
+def _all_digits(w: np.ndarray) -> np.ndarray:
+    """Whether every byte of each word is an ASCII digit."""
+    return ((w & _NIBBLES) == _ZEROS) & (((w + _SIXES) & _NIBBLES) == _ZEROS)
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The number that the 8 ASCII digits of each word spell, its first
+    byte the leading digit (Lemire's SWAR conversion)."""
+    v = w - _ZEROS
+    v = v * 10 + (v >> 8)  # pairs of digits
+    mask = 0x000000FF000000FF
+    return ((v & mask) * (100 + (1000000 << 32)) + ((v >> 16) & mask) * (1 + (10000 << 32))) >> 32
+
+
+def float_values(words, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double that each text reads as, from the three little-endian
+    words of its first 24 bytes (as `float_field` builds them) and its
+    length, and a mask of the texts settled here: those in the writer's
+    form whose rounding is settled.  The values of the rest are void."""
+    w0, w1, w2 = words
+    lead = w0 & 0xFF
+    # words of 8 digits: "0", the lead digit and the 6 after the point; the
+    # next 8; the last 2, the exponent's 3 (a "0" first if it has 2), "000"
+    exponent = np.where(width == 23, (w2 >> 32) & 0xFFFFFF, (w2 >> 24) & 0xFFFF00 | 0x30)
+    digits = np.stack(((w0 & np.uint64(2**64 - 2**16)) | lead << 8 | 0x30, w1,
+                       (w2 & 0xFFFF) | exponent << 16 | 0x303030 << 40))
+    marks = w2 & 0xFFFF0000
+    settled = (_all_digits(digits).all(axis=0) & (lead != ord("0")) & (w0 & 0xFF00 == ord(".") << 8)
+               & ((marks == _E_PLUS) | (marks == _E_MINUS)) & ((width == 22) | (width == 23)))
+    head, middle, last = _eight_digits(digits)
+    pair = last // 10**6
+    m = (head * 10**10 + middle * 100 + pair).view(np.int64)
+    e = (last // 1000 - pair * 1000).view(np.int64)
+    e = np.where(marks == _E_MINUS, -e, e)
+    settled &= (e >= READ_EXPONENTS[0]) & (e <= READ_EXPONENTS[1])
+    at = 32 - np.clip(e, *READ_EXPONENTS)  # 10^(e - 16) is 10^(16 - at)
+    xh = m.astype(np.float64)
+    with np.errstate(all="ignore"):  # the void values of unsettled texts
+        ph, r = _product(xh, at)
+        r += (m - xh.astype(np.int64)) * _HI[_E_HI - at]  # xl * hi, xl = m - xh exactly
+        x = ph + r
+        err = (ph - x) + r
+    # |err| over the gap above x, exact; the half-gap on err's side is 1/2
+    # of that gap, or 1/4 below a power of two
+    bits = x.view(np.int64)
+    q = np.abs(err) / ((bits & 0x7FF0000000000000) - (52 << 52)).view(np.float64)
+    half = np.where((err < 0) & (bits & 0xFFFFFFFFFFFFF == 0), 0.25, 0.5)
+    settled &= np.abs(q - half) > 2.0**-36
+    return x, settled
+
+
+def int_values(words, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number that each text of 1 to 16 ASCII digits spells, from the
+    two little-endian words of the 16 bytes that end with it (as
+    `int_field` builds them) and its length, and a mask of those texts.
+    The values of the rest are void."""
+    before = np.clip(16 - width, 0, 16).astype(np.uint64) * 8  # the bits before the text
+    # the text's bytes of each word; a shift by 64 bits gives 0
+    keep = [~np.uint64(0) << np.minimum(before, 64), ~np.uint64(0) << np.maximum(before, 64) - 64]
+    high, low = ((w & k) | (_ZEROS & ~k) for w, k in zip(words, keep))  # "0"s before the text
+    settled = (width >= 1) & (width <= 16) & _all_digits(high) & _all_digits(low)
+    return (_eight_digits(high) * 10**8 + _eight_digits(low)).view(np.int64), settled

@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, grids
-from ._csvtext import Field, float_field, int_field, rows
+from ._csvtext import Field, float_field, float_values, int_field, int_values, rows
 from ._kernels import backend_name
 from .amplitudes import (
     first_emission_rate_ratio,
@@ -94,10 +95,29 @@ class ExperimentConfig:
     amplitude: AmplitudeParams = field(default_factory=AmplitudeParams)
 
     def validate(self) -> None:
-        """Raise ConfigValidationError naming each field that breaks its type or range rule."""
+        """Raise ConfigValidationError naming each field that breaks its type
+        or range rule, or, if none does, the fields of the rates that leave
+        the float range (`_check_rates`)."""
         bad = failed_fields(self, _RULES)
         if bad:
             raise ConfigValidationError(bad)
+        self._check_rates()
+
+    def _check_rates(self) -> None:
+        """Each derived rate must be positive, and the longest wait the
+        draws give finite: -log(2^-54) over the rate, and for t_s, t_f plus
+        that wait.  A failure names those of gamma_inverse, gamma_f_factor
+        and gamma_s_factor that differ from their defaults, which hold."""
+        rates = self._rate_values()
+        wait = 54 * math.log(2.0)  # -log of the smallest uniform draw, 2^-54
+        if min(rates) > 0 and math.isfinite(wait / rates[0]) and math.isfinite(wait / rates[1] + wait / rates[2]):
+            return
+        fields = [f.name for f in dataclasses.fields(self)
+                  if f.name in _RATE_FIELDS and getattr(self, f.name) != f.default]
+        raise ConfigValidationError(
+            fields, f"{', '.join(fields)}: the rates 1/gamma_inverse, gamma_f_factor/gamma_inverse and"
+            f" gamma_s_factor/gamma_inverse, {', '.join(f'{r:g}' for r in rates)} /s, must be positive,"
+            f" and their longest waits, {wait:.2f} over the rate, finite")
 
     def set(self, key: str, value) -> None:
         """Set the field at dotted `key` to a JSON value, the way in for every outside
@@ -118,10 +138,12 @@ class ExperimentConfig:
 
     @property
     def rates(self) -> RateTriple:
+        return RateTriple(*self._rate_values())
+
+    def _rate_values(self) -> tuple[float, float, float]:
+        """gamma, gamma_f and gamma_s in 1/s."""
         g = 1.0 / self.gamma_inverse
-        return RateTriple(
-            gamma=g, gamma_f=self.gamma_f_factor * g, gamma_s=self.gamma_s_factor * g
-        )
+        return g, self.gamma_f_factor * g, self.gamma_s_factor * g
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -155,6 +177,9 @@ class ExperimentConfig:
             "amplitude_dt_s": self.amplitude.dt * tau,
         }
 
+
+#: the fields that set the rates
+_RATE_FIELDS = ("gamma_inverse", "gamma_f_factor", "gamma_s_factor")
 
 #: the values a field of each annotated type takes
 TYPE_RULES = {
@@ -275,6 +300,11 @@ _EMPTY_FIELD = re.compile(rb",(?=,|\r?\n|$)")
 #: ragged row
 _BAD_FIELD = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)")
 _RAGGED_ROW = re.compile(r"number of columns changed from \d+ to (\d+) at row (\d+)")
+#: bytes read at a time; a block is cut at its last line end
+READ_BLOCK = 2**19
+#: zero bytes on each side of a block: the word reads of a line's fields
+#: reach up to 16 bytes before it and 24 after
+_PAD = 32
 
 
 def read_events_csv(path: str) -> dict[str, np.ndarray]:
@@ -285,54 +315,165 @@ def read_events_csv(path: str) -> dict[str, np.ndarray]:
     EVENTS_COLUMNS, and, naming the line and the column as well, for a
     ragged row, a field that is not a number, and an empty or non-finite
     field outside t1/t2.  Blank lines are skipped.
+
+    The file is read READ_BLOCK bytes at a time into columns allocated once
+    from its count of line ends, and no block is kept.  Under the writer's
+    header, the rows in the writer's form are decoded in numpy
+    (`_writer_rows`); every other row goes through ``np.loadtxt``, which
+    gives the values and errors of one ``np.loadtxt`` call on the file.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
-        lines = _EMPTY_FIELD.sub(b",nan", fh.read()).decode("utf-8", "replace").split("\n")
-    if not head:
-        raise EventsFileError(f"{path} is empty")
-    try:
-        names = [name.strip() for name in head.decode("utf-8").split(",")]
-    except UnicodeDecodeError:
-        raise EventsFileError(f"{path}: its header line is not UTF-8") from None
-    missing = [c for c in EVENTS_COLUMNS if c not in names]
-    if missing:
-        raise EventsFileError(f"{path} lacks the column(s) {', '.join(missing)}")
-    # loadtxt skips a line that is empty but for its line end, and warns
-    # when no other line is left
-    first = next((line for line in lines if line not in ("", "\r")), None)
-    if first is None:
-        return {c: np.empty(0) for c in EVENTS_COLUMNS}
+        if not head:
+            raise EventsFileError(f"{path} is empty")
+        try:
+            names = [name.strip() for name in head.decode("utf-8").split(",")]
+        except UnicodeDecodeError:
+            raise EventsFileError(f"{path}: its header line is not UTF-8") from None
+        missing = [c for c in EVENTS_COLUMNS if c not in names]
+        if missing:
+            raise EventsFileError(f"{path} lacks the column(s) {', '.join(missing)}")
+        blocks = functools.partial(fh.read, READ_BLOCK)
+        table = _EventsTable(path, names, sum(block.count(b"\n") for block in iter(blocks, b"")) + 1)
+        fh.seek(len(head))
+        pending = bytearray()
+        for block in iter(blocks, b""):
+            pending += block
+            cut = pending.rfind(b"\n") + 1
+            table.add(pending[:cut])
+            del pending[:cut]
+        table.add(pending)
+    return table.columns()
 
-    def where(row: int) -> str:
-        """`path, line n` of data row `row` (from 0), blank lines counted."""
-        data_lines = [n for n, line in enumerate(lines, start=2) if line not in ("", "\r")]
-        return f"{path}, line {data_lines[row]}"
 
-    def ragged(row: int, fields: int) -> EventsFileError:
+class _EventsTable:
+    """The columns of an events.csv, filled one block of whole lines at a
+    time: the rows in the writer's form by `_writer_rows`, the others by
+    ``np.loadtxt``, in file order."""
+
+    def __init__(self, path: str, names: list[str], size: int):
+        self.path, self.names = path, names
+        self.decode = names == list(EVENTS_COLUMNS)  # the writer's header
+        self.data = np.empty((len(EVENTS_COLUMNS), size))
+        self.rows = 0  # rows filled
+        self.line = 2  # the file line of the next block's first line
+        # the first empty or non-finite field outside t1/t2: loadtxt reads
+        # every field before it checks one, so a later field that is not a
+        # number is reported instead
+        self.not_finite = None
+
+    def columns(self) -> dict[str, np.ndarray]:
+        if self.not_finite:
+            raise self.not_finite
+        return {c: row[:self.rows] for c, row in zip(EVENTS_COLUMNS, self.data)}
+
+    def ragged(self, line: int, fields: int) -> EventsFileError:
+        names = self.names
         at = f"column {names[fields]} is missing" if fields < len(names) else f"after column {names[-1]}"
-        return EventsFileError(f"{where(row)}, {at}: the row has {fields} fields, the header {len(names)}")
+        return EventsFileError(f"{self.path}, line {line}, {at}: the row has {fields} fields, the header {len(names)}")
 
-    # loadtxt takes the first row's field count as the table's
-    if first.count(",") + 1 != len(names):
-        raise ragged(0, first.count(",") + 1)
-    try:
-        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        if m := _BAD_FIELD.search(str(exc)):
-            raise EventsFileError(f"{where(int(m[2]))}, column {names[int(m[3]) - 1]}: "
-                                  f"{m[1]} is not a number") from None
-        if m := _RAGGED_ROW.search(str(exc)):
-            raise ragged(int(m[2]) - 1, int(m[1])) from None
-        raise EventsFileError(f"{path}: {exc}") from None
-    # NaN, from an empty field, means "not recorded" in t1/t2 only
-    fine = np.isfinite(table)
-    for c in ("t1", "t2"):
-        fine[:, names.index(c)] |= np.isnan(table[:, names.index(c)])
-    if not fine.all():
-        row, col = np.argwhere(~fine)[0]
-        raise EventsFileError(f"{where(row)}, column {names[col]}: empty or not finite")
-    return {c: table[:, names.index(c)] for c in EVENTS_COLUMNS}
+    def add(self, data) -> None:
+        """Fill the rows of `data`, bytes of whole lines but for a last one
+        of the file without its line end."""
+        if not data:
+            return
+        starts, ends, commas, decoded, values = _writer_rows(data, self.decode)
+        length = ends - starts
+        nonblank = (length > 1) | ((length == 1) & (np.frombuffer(data, np.uint8)[starts] != ord("\r")))
+        row = self.rows + np.cumsum(nonblank) - 1
+        if self.rows == 0 and nonblank.any():
+            # loadtxt takes the first row's field count as the table's
+            first = np.argmax(nonblank)
+            if commas[first] + 1 != len(self.names):
+                raise self.ragged(self.line + first, commas[first] + 1)
+        self.data[:, row[decoded]] = values
+        nonblank[decoded] = False
+        self.loadtxt(data, np.flatnonzero(nonblank), starts, ends, row)
+        self.rows = int(row[-1]) + 1
+        self.line += len(starts)
+
+    def loadtxt(self, data, at: np.ndarray, starts, ends, row) -> None:
+        """Fill the rows of lines `at` of `data` by one ``np.loadtxt`` call.
+        Its first row, a row of the header's field count, has it check
+        every row's count against the header's, as a call on the file does."""
+        if not at.size:
+            return
+        names, lines = self.names, self.line + at
+        text = b"".join(data[s:e + 1] for s, e in zip(starts[at].tolist(), ends[at].tolist()))
+        texts = _EMPTY_FIELD.sub(b",nan", text).decode("utf-8", "replace").split("\n")[:at.size]
+        try:
+            table = np.loadtxt([",".join("0" * len(names)), *texts], delimiter=",", ndmin=2, comments=None)[1:]
+        except ValueError as exc:
+            if m := _BAD_FIELD.search(str(exc)):
+                raise EventsFileError(f"{self.path}, line {lines[int(m[2]) - 1]}, column {names[int(m[3]) - 1]}: "
+                                      f"{m[1]} is not a number") from None
+            if m := _RAGGED_ROW.search(str(exc)):
+                raise self.ragged(lines[int(m[2]) - 2], int(m[1])) from None
+            raise EventsFileError(f"{self.path}: {exc}") from None
+        for column, c in zip(self.data, EVENTS_COLUMNS):
+            column[row[at]] = table[:, names.index(c)]
+        # NaN, from an empty field, means "not recorded" in t1/t2 only
+        fine = np.isfinite(table)
+        for c in ("t1", "t2"):
+            fine[:, names.index(c)] |= np.isnan(table[:, names.index(c)])
+        if self.not_finite is None and not fine.all():
+            i, col = np.argwhere(~fine)[0]
+            self.not_finite = EventsFileError(f"{self.path}, line {lines[i]}, column {names[col]}: empty or not finite")
+
+
+def _writer_rows(data, decode: bool):
+    """The lines of the bytes `data`, whole lines but for a last one without
+    its line end: each one's start and end (at its line end), its comma
+    count and, if `decode`, the lines in the writer's form decoded by
+    `_csvtext`, as their indices and their (5, n) values.
+
+    A line is in the writer's form when it has five fields: an id of 1 to
+    16 digits, and t_f, t_s, t1 and t2, each a "%.16e" text that
+    `float_values` settles, t1 and t2 also empty; a "\r" may come before
+    its line end.  A t1 or t2 text that repeats the t_f or t_s text of its
+    row, as the writer's always do, takes that value.
+    """
+    n = len(data)
+    buf = np.zeros(n + 2 * _PAD, np.uint8)
+    text = buf[_PAD:_PAD + n]
+    text[:] = np.frombuffer(data, np.uint8)
+    marks = np.flatnonzero((text == ord(",")) | (text == ord("\n")))  # commas and line ends
+    if n and data[-1] != ord("\n"):
+        marks = np.append(marks, n)
+    line_ends = np.flatnonzero(buf[marks + _PAD] != ord(","))  # in marks
+    ends = marks[line_ends]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.diff(line_ends, prepend=-1) - 1
+    at = np.flatnonzero(commas == 4) if decode else np.empty(0, np.intp)
+    # where each field of those lines starts and ends in buf, a row per
+    # field; a "\r" before a line end is not in the last field
+    cut = marks[line_ends[at] + np.arange(-4, 0)[:, None]] + _PAD  # the commas
+    field = np.concatenate(((starts[at] + _PAD)[None], cut + 1))
+    cr = (text[ends[at] - 1] == ord("\r")) & (ends[at] < n)
+    stop = np.concatenate((cut, (ends[at] + _PAD - cr)[None]))
+    width = stop - field
+    words = np.ndarray((len(buf) - 7,), np.uint64, buf, strides=(1,))  # the 8 bytes from each byte on
+    ids, id_settled = int_values([words[cut[0] - 16], words[cut[0] - 8]], width[0])
+    # the three words of the t_f and t_s texts, and of the t1 and t2 texts
+    first, second = ([words[field[j:j + 2] + offset] for offset in (0, 8, 16)] for j in (1, 3))
+    times, settled = (a.reshape(2, -1) for a in float_values([a.ravel() for a in first], width[1:3].ravel()))
+    # whether each t1/t2 text (axis 0) repeats the t_f or the t_s text (axis
+    # 1); the shift drops the bytes after a t_f/t_s text from its last word
+    after = (8 * (24 - width[1:3])).astype(np.uint64)
+    same = ((((second[0][:, None] ^ first[0]) | (second[1][:, None] ^ first[1])
+              | ((second[2][:, None] ^ first[2]) << after)) == 0) & (width[3:, None] == width[1:3]))
+    empty = width[3:] == 0
+    values = np.empty((5, len(at)))
+    values[0] = ids
+    values[1:3] = times
+    values[3:] = np.where(same[:, 0], times[0], np.where(same[:, 1], times[1], np.nan))
+    done = np.where(same[:, 0], settled[0], same[:, 1] & settled[1] | empty)
+    rest = np.nonzero(~(same[:, 0] | same[:, 1] | empty))  # another text: decoded on its own
+    if rest[0].size:
+        values[3:][rest], done[rest] = float_values([a[rest] for a in second], width[3:][rest])
+    # only t1 and t2 may be empty
+    settled = id_settled & settled[0] & settled[1] & done[0] & done[1] & (width[1] > 0) & (width[2] > 0)
+    return starts, ends, commas, at[settled], values[:, settled]
 
 
 def _coincidences_and_counters(columns) -> tuple[np.ndarray, dict[str, int]]:
@@ -615,7 +756,8 @@ def _arithmetic_of(*fields):
 def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     """Compute the rate entries and write rates.json.  A grid too large
     for memory or too narrow for the states is a configuration error, and
-    so are amplitude fields whose arithmetic leaves the float range."""
+    so are amplitude fields whose arithmetic leaves the float range; the
+    output directory is made once the entries exist."""
     cfg.validate()
     a = cfg.amplitude
     grid = SpatialGrid.centered(a.grid_span_factor * max(a.width_sum, a.width_diff), a.grid_points)
@@ -625,8 +767,7 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
         if 16 * a.grid_points**2 > sys.maxsize:  # past what numpy can address
             raise MemoryError
         with _arithmetic_of("sigma"):
-            check_packet_mass((chi, xi), grid)  # before any dense work or any file
-        out = _ensure_outdir(cfg)
+            check_packet_mass((chi, xi), grid)  # before any dense work
         entries = _rate_entries(cfg, main_cases, grid, chi, xi)
     except MemoryError:
         n = a.grid_points
@@ -638,7 +779,7 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     except DomainTruncationError as exc:
         raise ConfigValidationError(["amplitude.grid_span_factor"],
                                     f"amplitude.grid_span_factor is too small: {exc}") from None
-    with open(os.path.join(out, "rates.json"), "w") as fh:
+    with open(os.path.join(_ensure_outdir(cfg), "rates.json"), "w") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return entries

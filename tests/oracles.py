@@ -10,16 +10,18 @@ dominant-mode amplitude, the whole-array forms of the amplitude
 engine's row-blocked, threaded passes, the single-hit rule read bit by
 bit from the fates byte, with the whole-array detection records,
 coincidence differences and histograms built from it, behind the fates
-tables and the per-chunk detection pass, and events.csv written one
-``"%.16e" %`` string per time).
+tables and the per-chunk detection pass, events.csv written one
+``"%.16e" %`` string per time, and events.csv read by one ``np.loadtxt``
+call on the whole file behind the block reader).
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from twoatom.errors import InvalidParameterError, NumericalDegeneracyError
+from twoatom.errors import EventsFileError, InvalidParameterError, NumericalDegeneracyError
 from twoatom.eventsim import (
     FATE_DET_FIRST,
     FATE_DET_SECOND,
@@ -31,6 +33,7 @@ from twoatom.eventsim import (
 from twoatom.inference import Histogram
 from twoatom.kinetics import DEGENERATE_SWITCH, RateTriple
 from twoatom.packets import sample_packet
+from twoatom.pipeline import EVENTS_COLUMNS
 
 
 def meshgrid_mode_kernel(mode_sum, mode_diff, grid):
@@ -235,3 +238,65 @@ def write_events_csv_per_value(path, records):
         fh.write("molecule_id,t_f,t_s,t1,t2\n")
         for i, f, s, a, b in zip(range(len(records)), *columns):
             fh.write(f"{i},{f},{s},{a},{b}\n")
+
+
+#: an empty field: a comma followed by a comma, a line end or the end of file
+_EMPTY_FIELD = re.compile(rb",(?=,|\r?\n|$)")
+#: loadtxt's reports of a bad field and of a ragged row; a row counts the
+#: data lines, blank ones skipped, from 0 for a bad field and from 1 for a
+#: ragged row
+_BAD_FIELD = re.compile(r"could not convert string (.*) to float64 at row (\d+), column (\d+)")
+_RAGGED_ROW = re.compile(r"number of columns changed from \d+ to (\d+) at row (\d+)")
+
+
+def read_events_csv_loadtxt(path: str) -> dict[str, np.ndarray]:
+    """`pipeline.read_events_csv` as one ``np.loadtxt`` call on the whole
+    file, held as bytes, text and lines: the same columns, and the same
+    EventsFileError for every file it rejects."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        lines = _EMPTY_FIELD.sub(b",nan", fh.read()).decode("utf-8", "replace").split("\n")
+    if not head:
+        raise EventsFileError(f"{path} is empty")
+    try:
+        names = [name.strip() for name in head.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        raise EventsFileError(f"{path}: its header line is not UTF-8") from None
+    missing = [c for c in EVENTS_COLUMNS if c not in names]
+    if missing:
+        raise EventsFileError(f"{path} lacks the column(s) {', '.join(missing)}")
+    # loadtxt skips a line that is empty but for its line end, and warns
+    # when no other line is left
+    first = next((line for line in lines if line not in ("", "\r")), None)
+    if first is None:
+        return {c: np.empty(0) for c in EVENTS_COLUMNS}
+
+    def where(row: int) -> str:
+        """`path, line n` of data row `row` (from 0), blank lines counted."""
+        data_lines = [n for n, line in enumerate(lines, start=2) if line not in ("", "\r")]
+        return f"{path}, line {data_lines[row]}"
+
+    def ragged(row: int, fields: int) -> EventsFileError:
+        at = f"column {names[fields]} is missing" if fields < len(names) else f"after column {names[-1]}"
+        return EventsFileError(f"{where(row)}, {at}: the row has {fields} fields, the header {len(names)}")
+
+    # loadtxt takes the first row's field count as the table's
+    if first.count(",") + 1 != len(names):
+        raise ragged(0, first.count(",") + 1)
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        if m := _BAD_FIELD.search(str(exc)):
+            raise EventsFileError(f"{where(int(m[2]))}, column {names[int(m[3]) - 1]}: "
+                                  f"{m[1]} is not a number") from None
+        if m := _RAGGED_ROW.search(str(exc)):
+            raise ragged(int(m[2]) - 1, int(m[1])) from None
+        raise EventsFileError(f"{path}: {exc}") from None
+    # NaN, from an empty field, means "not recorded" in t1/t2 only
+    fine = np.isfinite(table)
+    for c in ("t1", "t2"):
+        fine[:, names.index(c)] |= np.isnan(table[:, names.index(c)])
+    if not fine.all():
+        row, col = np.argwhere(~fine)[0]
+        raise EventsFileError(f"{where(row)}, column {names[col]}: empty or not finite")
+    return {c: table[:, names.index(c)] for c in EVENTS_COLUMNS}

@@ -1,11 +1,15 @@
-"""The CSV text of floats and counts, and the events.csv writer built on it.
+"""The CSV text of floats and counts, the events.csv writer built on it,
+and the decoding of those texts back to numbers.
 
 `"%.16e" %` and `"%d" %` are the oracles of every byte: the numpy text
 must equal them for every double, and events.csv must equal the file that
 one `%` string per time gives (`oracles.write_events_csv_per_value`).
+``np.loadtxt`` is the oracle of every value read back: a text the decoder
+settles reads as loadtxt's double, bit for bit.
 """
 
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoatom import grids, pipeline
-from twoatom._csvtext import FAST_RANGE, _digits, float_field, int_field, rows
+from twoatom._csvtext import READ_EXPONENTS, FAST_RANGE, _digits, float_field, float_values, int_field, int_values, rows
 from twoatom.eventsim import CHUNK_MOLECULES, simulate_ensemble
 from twoatom.pipeline import ExperimentConfig, write_events_csv
 
@@ -124,3 +128,118 @@ def test_a_chunk_across_a_power_of_ten_in_the_molecule_id(tmp_path):
     assert got == lines[1 + 6 * CHUNK_MOLECULES:]
     assert got[10**5 - 1 - 6 * CHUNK_MOLECULES].startswith(b"99999,")
     assert got[10**5 - 6 * CHUNK_MOLECULES].startswith(b"100000,")
+
+
+def decoded(texts):
+    """`float_values` of the byte strings `texts`, read as the words of
+    their first 24 bytes (padded with the comma a field ends with), and
+    loadtxt's value of each."""
+    padded = np.frombuffer(b"".join(t.ljust(24, b",")[:24] for t in texts), np.uint8).reshape(-1, 24)
+    words = padded.copy().view(np.uint64)
+    x, settled = float_values([words[:, i].copy() for i in range(3)], np.array([len(t) for t in texts]))
+    want = np.loadtxt([t.decode() for t in texts], ndmin=1)
+    return x, settled, want
+
+
+def assert_settled_bits_equal(texts):
+    x, settled, want = decoded(texts)
+    assert np.array_equal(x[settled].view(np.uint64), want[settled].view(np.uint64))
+    return settled, want
+
+
+#: the exponents at the ends of the table and of the 2- and 3-digit texts
+EXPONENT_EDGES = [b"1.2345678901234567e%+03d" % e for e in (
+    READ_EXPONENTS[0] - 1, READ_EXPONENTS[0], -100, -99, -10, -9, -1, 0, 1, 9, 10, 99, 100,
+    READ_EXPONENTS[1], READ_EXPONENTS[1] + 1)] + [b"9.9999999999999999e+307", b"9.9999999999999999e-253"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@example([0x3FF0000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+          0x8000000000000000, 0xBFF0000000000000, 0x7FF0000000000000])
+def test_decoded_percent_texts_of_bit_patterns_equal_loadtxt(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    if values.size:
+        settled, want = assert_settled_bits_equal([b"%.16e" % v for v in values.tolist()])
+        # zero, negative and subnormal texts, and those outside the table,
+        # are handed over
+        inside = (want >= 10.0**READ_EXPONENTS[0]) & (want < 10.0**(READ_EXPONENTS[1] + 1))
+        assert not settled[~inside].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["sequential", "independent"]))
+def test_decoded_emission_times_equal_loadtxt(seed, mode):
+    records = simulate_ensemble(ExperimentConfig(n0=200, seed=seed, mode=mode))
+    texts = [b"%.16e" % v for v in np.concatenate((records["t_f"], records["t_s"])).tolist()]
+    settled, _ = assert_settled_bits_equal(texts)
+    assert settled.all()  # no emission time is handed over
+
+
+def midpoint_texts(x: float, offsets=range(-2, 3)) -> list[bytes]:
+    """17-digit texts around the midpoint between the double x and the
+    next one up: its digits rounded down, plus `offsets` in the last digit."""
+    mid = Fraction(x) + Fraction(np.spacing(x)) / 2
+    e = int(np.floor(np.log10(x)))  # its decimal exponent, or one off
+    while mid >= Fraction(10) ** (e + 1):
+        e += 1
+    while mid < Fraction(10) ** e:
+        e -= 1
+    digits = int(mid / Fraction(10) ** (e - 16))
+    texts = []
+    for d in offsets:
+        m = digits + d
+        if 10**16 <= m < 10**17:
+            text = str(m)
+            texts.append(f"{text[0]}.{text[1:]}e{e:+03d}".encode())
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=10.0**READ_EXPONENTS[0], max_value=1e300) | st.floats(1e-12, 1e-6))
+@example(1.6e-9)
+@example(2.0**54)  # 2^54 + 2 is a tie of 17 digits
+@example(2.0**52)  # and 2^52 + 0.5
+@example(1e23)
+# exponents of 2 and 3 digits, and the ends of the table
+@example(1e99)
+@example(1e100)
+@example(1e-100)
+@example(10.0**READ_EXPONENTS[0])
+@example(9.99e307)
+def test_decoded_texts_next_to_binary_midpoints_equal_loadtxt(x):
+    texts = midpoint_texts(x)
+    settled, want = assert_settled_bits_equal(texts)
+    # a text that is a midpoint itself, a tie, is handed over
+    ties = [Fraction(t.decode()) == Fraction(x) + Fraction(np.spacing(x)) / 2 for t in texts]
+    assert not settled[ties].any()
+
+
+@pytest.mark.parametrize("text", EXPONENT_EDGES)
+def test_decoded_exponents_at_the_edges(text):
+    settled, want = assert_settled_bits_equal([text])
+    e = int(text[19:])
+    assert settled[0] == (READ_EXPONENTS[0] <= e <= READ_EXPONENTS[1])
+
+
+@pytest.mark.parametrize("text", [
+    b"0.0000000000000000e+00", b"-1.6000000000000000e-09", b"4.9406564584124654e-324",
+    b"2.2250738585072009e-308", b"1.6e-09", b"1.6000000000000000E-09", b"01.600000000000000e-09",
+    b"1.6000000000000000e+9", b" 1.600000000000000e-09", b"1.60000000000000000e-09", b"1,6000000000000000e-09",
+    b"1.600000000000000x-09", b"1.6000000000000000e*09", b"inf", b"nan",
+])
+def test_decoded_texts_outside_the_writers_form_are_handed_over(text):
+    assert not float_values(*[[np.frombuffer(text.ljust(24, b",")[:24], np.uint64)[i:i + 1] for i in range(3)],
+                              np.array([len(text)])])[1][0]
+
+
+@given(st.lists(st.integers(0, 10**16 - 1), min_size=1, max_size=40))
+@example([0, 9, 10, 99, 10**8 - 1, 10**8, 10**15, 10**16 - 1])
+def test_decoded_int_texts_equal_their_numbers(values):
+    texts = [b"%d" % v for v in values] + [b"", b"12345678901234567", b"1a", b"-1", b"+1", b"1.0"]
+    ends = np.frombuffer(b"".join(t.rjust(16, b"\n")[-16:] for t in texts), np.uint8).reshape(-1, 16)
+    words = ends.copy().view(np.uint64)
+    got, settled = int_values([words[:, 0].copy(), words[:, 1].copy()], np.array([len(t) for t in texts]))
+    assert settled.tolist() == [True] * len(values) + [False] * 6
+    assert got[:len(values)].tolist() == values

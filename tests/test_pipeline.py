@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from twoatom import amplitudes, eventsim, grids, pairstate, pipeline
 from twoatom.cli import main as cli_main
-from twoatom.errors import ConfigValidationError, InsufficientDataError
+from twoatom.errors import ConfigValidationError, EventsFileError, InsufficientDataError
 from twoatom.eventsim import MODES, detector_streams, simulate_ensemble
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
 from twoatom.pipeline import (
@@ -39,7 +39,7 @@ from twoatom.pipeline import (
     write_events_csv,
 )
 
-from oracles import assign_detections, build_histogram, coincidence_differences
+from oracles import assign_detections, build_histogram, coincidence_differences, read_events_csv_loadtxt
 
 
 def small_config(tmp_path, **kw):
@@ -82,8 +82,10 @@ VALID_CONFIGS = st.builds(
     output_dir=st.text(),
     detector_efficiency=st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
     workers=st.integers(1, 64),
-    gamma_f_factor=POSITIVE,
-    gamma_s_factor=POSITIVE,
+    # factors within 10^6 of 1 keep every rate of such a gamma_inverse
+    # positive and its longest wait finite
+    gamma_f_factor=st.floats(min_value=1e-6, max_value=1e6) | st.integers(1, 10**6),
+    gamma_s_factor=st.floats(min_value=1e-6, max_value=1e6) | st.integers(1, 10**6),
     atom_mass_kg=POSITIVE,
     length_unit_m=st.floats(min_value=1e-300, max_value=1e150) | st.integers(1, 10**6),
     amplitude=st.builds(
@@ -433,6 +435,17 @@ def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
         assert traced_peak(lambda: write_events_csv(path, records)) <= 2 * 10 * 2**20, n0
 
 
+def test_fit_peak_memory_per_row(tmp_path):
+    # the five float columns (40 B/row) and the fits' samples on top, about
+    # 53 B/row, plus the ~6 MiB of temporaries of one READ_BLOCK block,
+    # which do not grow with the rows; no text of the file is held
+    path = str(tmp_path / "events.csv")
+    cfg = ExperimentConfig(output_dir=str(tmp_path / "fit"))
+    for n0 in (2**16, 2**20):
+        write_events_csv(path, simulate_ensemble(ExperimentConfig(n0=n0, seed=4, detector_efficiency=0.7)))
+        assert traced_peak(lambda: pipeline.run_fit(cfg, path)) <= 56 * n0 + 8 * 2**20, n0
+
+
 def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     # one 20000-point kernel takes 6 GiB; the child caps its own address
     # space at 3 GiB, so the allocation fails whatever the host's
@@ -517,6 +530,29 @@ def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys, monkeypatch):
         assert code == 2, command
         assert "amplitude.grid_span_factor" in err and "Traceback" not in err
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("args, fields", [
+    # the rate stage's closed-form sweep overflows before any file is written
+    (["rates", "--set", "amplitude.dt=1e-300"], ["amplitude.dt"]),
+    (["rates", "--set", "amplitude.separations=[1e300]"], ["amplitude.separations"]),
+    # a derived rate underflows to 0, or its longest wait leaves the float range
+    (["simulate", "--n0", "50", "--set", "gamma_inverse=1e300", "--set", "gamma_s_factor=1e-300"],
+     ["gamma_inverse", "gamma_s_factor"]),
+    (["simulate", "--n0", "50", "--set", "gamma_s_factor=5e-324"], ["gamma_s_factor"]),
+    (["simulate", "--n0", "50", "--set", "gamma_inverse=1e307"], ["gamma_inverse"]),
+], ids=["dt", "separations", "gamma_s-underflows", "gamma_s-wait-overflows", "gamma-wait-overflows"])
+def test_cli_values_out_of_the_float_range_exit_2_without_output(tmp_path, capsys, args, fields):
+    out = tmp_path / "out"
+    code = cli_main([*args, "--set", "amplitude.grid_points=64", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    assert all(field in err for field in fields)
+    if args[0] == "simulate":  # the fields set, then every field that sets the rates
+        assert err.startswith(f"configuration error: {', '.join(fields)}: ")
+        assert all(name in err for name in ("gamma_inverse", "gamma_f_factor", "gamma_s_factor"))
+    assert not out.exists()
 
 
 @settings(max_examples=12, deadline=None)
@@ -831,6 +867,19 @@ def test_cli_fit_names_the_line_and_column(tmp_path, capsys, body, where):
     assert not out.exists()
 
 
+def test_cli_fit_error_in_the_last_block_leaves_no_output_directory(tmp_path, capsys):
+    # the rows before it are read block by block, and none is written
+    path = tmp_path / "events.csv"
+    write_events_csv(str(path), simulate_ensemble(ExperimentConfig(n0=50, seed=3)))
+    with open(path, "a") as fh:
+        fh.write("50,1e-09,x,,\n")
+    out = tmp_path / "refit"
+    with mock.patch.object(pipeline, "READ_BLOCK", 256):
+        assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 2
+    assert f"{path}, line 52, column t_s: 'x' is not a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content", [HEADER, HEADER.rstrip("\n"), HEADER + "\n\r\n"],
                          ids=["header", "no-line-end", "blank-lines"])
 def test_cli_fit_header_only_file_leaves_out_every_fit(tmp_path, content):
@@ -898,6 +947,68 @@ def test_read_events_csv_line_ends(tmp_path, content, t1, t2):
         np.testing.assert_array_equal(got[name], oracle[name])
 
 
+def read_outcome(reader, path):
+    """The columns `reader` reads from `path`, or its EventsFileError's message."""
+    try:
+        return reader(path)
+    except EventsFileError as exc:
+        return str(exc)
+
+
+#: edits of one row of a written events.csv, each giving a row that the
+#: block reader hands over to loadtxt, or rejects
+ROW_EDITS = {
+    "shortest-t_f": lambda f: [f[0], repr(float(f[1])), *f[2:]],
+    "capital-E-t_s": lambda f: [f[0], f[1], f[2].replace("e", "E"), *f[3:]],
+    "nan-t1": lambda f: [*f[:3], "nan", f[4]],
+    "id-as-float": lambda f: [f[0] + ".0", *f[1:]],
+    "blank-line-after": lambda f: [*f[:4], f[4] + "\n"],
+    "crlf-blank-line-after": lambda f: [*f[:4], f[4] + "\n\r"],
+    "infinite-t_s": lambda f: [f[0], f[1], "inf", *f[3:]],
+    "text-t_f": lambda f: [f[0], "x", *f[2:]],
+    "empty-t_s": lambda f: [f[0], f[1], "", *f[3:]],
+    "short-row": lambda f: f[:3],
+    "long-row": lambda f: [*f, ""],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n0=st.sampled_from([1, 7, 60]),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    block=st.sampled_from([8, 100, 2048, pipeline.READ_BLOCK]),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(ROW_EDITS))), max_size=4),
+)
+@example(n0=60, efficiency=0.5, seed=1, crlf=True, final_newline=False, block=8, edits=[(3, "shortest-t_f")])
+@example(n0=60, efficiency=0.5, seed=1, crlf=False, final_newline=True, block=100,
+         edits=[(5, "infinite-t_s"), (40, "text-t_f")])
+def test_read_events_csv_equals_the_loadtxt_reader(n0, efficiency, seed, crlf, final_newline, block, edits):
+    # in blocks of any size, rows in the writer's form or not, the columns
+    # bit for bit, or the same error: a non-finite field is reported only
+    # when no field that is not a number follows it
+    records = simulate_ensemble(ExperimentConfig(n0=n0, seed=seed, detector_efficiency=efficiency))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        write_events_csv(path, records)
+        header, *lines = Path(path).read_text().splitlines()
+        for row, edit in {row % n0: edit for row, edit in edits}.items():  # one edit a row
+            lines[row] = ",".join(ROW_EDITS[edit](lines[row].split(",")))
+        end = "\r\n" if crlf else "\n"
+        Path(path).write_bytes((end.join([header, *lines]) + (end if final_newline else "")).encode())
+        with mock.patch.object(pipeline, "READ_BLOCK", block):
+            got = read_outcome(read_events_csv, path)
+        want = read_outcome(read_events_csv_loadtxt, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for name in EVENTS_COLUMNS:
+            assert_same_bits(got[name], want[name])
+
+
 @functools.cache
 def valid_events_bytes() -> bytes:
     """events.csv of a small ensemble with undetected photons."""
@@ -923,14 +1034,21 @@ def mutate(content: bytes, edits) -> bytes:
 
 
 def run_fit(content: bytes) -> tuple[int, str]:
-    """`twoatom fit --events` on a file holding `content`: exit code, stderr."""
-    err = io.StringIO()
+    """`twoatom fit --events` on a file holding `content`: exit code, stderr.
+    The same command with the loadtxt reader of the whole file must give the
+    same exit code and the same message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
         Path(path).write_bytes(content)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli_main(["fit", "--events", path, "--out", os.path.join(tmp, "refit")])
-    return code, err.getvalue()
+        runs = []
+        for reader in (read_events_csv, read_events_csv_loadtxt):
+            err = io.StringIO()
+            with (mock.patch.object(pipeline, "read_events_csv", reader),
+                  contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+                code = cli_main(["fit", "--events", path, "--out", os.path.join(tmp, f"refit-{reader.__name__}")])
+            runs.append((code, err.getvalue()))
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -983,6 +1101,9 @@ def small_sizes(item) -> bool:
 @example(command=("rates",), n0=5, sets=[("amplitude.dt", 1e-300)])
 @example(command=("rates",), n0=5, sets=[("amplitude.separations", [1e300])])
 @example(command=("simulate",), n0=5, sets=[("gamma_inverse", 10**400)])
+# a derived rate that underflows, or whose longest wait overflows
+@example(command=("simulate",), n0=50, sets=[("gamma_inverse", 1e300), ("gamma_s_factor", 1e-300)])
+@example(command=("simulate",), n0=50, sets=[("gamma_s_factor", 5e-324)])
 # sizes past what numpy can address, refused before anything is allocated
 @example(command=("simulate",), n0=5, sets=[("n0", 600000000000000000)])
 @example(command=("simulate",), n0=5, sets=[("bins", 2000000000000000000)])
