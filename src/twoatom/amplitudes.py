@@ -99,8 +99,14 @@ def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
 
 def _evolved(channels, grid: SpatialGrid, dt: float):
     """`channels` after a free flight of `dt`: the channels themselves at
-    dt = 0, else one propagation of them all."""
-    return channels if dt == 0 else propagate_kernel(channels, grid, dt)
+    dt = 0, else one propagation of them all.  A repeated channel (C2 is
+    C1, one object) is propagated once and evolves into one array."""
+    if dt == 0:
+        return channels
+    if len(channels) == 2 and channels[1] is channels[0]:
+        (evolved,) = propagate_kernel(channels[:1], grid, dt)
+        return evolved, evolved
+    return propagate_kernel(channels, grid, dt)
 
 
 def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) -> complex:
@@ -122,12 +128,18 @@ def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) ->
 
 def _restricted_amplitudes(channels, grid, family):
     """Each channel's amplitudes onto the ordered pairs of an orthonormalized
-    finite family of final one-particle states."""
+    finite family of final one-particle states.  A repeated channel is
+    projected once, into one array."""
     if not family:
         raise InvalidParameterError("restricted-subset convention needs a packet family")
     m = np.stack([_out_vector(p, grid) for p in family], axis=1) * np.sqrt(grid.spacing)
     q, _ = np.linalg.qr(m)  # orthonormal (l2) columns
-    return [q.conj().T @ e @ q.conj() * grid.spacing for e in channels]
+
+    def project(e):
+        return q.conj().T @ e @ q.conj() * grid.spacing
+
+    first = project(channels[0])
+    return [first if e is channels[0] else project(e) for e in channels]
 
 
 def _restricted_sum(e1, e2, grid, family):
@@ -135,7 +147,7 @@ def _restricted_sum(e1, e2, grid, family):
     finite family of final one-particle states (ordered pairs)."""
     a1, a2 = _restricted_amplitudes((e1, e2), grid, family)
     s1 = float(np.sum(abs2(a1)))
-    s2 = float(np.sum(abs2(a2)))
+    s2 = s1 if a2 is a1 else float(np.sum(abs2(a2)))
     cross = 2.0 * float(np.vdot(a1, a2).real)
     return s1, s2, cross
 

@@ -47,10 +47,12 @@ def _ordered_sum(e1, e2, grid):
     numpy summation keeps the reduction order-independent):
 
         sum |amp|^2 = 2 N^2 (||U C1||^2 + ||U C2||^2 + 2 Re<U C1|U C2>)
+
+    A repeated channel (`e2` is `e1`) is summed once.
     """
     dx2 = grid.spacing**2
     s1 = float(np.sum(abs2(e1))) * dx2
-    s2 = float(np.sum(abs2(e2))) * dx2
+    s2 = s1 if e2 is e1 else float(np.sum(abs2(e2))) * dx2
     cross = 2.0 * float((np.vdot(e1, e2) * dx2).real)
     return s1, s2, cross
 
@@ -60,13 +62,34 @@ class TwoAtomState:
     """Two-particle spatial amplitude on a grid.
 
     `kernel` is the unit-normalized amplitude sampled on `grid` x `grid`.
-    Its squared norm, its swap overlap and the symmetrization normalization
-    are whole-kernel reductions; each is taken on first use and kept, so it
-    runs once per state.  The kernel must not be written after that.
+    Whether it equals its transpose bit for bit, its squared norm, its swap
+    overlap and the symmetrization normalization are whole-kernel
+    reductions; each is taken on first use and kept, so it runs once per
+    state.  The kernel must not be written after that.
     """
 
     grid: SpatialGrid
     kernel: np.ndarray
+
+    @cached_property
+    def exchange_symmetric(self) -> bool:
+        """Whether Psi(x, y) and Psi(y, x) have the same bits everywhere.
+
+        Each band of rows from the diagonal on is compared with the band of
+        columns it mirrors, as integers, so that +0.0 and -0.0 differ and a
+        NaN equals only its own bits; the bands run on `thread_count()`
+        threads.
+        """
+        k = self.kernel
+        parts = [part.view(np.uint64) for part in (k.real, k.imag)]
+        mirrored = []  # list.append is atomic
+
+        def compare(rows):
+            i = rows.start
+            mirrored.append(all(np.array_equal(b[rows, i:], b[i:, rows].T) for b in parts))
+
+        each_block(compare, len(k))
+        return all(mirrored)
 
     @cached_property
     def squared_norm(self) -> float:
@@ -76,9 +99,15 @@ class TwoAtomState:
 
     @cached_property
     def swap_overlap(self) -> complex:
-        """<Psi(x,y)|Psi(y,x)> for the stored two-particle amplitude."""
+        """<Psi(x,y)|Psi(y,x)> for the stored two-particle amplitude.
+
+        For an exchange-symmetric kernel Psi(y, x) is Psi itself, so this is
+        ``vdot(Psi, Psi)``: the bits of ``vdot(Psi, Psi.T)``, whose flattened
+        transpose would be a whole-kernel copy with the same values.  Any
+        other kernel takes ``vdot(Psi, Psi.T)``.
+        """
         k = self.kernel
-        return complex(np.vdot(k, k.T) * self.grid.spacing**2)
+        return complex(np.vdot(k, k if self.exchange_symmetric else k.T) * self.grid.spacing**2)
 
     @cached_property
     def norm_coefficient(self) -> float:
@@ -88,8 +117,14 @@ class TwoAtomState:
 
     @property
     def channels(self) -> tuple[np.ndarray, np.ndarray]:
-        """C1 = Psi(x, y) and C2 = Psi(y, x), both views of the kernel."""
-        return self.kernel, self.kernel.T
+        """C1 = Psi(x, y) and C2 = Psi(y, x), both views of the kernel.
+
+        An exchange-symmetric kernel is its own transpose, so both channels
+        are the kernel itself, one object, which the engine evolves, sums
+        and projects once; any other kernel gives (kernel, kernel.T).
+        """
+        k = self.kernel
+        return (k, k) if self.exchange_symmetric else (k, k.T)
 
     @property
     def full_basis_sums(self) -> tuple[float, float, float]:
@@ -156,14 +191,31 @@ def check_packet_mass(packets, grid: SpatialGrid) -> None:
 
 
 def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
-    # rows (x_i, y) at u = (x_i + y)/sqrt 2, v = (x_i - y)/sqrt 2; sampling
-    # is elementwise, so each row block holds the whole-array values
+    """The kernel mode_sum(u) mode_diff(v) at u = (x + y)/sqrt 2,
+    v = (x - y)/sqrt 2, for a relative mode centered at 0 at rest.
+
+    Each block of rows x_i is sampled only at the columns y = x_j from its
+    first row on, and written there and at its transpose.  This gives the
+    bits of sampling every element, since element (j, i) has those of
+    (i, j): x_i + x_j is x_j + x_i, so u is the same double; x_i - x_j is
+    exactly -(x_j - x_i) under round to nearest, and so is its quotient by
+    sqrt 2, so v only changes sign; and the relative mode reads v only
+    through v - 0 and (v - 0)^2, whose square is the same double, and
+    through i * 0 * v, a zero whose sign then vanishes in the exponent's
+    sum or in exp.  Sampling is elementwise, so a block holds the values
+    of the whole array.
+    """
+    if mode_diff.center != 0.0 or mode_diff.momentum != 0.0:
+        raise InvalidParameterError("the relative mode must be centered at 0 and at rest")
     x = grid.points
     out = np.empty((x.size, x.size), complex)
 
     def synthesize(rows):
-        u, v = (x[rows, None] + x) / _SQRT2, (x[rows, None] - x) / _SQRT2
-        out[rows] = sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+        first = rows.start
+        u, v = (x[rows, None] + x[first:]) / _SQRT2, (x[rows, None] - x[first:]) / _SQRT2
+        block = sample_packet(mode_sum, u) * sample_packet(mode_diff, v)
+        out[rows, first:] = block
+        out[first:, rows] = block.T
 
     each_block(synthesize, x.size)
     return out
@@ -180,6 +232,13 @@ def _checked_unit_kernel(kernel: np.ndarray, grid: SpatialGrid) -> np.ndarray:
         )
     kernel /= np.sqrt(mass)
     return kernel
+
+
+def mode_sigma(width: float) -> float:
+    """The packet width of the rotated mode of a Gaussian of `width` in
+    x + y (or x - y): exp(-(x+y)^2/W^2) = exp(-u^2/(4 sigma_u^2)) with
+    u = (x+y)/sqrt 2, hence sigma_u = W / (2 sqrt 2)."""
+    return width / (2.0 * _SQRT2)
 
 
 def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGrid) -> TwoAtomState:
@@ -203,11 +262,17 @@ def make_two_atom_gaussian(width_sum: float, width_diff: float, grid: SpatialGri
     """
     if not (width_sum > 0 and width_diff > 0):
         raise InvalidParameterError("widths must be positive")
-    # exp(-(x+y)^2/W^2) = exp(-u^2/(4 sigma_u^2)) with u = (x+y)/sqrt 2,
-    # hence sigma_u = W / (2 sqrt 2); likewise for the relative mode.
-    mode_sum = make_packet(0.0, 0.0, width_sum / (2.0 * _SQRT2))
-    mode_diff = make_packet(0.0, 0.0, width_diff / (2.0 * _SQRT2))
+    mode_sum = make_packet(0.0, 0.0, mode_sigma(width_sum))
+    mode_diff = make_packet(0.0, 0.0, mode_sigma(width_diff))
     return TwoAtomState(grid, _checked_unit_kernel(_mode_kernel(mode_sum, mode_diff, grid), grid))
+
+
+def largest_phase(grid: SpatialGrid, dt: float) -> float:
+    """The largest phase 0.5 dt (kx^2 + ky^2) that `propagate_kernel`
+    computes for a flight of `dt` on `grid`, with its bits: about
+    dt (pi/spacing)^2.  The flight is NaN unless it is finite."""
+    k = float(np.max(np.abs(grid.wavenumbers)))
+    return 0.5 * dt * (k * k + k * k)
 
 
 def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:

@@ -51,7 +51,7 @@ from .grids import SpatialGrid
 from .inference import FitResult, Histogram, fit_cumulative_curve, fit_exponential_mle
 from .kinetics import RateTriple, detection_densities
 from .packets import make_packet
-from .pairstate import ProductPair, check_packet_mass, make_two_atom_gaussian
+from .pairstate import ProductPair, check_packet_mass, largest_phase, make_two_atom_gaussian, mode_sigma
 
 _HBAR_SI = 1.054571817e-34  # J s
 
@@ -106,18 +106,25 @@ class ExperimentConfig:
     def _check_rates(self) -> None:
         """Each derived rate must be positive, and the longest wait the
         draws give finite: -log(2^-54) over the rate, and for t_s, t_f plus
-        that wait.  A failure names those of gamma_inverse, gamma_f_factor
-        and gamma_s_factor that differ from their defaults, which hold."""
+        that wait.  n0 such waits must sum to a finite number too, as the
+        fits' means do.  A failure names those of gamma_inverse,
+        gamma_f_factor and gamma_s_factor that differ from their defaults,
+        which hold, after n0 if the sum is at fault."""
         rates = self._rate_values()
         wait = 54 * math.log(2.0)  # -log of the smallest uniform draw, 2^-54
-        if min(rates) > 0 and math.isfinite(wait / rates[0]) and math.isfinite(wait / rates[1] + wait / rates[2]):
+        longest = max(wait / rates[0], wait / rates[1] + wait / rates[2]) if min(rates) > 0 else math.inf
+        # n0 * longest <= the largest float, in a form that takes any int n0
+        if longest == 0 or longest < math.inf and self.n0 <= sys.float_info.max / longest:
             return
         fields = [f.name for f in dataclasses.fields(self)
                   if f.name in _RATE_FIELDS and getattr(self, f.name) != f.default]
+        if longest < math.inf:
+            fields = ["n0", *fields]
         raise ConfigValidationError(
             fields, f"{', '.join(fields)}: the rates 1/gamma_inverse, gamma_f_factor/gamma_inverse and"
             f" gamma_s_factor/gamma_inverse, {', '.join(f'{r:g}' for r in rates)} /s, must be positive,"
-            f" and their longest waits, {wait:.2f} over the rate, finite")
+            f" their longest waits, {wait:.2f} over the rate, finite, and n0 = {self.n0} of them"
+            f" summed, as a fit's mean sums them, finite too")
 
     def set(self, key: str, value) -> None:
         """Set the field at dotted `key` to a JSON value, the way in for every outside
@@ -763,11 +770,19 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     grid = SpatialGrid.centered(a.grid_span_factor * max(a.width_sum, a.width_diff), a.grid_points)
     sep = 12.0 * a.sigma  # prop1's packets: well separated, hence orthogonal
     chi, xi = make_packet(-0.5 * sep, 0.0, a.sigma), make_packet(+0.5 * sep, 0.0, a.sigma)
+    narrow = [f"amplitude.{name}" for name in ("width_sum", "width_diff") if not mode_sigma(getattr(a, name)) > 0]
+    if narrow:
+        raise ConfigValidationError(narrow, f"{', '.join(narrow)}: the state's mode width, the width"
+                                            f" over 2 sqrt 2, underflows to 0")
     try:
         if 16 * a.grid_points**2 > sys.maxsize:  # past what numpy can address
             raise MemoryError
         with _arithmetic_of("sigma"):
             check_packet_mass((chi, xi), grid)  # before any dense work
+        if a.dt > 0 and not math.isfinite(largest_phase(grid, a.dt)):
+            raise ConfigValidationError(["amplitude.dt"], f"amplitude.dt = {a.dt:g}: the flight's phase, about"
+                                                          f" dt (pi/spacing)^2 at spacing {grid.spacing:g},"
+                                                          f" leaves the float range")
         entries = _rate_entries(cfg, main_cases, grid, chi, xi)
     except MemoryError:
         n = a.grid_points

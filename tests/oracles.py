@@ -7,7 +7,9 @@ densities, the coincidence density behind the simulated tau histogram,
 the total of a histogram, the whole-array KS distance behind the blockwise
 one, the Schmidt spectrum of a correlated Gaussian behind the
 dominant-mode amplitude, the whole-array forms of the amplitude
-engine's row-blocked, threaded passes, the single-hit rule read bit by
+engine's row-blocked, threaded passes, a state's rates from its two
+channels Psi and Psi^T each propagated and summed on its own behind the
+one channel of an exchange-symmetric kernel, the single-hit rule read bit by
 bit from the fates byte, with the whole-array detection records,
 coincidence differences and histograms built from it, behind the fates
 tables and the per-chunk detection pass, events.csv written one
@@ -30,9 +32,11 @@ from twoatom.eventsim import (
     bin_index,
     histogram_edges,
 )
+from twoatom.grids import abs2
 from twoatom.inference import Histogram
 from twoatom.kinetics import DEGENERATE_SWITCH, RateTriple
 from twoatom.packets import sample_packet
+from twoatom.pairstate import propagate_kernel
 from twoatom.pipeline import EVENTS_COLUMNS
 
 
@@ -214,6 +218,38 @@ def schmidt_spectrum(state) -> np.ndarray:
     if total <= 1e-12:
         raise NumericalDegeneracyError("kernel has vanishing norm")
     return s / np.sqrt(total)
+
+
+def two_channel_sums(state, swapped, dt, convention, family=None):
+    """(s1, s2, cross) of a state's channels C1 = Psi and C2 = `swapped`,
+    Psi(y, x) as the transposed view or an array of its own, both
+    propagated for `dt` (none at dt = 0) and each summed and projected on
+    its own, under `convention`."""
+    grid = state.grid
+    channels = (state.kernel, swapped)
+    e1, e2 = channels if dt == 0 else propagate_kernel(channels, grid, dt)
+    if convention == "ordered-grid-product":
+        dx2 = grid.spacing**2
+        return (float(np.sum(abs2(e1))) * dx2, float(np.sum(abs2(e2))) * dx2,
+                2.0 * float((np.vdot(e1, e2) * dx2).real))
+    m = np.stack([sample_packet(p, grid.points) for p in family], axis=1) * np.sqrt(grid.spacing)
+    q, _ = np.linalg.qr(m)
+    a1, a2 = (q.conj().T @ e @ q.conj() * grid.spacing for e in (e1, e2))
+    return float(np.sum(abs2(a1))), float(np.sum(abs2(a2))), 2.0 * float(np.vdot(a1, a2).real)
+
+
+def two_channel_rate(state, swapped, case, dt, convention, family=None):
+    """(ratio, completeness, norm coefficient, interference) of a rate of
+    `state` from `two_channel_sums`, its normalization from the swap
+    overlap <Psi|`swapped`>."""
+    s1, s2, cross = two_channel_sums(state, swapped, dt, convention, family)
+    if case == "prop2-nonsymmetrized":
+        return 0.5 * s1 + 0.5 * s1, s1, 1.0, 0.0
+    swap = complex(np.vdot(state.kernel, swapped) * state.grid.spacing**2)
+    coeff = float((2.0 + 2.0 * swap.real) ** -0.5)
+    n2 = coeff**2
+    completeness = n2 * (s1 + s2 + cross)
+    return 2.0 * completeness, completeness, coeff, abs(2.0 * n2 * cross)
 
 
 def schmidt_ratio(width_sum: float, width_diff: float) -> float:

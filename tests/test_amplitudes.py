@@ -12,12 +12,15 @@ Oracles used here:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from twoatom import amplitudes
 from twoatom.amplitudes import (
+    CONVENTIONS,
     RateRatioReport,
+    _first_channel_sum,
+    _pair_sums,
     property_case_rate,
     first_emission_amplitude,
     first_emission_rate_ratio,
@@ -25,12 +28,12 @@ from twoatom.amplitudes import (
     second_emission_amplitude,
     second_emission_rate_ratio,
 )
-from twoatom.errors import InvalidCaseError, InvalidParameterError, InvalidStateError
+from twoatom.errors import DomainTruncationError, InvalidCaseError, InvalidParameterError, InvalidStateError
 from twoatom.grids import SpatialGrid, abs2
 from twoatom.packets import make_packet, overlap, sample_packet
 from twoatom.pairstate import ProductPair, TwoAtomState, make_two_atom_gaussian, propagate_kernel
 
-from oracles import schmidt_ratio
+from oracles import schmidt_ratio, two_channel_rate, two_channel_sums
 
 GRID = SpatialGrid.centered(16.0, 512)
 STATE = make_two_atom_gaussian(2.0, 1.0, GRID)
@@ -343,3 +346,82 @@ def test_report_validation():
         RateRatioReport(2.0, 1.0, 0.5, "bogus", "ordered-grid-product")
     with pytest.raises(InvalidParameterError):
         first_emission_rate_ratio(STATE, -1.0)
+
+
+
+#: grid sizes from 64 to 400 points: powers of two, their neighbours and others
+SYMMETRIC_GRID_POINTS = st.sampled_from([64, 65, 128, 255, 256, 257, 320, 400]) | st.integers(64, 400)
+SYMMETRIC_CASES = ("prop2-nonsymmetrized", "prop3-entangled-final", "prop4-entangled-second")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=SYMMETRIC_GRID_POINTS,
+    width_sum=st.floats(0.5, 3.0),
+    ratio=st.floats(0.5, 2.0),
+    dt=st.floats(1e-3, 20.0),
+    centers=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7),
+)
+@example(n=64, width_sum=1.0, ratio=1.0, dt=1.0, centers=[1.0])
+def test_symmetric_kernel_takes_one_channel_with_the_bits_of_two(n, width_sum, ratio, dt, centers):
+    # the sampled correlated Gaussian equals its transpose bit for bit, so
+    # both of its channels are the kernel itself, evolved, summed and
+    # projected once; every sum and rate keeps the bits of the two-channel
+    # path, Psi and Psi(y, x) each taken on its own.  Psi(y, x) is an array
+    # of its own here, as in the propagation buffer at dt > 0: a product
+    # with the transposed view, as BLAS takes it, may round its last bit
+    # otherwise (restricted-subset at dt = 0, n = 64, one packet at 1.0)
+    width_diff = ratio * width_sum
+    grid = SpatialGrid.centered(8.0 * max(width_sum, width_diff), n)
+    try:
+        state = make_two_atom_gaussian(width_sum, width_diff, grid)
+    except DomainTruncationError:
+        reject()
+    assert state.kernel.tobytes() == state.kernel.T.tobytes(order="C")
+    assert state.exchange_symmetric
+    c1, c2 = state.channels
+    assert c1 is c2 is state.kernel
+    swapped = np.ascontiguousarray(state.kernel.T)
+    family = [make_packet(c, 0.0, width_sum) for c in centers]
+    for flight in (0.0, dt):
+        for convention in CONVENTIONS:
+            want = two_channel_sums(state, swapped, flight, convention, family)
+            got = _pair_sums(state, flight, convention, family)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (flight, convention)
+            assert _first_channel_sum(state, flight, convention, family).hex() == want[0].hex()
+            reports = [(None, first_emission_rate_ratio(state, flight, convention, family), None)]
+            for case in SYMMETRIC_CASES:
+                result = property_case_rate(case, state, flight, convention, family)
+                reports.append((case, result.report, result.interference_magnitude))
+            for case, report, interference in reports:
+                ratio_, completeness, coeff, cross = two_channel_rate(state, swapped, case, flight, convention, family)
+                assert report.ratio.hex() == ratio_.hex(), (case, flight, convention)
+                assert report.completeness_sum.hex() == completeness.hex()
+                assert report.norm_coefficient_used.hex() == coeff.hex()
+                if interference is not None:
+                    assert interference.hex() == cross.hex()
+
+
+@pytest.mark.parametrize("flip, zeroed", [(1, False), (1 << 63, True)], ids=["last-bit", "sign-of-zero"])
+def test_an_asymmetric_kernel_takes_two_channels(flip, zeroed):
+    # one element below the diagonal that differs from its mirror in one
+    # bit, even where == calls them equal (-0.0 == 0.0), makes C2 the
+    # transposed view, and every sum that of the two-channel path on it
+    grid = SpatialGrid.centered(16.0, 128)
+    k = make_two_atom_gaussian(2.0, 1.0, grid).kernel.copy()
+    if zeroed:
+        k.real[-1, 1] = k.real[1, -1] = 0.0
+        assert TwoAtomState(grid, k.copy()).exchange_symmetric
+    k.real.view(np.uint64)[-1, 1] ^= np.uint64(flip)
+    assert (k[-1, 1] == k[1, -1]) == zeroed
+    state = TwoAtomState(grid, k)
+    assert not state.exchange_symmetric
+    c1, c2 = state.channels
+    assert c1 is k and c2 is not c1 and c2.base is k and np.array_equal(c2, k.T)
+    swap = complex(np.vdot(k, k.T) * grid.spacing**2)
+    assert state.swap_overlap.real.hex() == swap.real.hex()
+    family = [make_packet(c, 0.0, 1.0) for c in (-1.0, 0.5)]
+    for flight in (0.0, 1.5):
+        for convention in CONVENTIONS:
+            want = two_channel_sums(state, k.T, flight, convention, family)
+            assert [x.hex() for x in _pair_sums(state, flight, convention, family)] == [x.hex() for x in want]

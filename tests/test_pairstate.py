@@ -221,20 +221,51 @@ def test_usable_cpus_without_an_affinity_mask(monkeypatch):
     assert grids.usable_cpus() == (os.cpu_count() or 1)
 
 
-def _packet(draw):
-    p = make_packet(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 4.0)))
-    return evolve_free(p, draw(FLIGHT))
+def _packet(draw, center=None, momentum=None):
+    center = draw(st.floats(-2.0, 2.0)) if center is None else center
+    momentum = draw(st.floats(-2.0, 2.0)) if momentum is None else momentum
+    return evolve_free(make_packet(center, momentum, draw(st.floats(0.2, 4.0))), draw(FLIGHT))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=BLOCK_GRID_POINTS, half=st.floats(4.0, 40.0), count=THREADS, block=BLOCK, data=st.data())
 def test_blocked_mode_kernel_is_bit_identical(n, half, count, block, data):
+    # any sum mode; the relative mode even, centered at 0 at rest (at any
+    # width and flight), so that the kernel is sampled on and above the
+    # diagonal and mirrored below it
     grid = SpatialGrid.centered(half, n)
-    mode_sum, mode_diff = _packet(data.draw), _packet(data.draw)
+    mode_sum, mode_diff = _packet(data.draw), _packet(data.draw, center=0.0, momentum=0.0)
     with threads(count, block):
         blocked = _mode_kernel(mode_sum, mode_diff, grid)
     # tobytes, not ==, so that signed zeros count
     assert blocked.tobytes() == meshgrid_mode_kernel(mode_sum, mode_diff, grid).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=BLOCK_GRID_POINTS, seed=st.integers(0, 2**32 - 1), flip=st.sampled_from([None, 0, 63]),
+       count=THREADS, block=BLOCK, data=st.data())
+def test_symmetry_check_reads_every_bit_on_any_threads(n, seed, flip, count, block, data):
+    # a + a^T is symmetric bit for bit (addition commutes); one bit flipped
+    # anywhere off the diagonal, the last of the mantissa or the sign, must
+    # be seen whichever band and thread takes it
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kernel = a + a.T
+    if flip is not None:
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        part = kernel.imag if data.draw(st.booleans()) else kernel.real
+        part.view(np.uint64)[i, j] ^= np.uint64(1 << flip)
+    with threads(count, block):
+        assert TwoAtomState(SpatialGrid.centered(10.0, n), kernel).exchange_symmetric == (flip is None)
+
+
+@pytest.mark.parametrize("center, momentum", [(0.5, 0.0), (0.0, -0.5)])
+def test_mode_kernel_needs_an_even_relative_mode(center, momentum):
+    # an off-center or moving relative mode has no mirror symmetry, so the
+    # mirrored half would be wrong: it is refused instead
+    with pytest.raises(InvalidParameterError):
+        _mode_kernel(make_packet(0.0, 0.0, 1.0), make_packet(center, momentum, 1.0), GRID)
 
 
 @settings(max_examples=40, deadline=None)

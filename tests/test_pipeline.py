@@ -23,9 +23,12 @@ from hypothesis import strategies as st
 
 from twoatom import amplitudes, eventsim, grids, pairstate, pipeline
 from twoatom.cli import main as cli_main
+from twoatom.amplitudes import first_emission_rate_ratio
 from twoatom.errors import ConfigValidationError, EventsFileError, InsufficientDataError
 from twoatom.eventsim import MODES, detector_streams, simulate_ensemble
+from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
+from twoatom.pairstate import make_two_atom_gaussian
 from twoatom.pipeline import (
     EVENTS_COLUMNS,
     AmplitudeParams,
@@ -73,7 +76,9 @@ POSITIVE = st.floats(min_value=1e-300, max_value=1e300) | st.integers(1, 10**6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
 VALID_CONFIGS = st.builds(
     ExperimentConfig,
-    gamma_inverse=POSITIVE,
+    # n0 (<= 10^12) of the longest waits, 37.43 gamma_inverse over a factor
+    # (>= 10^-6), must sum to a finite number
+    gamma_inverse=st.floats(min_value=1e-300, max_value=1e280) | st.integers(1, 10**6),
     n0=st.integers(1, 10**12),
     mode=st.sampled_from(MODES),
     seed=st.integers(-2**70, 2**70),
@@ -359,14 +364,16 @@ def test_golden_rates_bytes_off_a_power_of_two(tmp_path):
 
 
 def test_rate_stage_takes_each_whole_kernel_product_once(tmp_path, monkeypatch):
-    # one propagation, of both channels at dt > 0; four whole-kernel vdots:
-    # the state's swap overlap (its dt = 0 cross term, shared by the
-    # identity, prop3 and prop4 cases), the cross term at dt > 0, and one
-    # per full-basis prop1 study, each on its own product channels; and
-    # three product channels: the orthogonal pair's two, which its three
-    # studies share, and the one that serves both slots of the identical pair
+    # one propagation at dt > 0, of the state's one channel: its kernel is
+    # exchange-symmetric, so C2 is C1; four whole-kernel vdots: the state's
+    # swap overlap (its dt = 0 cross term, shared by the identity, prop3 and
+    # prop4 cases), the cross term at dt > 0, and one per full-basis prop1
+    # study, each on its own product channels; and three product channels:
+    # the orthogonal pair's two, which its three studies share, and the one
+    # that serves both slots of the identical pair
     n = 128
     calls = {"propagate_kernel": 0, "vdot": 0, "channel": 0}
+    propagated = []
 
     def counted(name, fn, whole=lambda *a: True):
         def wrapper(*args, **kwargs):
@@ -374,13 +381,18 @@ def test_rate_stage_takes_each_whole_kernel_product_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    propagate = counted("propagate_kernel", pairstate.propagate_kernel)
+    def propagate(kernels, grid, dt, propagate_kernel=pairstate.propagate_kernel):
+        calls["propagate_kernel"] += 1
+        propagated.append(len(kernels))
+        return propagate_kernel(kernels, grid, dt)
+
     monkeypatch.setattr(pairstate, "propagate_kernel", propagate)
     monkeypatch.setattr(amplitudes, "propagate_kernel", propagate)
     monkeypatch.setattr(np, "vdot", counted("vdot", np.vdot, lambda a, b: np.shape(a) == (n, n)))
     monkeypatch.setattr(pairstate, "_outer", counted("channel", pairstate._outer))
     run_rate_derivation(small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n)))
     assert calls == {"propagate_kernel": 1, "vdot": 4, "channel": 3}
+    assert propagated == [1]
 
 
 def traced_peak(call) -> int:
@@ -398,11 +410,24 @@ def traced_peak(call) -> int:
 
 
 def test_rate_stage_peak_memory(tmp_path):
-    # the rate stage holds at most the state kernel, two evolved channels
-    # and one real |e|^2 buffer: 3.5 dense complex kernels of 16 n^2 bytes
+    # the rate stage holds at most the state kernel, prop1's two product
+    # channels and one real |.|^2 buffer: 3.5 dense complex kernels of
+    # 16 n^2 bytes
     n = 512
     cfg = small_config(tmp_path, amplitude=AmplitudeParams(grid_points=n))
     assert traced_peak(lambda: run_rate_derivation(cfg)) <= 3.6 * 16 * n * n
+
+
+def test_symmetric_state_peak_memory():
+    # building the state, checking its symmetry and taking its swap overlap
+    # hold its kernel and the |Psi|^2 of its mass check, no transposed copy;
+    # a flight then holds one evolved channel and its |e|^2 above the state
+    n = 512
+    kernel = 16 * n * n
+    grid = SpatialGrid.centered(16.0, n)
+    assert traced_peak(lambda: make_two_atom_gaussian(2.0, 1.0, grid).swap_overlap) <= 1.6 * kernel
+    state = make_two_atom_gaussian(2.0, 1.0, grid)
+    assert traced_peak(lambda: first_emission_rate_ratio(state, 1.5)) <= 1.6 * kernel
 
 
 def test_rate_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
@@ -541,7 +566,13 @@ def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys, monkeypatch):
      ["gamma_inverse", "gamma_s_factor"]),
     (["simulate", "--n0", "50", "--set", "gamma_s_factor=5e-324"], ["gamma_s_factor"]),
     (["simulate", "--n0", "50", "--set", "gamma_inverse=1e307"], ["gamma_inverse"]),
-], ids=["dt", "separations", "gamma_s-underflows", "gamma_s-wait-overflows", "gamma-wait-overflows"])
+    # n0 waits, as a fit's mean sums them, leave the float range
+    (["simulate", "--n0", "50", "--set", "gamma_inverse=3e306"], ["n0", "gamma_inverse"]),
+    # a mode width of the state underflows, or the flight's phase overflows
+    (["rates", "--set", "amplitude.width_diff=5e-324"], ["amplitude.width_diff"]),
+    (["rates", "--set", "amplitude.dt=7.9e307"], ["amplitude.dt"]),
+], ids=["dt", "separations", "gamma_s-underflows", "gamma_s-wait-overflows", "gamma-wait-overflows",
+        "n0-waits-overflow", "width_diff-underflows", "dt-phase-overflows"])
 def test_cli_values_out_of_the_float_range_exit_2_without_output(tmp_path, capsys, args, fields):
     out = tmp_path / "out"
     code = cli_main([*args, "--set", "amplitude.grid_points=64", "--out", str(out)])
@@ -1104,6 +1135,10 @@ def small_sizes(item) -> bool:
 # a derived rate that underflows, or whose longest wait overflows
 @example(command=("simulate",), n0=50, sets=[("gamma_inverse", 1e300), ("gamma_s_factor", 1e-300)])
 @example(command=("simulate",), n0=50, sets=[("gamma_s_factor", 5e-324)])
+@example(command=("simulate",), n0=50, sets=[("gamma_inverse", 3e306)])
+# a mode width that underflows, a flight whose phase overflows
+@example(command=("rates",), n0=5, sets=[("amplitude.width_diff", 5e-324)])
+@example(command=("rates",), n0=5, sets=[("amplitude.dt", 7.9e307)])
 # sizes past what numpy can address, refused before anything is allocated
 @example(command=("simulate",), n0=5, sets=[("n0", 600000000000000000)])
 @example(command=("simulate",), n0=5, sets=[("bins", 2000000000000000000)])
