@@ -13,8 +13,7 @@ one spatial term per channel:
     amp = sqrt(2) * N * (<out1 out2|U|C1> + <out1 out2|U|C2>)
 
 Either pair state of `pairstate` supplies C1, C2 and N, and every rate on
-the grid is taken from the one sum of its channels, `_pair_sums`, but
-prop2's, which needs C1's part alone (`_first_channel_sum`).
+the grid is taken from the one sum of its channels, `_pair_sums`.
 
 The emission rate relative to a single atom is the sum of |amp|^2 over a
 complete set of final product states.  On a grid the ordered product basis
@@ -43,7 +42,7 @@ import numpy as np
 from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError
 from .grids import SpatialGrid, abs2
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
-from .pairstate import ProductPair, TwoAtomState, _ordered_sum, check_packet_mass, propagate_kernel
+from .pairstate import ProductPair, TwoAtomState, _channel_sums, check_packet_mass, propagate_kernel
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -97,18 +96,6 @@ def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
     return f
 
 
-def _evolved(channels, grid: SpatialGrid, dt: float):
-    """`channels` after a free flight of `dt`: the channels themselves at
-    dt = 0, else one propagation of them all.  A repeated channel (C2 is
-    C1, one object) is propagated once and evolves into one array."""
-    if dt == 0:
-        return channels
-    if len(channels) == 2 and channels[1] is channels[0]:
-        (evolved,) = propagate_kernel(channels[:1], grid, dt)
-        return evolved, evolved
-    return propagate_kernel(channels, grid, dt)
-
-
 def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) -> complex:
     """Matrix element for the first emission into the product pair (out1, out2)
     after a free flight of `dt`.
@@ -119,68 +106,37 @@ def first_emission_amplitude(psi0: TwoAtomState, out1, out2, dt: float = 0.0) ->
     the element is exactly symmetric under out1 <-> out2.
     """
     grid = psi0.grid
-    (evolved,) = _evolved((psi0.kernel,), grid, dt)
+    evolved = psi0.kernel if dt == 0 else propagate_kernel((psi0.kernel,), grid, dt)[0]
     f1 = _out_vector(out1, grid)
     f2 = _out_vector(out2, grid)
     terms = np.vdot(np.outer(f1, f2), evolved) + np.vdot(np.outer(f2, f1), evolved)
     return complex(_SQRT2 * psi0.norm_coefficient * terms * grid.spacing**2)
 
 
-def _restricted_amplitudes(channels, grid, family):
-    """Each channel's amplitudes onto the ordered pairs of an orthonormalized
-    finite family of final one-particle states.  A repeated channel is
-    projected once, into one array."""
+def _pair_sums(pair, dt, convention, family):
+    """(s1, s2, cross) of the pair's channels (C1, C2) evolved for `dt` and
+    summed over final states under `convention`: the full product basis of
+    the grid, or the ordered pairs of the orthonormalized finite `family`
+    of final one-particle states.  Under the full basis at dt = 0 these are
+    the sums the pair keeps once taken.  A repeated channel (C2 is C1, one
+    object) is evolved, projected and summed once."""
+    if convention not in CONVENTIONS:
+        raise InvalidParameterError(f"unknown convention {convention!r}")
+    if dt == 0 and convention == "ordered-grid-product":
+        return pair.full_basis_sums
+    grid = pair.grid
+    c1, c2 = pair.channels
+    amplitudes = [c1] if c2 is c1 else [c1, c2]
+    if dt != 0:
+        amplitudes = list(propagate_kernel(amplitudes, grid, dt))
+    if convention == "ordered-grid-product":
+        return _channel_sums(amplitudes[0], amplitudes[-1], grid.spacing**2)
     if not family:
         raise InvalidParameterError("restricted-subset convention needs a packet family")
     m = np.stack([_out_vector(p, grid) for p in family], axis=1) * np.sqrt(grid.spacing)
     q, _ = np.linalg.qr(m)  # orthonormal (l2) columns
-
-    def project(e):
-        return q.conj().T @ e @ q.conj() * grid.spacing
-
-    first = project(channels[0])
-    return [first if e is channels[0] else project(e) for e in channels]
-
-
-def _restricted_sum(e1, e2, grid, family):
-    """Same decomposition as `_ordered_sum` but over an orthonormalized
-    finite family of final one-particle states (ordered pairs)."""
-    a1, a2 = _restricted_amplitudes((e1, e2), grid, family)
-    s1 = float(np.sum(abs2(a1)))
-    s2 = s1 if a2 is a1 else float(np.sum(abs2(a2)))
-    cross = 2.0 * float(np.vdot(a1, a2).real)
-    return s1, s2, cross
-
-
-def _check_convention(convention):
-    if convention not in CONVENTIONS:
-        raise InvalidParameterError(f"unknown convention {convention!r}")
-
-
-def _pair_sums(pair, dt, convention, family):
-    """(s1, s2, cross) of the pair's channels (C1, C2) evolved for `dt` and
-    summed over final states under `convention`.  Under the full product
-    basis at dt = 0 these are the sums the pair keeps once taken."""
-    _check_convention(convention)
-    if dt == 0 and convention == "ordered-grid-product":
-        return pair.full_basis_sums
-    e1, e2 = _evolved(pair.channels, pair.grid, dt)
-    if convention == "ordered-grid-product":
-        return _ordered_sum(e1, e2, pair.grid)
-    return _restricted_sum(e1, e2, pair.grid, family)
-
-
-def _first_channel_sum(pair, dt, convention, family) -> float:
-    """s1 of `_pair_sums`, with its bits, from C1 alone: C2 is neither
-    evolved nor summed."""
-    _check_convention(convention)
-    if dt == 0 and convention == "ordered-grid-product":
-        return pair.full_basis_sums[0]
-    (e1,) = _evolved(pair.channels[:1], pair.grid, dt)
-    if convention == "ordered-grid-product":
-        return float(np.sum(abs2(e1))) * pair.grid.spacing**2
-    (a1,) = _restricted_amplitudes((e1,), pair.grid, family)
-    return float(np.sum(abs2(a1)))
+    amplitudes = [q.conj().T @ e @ q.conj() * grid.spacing for e in amplitudes]
+    return _channel_sums(amplitudes[0], amplitudes[-1], 1.0)
 
 
 def _pair_rate(pair, dt, convention, family, case_label) -> PropertyRateResult:
@@ -309,7 +265,7 @@ def property_case_rate(
         # both distinguishable channels share the spatial kernel; each one
         # sums to the mass captured by the final states of `convention`,
         # and the probabilities are averaged, so C1 alone gives the ratio
-        channel = _first_channel_sum(pair, dt, convention, family)
+        channel = _pair_sums(pair, dt, convention, family)[0]
         ratio = 0.5 * channel + 0.5 * channel
         return PropertyRateResult(RateRatioReport(ratio, channel, 1.0, case, convention), 0.0)
 

@@ -40,20 +40,19 @@ _SQRT2 = np.sqrt(2.0)
 TRUNCATION_TOL = 1e-8
 
 
-def _ordered_sum(e1, e2, grid):
-    """Channel norms and cross term under the full product basis.
+def _channel_sums(first, last, weight: float) -> tuple[float, float, float]:
+    """(s1, s2, cross) of a pair's amplitudes `first` (C1's) and `last`
+    (C2's) over its final states, each product weighted by `weight`:
 
-    The basis sum collapses onto norms of the evolved channels (pairwise
-    numpy summation keeps the reduction order-independent):
+        s1 = ||first||^2,  s2 = ||last||^2,  cross = 2 Re<first|last>
 
-        sum |amp|^2 = 2 N^2 (||U C1||^2 + ||U C2||^2 + 2 Re<U C1|U C2>)
-
-    A repeated channel (`e2` is `e1`) is summed once.
+    so that sum |amp|^2 = 2 N^2 (s1 + s2 + cross).  Pairwise numpy
+    summation keeps each reduction order-independent, and a repeated
+    channel (`last` is `first`) is summed once.
     """
-    dx2 = grid.spacing**2
-    s1 = float(np.sum(abs2(e1))) * dx2
-    s2 = s1 if e2 is e1 else float(np.sum(abs2(e2))) * dx2
-    cross = 2.0 * float((np.vdot(e1, e2) * dx2).real)
+    s1 = float(np.sum(abs2(first))) * weight
+    s2 = s1 if last is first else float(np.sum(abs2(last))) * weight
+    cross = 2.0 * float((np.vdot(first, last) * weight).real)
     return s1, s2, cross
 
 
@@ -62,10 +61,10 @@ class TwoAtomState:
     """Two-particle spatial amplitude on a grid.
 
     `kernel` is the unit-normalized amplitude sampled on `grid` x `grid`.
-    Whether it equals its transpose bit for bit, its squared norm, its swap
-    overlap and the symmetrization normalization are whole-kernel
-    reductions; each is taken on first use and kept, so it runs once per
-    state.  The kernel must not be written after that.
+    Whether it equals its transpose bit for bit and its channel sums are
+    whole-kernel reductions; each is taken on first use and kept, so it
+    runs once per state, and the symmetrization normalization is read off
+    the sums' cross term.  The kernel must not be written after that.
     """
 
     grid: SpatialGrid
@@ -91,30 +90,6 @@ class TwoAtomState:
         each_block(compare, len(k))
         return all(mirrored)
 
-    @cached_property
-    def squared_norm(self) -> float:
-        """sum |Psi|^2 dx^2.  The swapped amplitude Psi(y, x) has the same
-        bits: its |.|^2 keeps the kernel's memory order, and so does the sum."""
-        return float(np.sum(abs2(self.kernel))) * self.grid.spacing**2
-
-    @cached_property
-    def swap_overlap(self) -> complex:
-        """<Psi(x,y)|Psi(y,x)> for the stored two-particle amplitude.
-
-        For an exchange-symmetric kernel Psi(y, x) is Psi itself, so this is
-        ``vdot(Psi, Psi)``: the bits of ``vdot(Psi, Psi.T)``, whose flattened
-        transpose would be a whole-kernel copy with the same values.  Any
-        other kernel takes ``vdot(Psi, Psi.T)``.
-        """
-        k = self.kernel
-        return complex(np.vdot(k, k if self.exchange_symmetric else k.T) * self.grid.spacing**2)
-
-    @cached_property
-    def norm_coefficient(self) -> float:
-        """(2 + 2 Re<Psi(x,y)|Psi(y,x)>)^(-1/2), the normalization of the
-        symmetrized state."""
-        return float((2.0 + 2.0 * self.swap_overlap.real) ** -0.5)
-
     @property
     def channels(self) -> tuple[np.ndarray, np.ndarray]:
         """C1 = Psi(x, y) and C2 = Psi(y, x), both views of the kernel.
@@ -126,10 +101,19 @@ class TwoAtomState:
         k = self.kernel
         return (k, k) if self.exchange_symmetric else (k, k.T)
 
-    @property
+    @cached_property
     def full_basis_sums(self) -> tuple[float, float, float]:
-        """`_ordered_sum` of the channels, with its bits, from the kept sums."""
-        return self.squared_norm, self.squared_norm, 2.0 * self.swap_overlap.real
+        """`_channel_sums` of the channels under the full product basis.  Its
+        cross term is 2 Re<Psi(x,y)|Psi(y,x)>: for an exchange-symmetric
+        kernel ``vdot(Psi, Psi)``, the bits of ``vdot(Psi, Psi.T)`` without
+        the whole-kernel copy that flattening the transpose would make."""
+        return _channel_sums(*self.channels, self.grid.spacing**2)
+
+    @cached_property
+    def norm_coefficient(self) -> float:
+        """(2 + 2 Re<Psi(x,y)|Psi(y,x)>)^(-1/2), the normalization of the
+        symmetrized state."""
+        return float((2.0 + self.full_basis_sums[2]) ** -0.5)
 
 
 def _outer(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -177,7 +161,7 @@ class ProductPair:
 
     @cached_property
     def full_basis_sums(self) -> tuple[float, float, float]:
-        return _ordered_sum(*self.channels, self.grid)
+        return _channel_sums(*self.channels, self.grid.spacing**2)
 
 
 def check_packet_mass(packets, grid: SpatialGrid) -> None:

@@ -28,8 +28,8 @@ from twoatom.packets import evolve_free, make_packet, sample_packet
 from twoatom.pairstate import (
     ProductPair,
     TwoAtomState,
+    _channel_sums,
     _mode_kernel,
-    _ordered_sum,
     make_two_atom_gaussian,
     propagate_kernel,
 )
@@ -74,7 +74,7 @@ def test_kernel_is_unit_normalized_and_bitwise_symmetric():
 def test_norm_coefficient_is_half_for_symmetric_state():
     st = make_two_atom_gaussian(2.0, 1.0, GRID)
     assert st.norm_coefficient == pytest.approx(0.5, abs=1e-12)
-    assert st.swap_overlap.real == pytest.approx(1.0, abs=1e-10)
+    assert st.full_basis_sums[2] == pytest.approx(2.0, abs=2e-10)
 
 
 def test_separable_iff_equal_widths():
@@ -358,17 +358,17 @@ def test_propagation_never_writes_its_argument(dt, transposed):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(64, 400), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_state_sums_have_the_bits_of_the_channel_sums(n, seed, data):
-    # at dt = 0 the rate stage reads the state's squared norm for both
-    # channels and its swap overlap for the cross term, where it once
-    # summed |Psi(y, x)|^2 and took vdot(Psi, Psi^T) itself
+    # at dt = 0 the rate stage reads the state's kept full-basis sums: its
+    # squared norm for both channels and its swap overlap in the cross
+    # term, where it once summed |Psi(y, x)|^2 and took vdot(Psi, Psi^T)
     rng = np.random.default_rng(seed)
     kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     state = TwoAtomState(SpatialGrid.centered(10.0, n), kernel)
     dx2 = state.grid.spacing**2
     assert float(np.sum(abs2(kernel.T))).hex() == float(np.sum(abs2(kernel))).hex()
-    assert state.squared_norm.hex() == (float(np.sum(abs2(kernel.T))) * dx2).hex()
+    assert state.full_basis_sums[0].hex() == (float(np.sum(abs2(kernel.T))) * dx2).hex()
     cross = 2.0 * float((np.vdot(kernel, kernel.T) * dx2).real)
-    assert (2.0 * state.swap_overlap.real).hex() == cross.hex()
+    assert state.full_basis_sums[2].hex() == cross.hex()
     # either kind of pair state: its full-basis sums are the ordered sums
     # of its own channels
     pair = ProductPair(_packet(data.draw), _packet(data.draw), state.grid)
@@ -381,4 +381,4 @@ def test_state_sums_have_the_bits_of_the_channel_sums(n, seed, data):
         )
         want = [x.hex() for x in ordered]
         assert [x.hex() for x in kind.full_basis_sums] == want
-        assert [x.hex() for x in _ordered_sum(c1, c2, kind.grid)] == want
+        assert [x.hex() for x in _channel_sums(c1, c2, dx2)] == want

@@ -419,13 +419,13 @@ def test_rate_stage_peak_memory(tmp_path):
 
 
 def test_symmetric_state_peak_memory():
-    # building the state, checking its symmetry and taking its swap overlap
+    # building the state, checking its symmetry and taking its normalization
     # hold its kernel and the |Psi|^2 of its mass check, no transposed copy;
     # a flight then holds one evolved channel and its |e|^2 above the state
     n = 512
     kernel = 16 * n * n
     grid = SpatialGrid.centered(16.0, n)
-    assert traced_peak(lambda: make_two_atom_gaussian(2.0, 1.0, grid).swap_overlap) <= 1.6 * kernel
+    assert traced_peak(lambda: make_two_atom_gaussian(2.0, 1.0, grid).norm_coefficient) <= 1.6 * kernel
     state = make_two_atom_gaussian(2.0, 1.0, grid)
     assert traced_peak(lambda: first_emission_rate_ratio(state, 1.5)) <= 1.6 * kernel
 
