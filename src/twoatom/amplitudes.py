@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError
+from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError, NumericalDegeneracyError
 from .grids import SpatialGrid, abs2
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
 from .pairstate import ProductPair, TwoAtomState, _channel_sums, check_packet_mass, propagate_kernel
@@ -64,8 +64,8 @@ class RateRatioReport:
     basis_convention: str
 
     def __post_init__(self):
-        if self.ratio < 0:
-            raise InvalidParameterError("ratio must be nonnegative")
+        if not self.ratio >= 0:
+            raise InvalidParameterError(f"ratio {self.ratio} is not nonnegative")
         if not -1e-12 <= self.completeness_sum <= 1.0 + 1e-6:
             raise InvalidParameterError(
                 f"completeness_sum {self.completeness_sum} outside [0, 1 + 1e-6]"
@@ -195,14 +195,20 @@ def second_emission_rate_ratio(
     Takes the product pair left by the first emission, lets both packets
     spread freely for dt, applies the photon recoil to the emitting one and
     squares the matrix element.  Equals 1 + |overlap|^2, hence 1 for well
-    separated packets and 2 for coincident ones.
+    separated packets and 2 for coincident ones.  Packet arithmetic that
+    leaves the float range, so that the ratio is not finite, raises
+    NumericalDegeneracyError.
     """
     psi, phi = first_out
     psi_ts = evolve_free(psi, dt)
     varphi = apply_recoil(evolve_free(phi, dt), recoil_k)
-    amp, n_s = _second_emission(psi_ts, varphi)
+    with np.errstate(all="ignore"):  # a ratio that is not finite raises below
+        amp, n_s = _second_emission(psi_ts, varphi)
+    ratio = float(amp**2)
+    if not np.isfinite(ratio):
+        raise NumericalDegeneracyError(f"second-emission ratio {ratio} is not finite")
     return RateRatioReport(
-        ratio=float(amp**2),
+        ratio=ratio,
         completeness_sum=1.0,
         norm_coefficient_used=float(n_s),
         case_label="second-emission",

@@ -108,6 +108,8 @@ def fit_exponential_mle(samples) -> FitResult:
     if mean <= 0:
         raise InsufficientDataError("sample mean is zero; rate undefined")
     rate = 1.0 / mean
+    if rate == np.inf:
+        raise InsufficientDataError(f"sample mean {mean:g} is so small that the rate, its reciprocal, overflows")
     return FitResult(
         rate_hat=rate,
         std_error=rate / np.sqrt(x.size),
@@ -143,6 +145,8 @@ def fit_cumulative_curve(times) -> FitResult:
     except RuntimeError as exc:  # no convergence, common for a handful of samples
         raise InsufficientDataError(f"cumulative fit of {x.size} samples did not converge") from exc
     amp, rate = popt
+    if not (np.isfinite(rate) and np.isfinite(pcov[1, 1])):
+        raise InsufficientDataError(f"cumulative fit of {x.size} samples leaves its rate or the rate's variance undefined")
     resid = emp - model(grid, *popt)
     return FitResult(
         rate_hat=float(rate),

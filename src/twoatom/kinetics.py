@@ -51,20 +51,50 @@ class RateTriple:
 def detection_densities(t, rates: RateTriple):
     """Normalized detection densities (n_f, n_s, n_i) at time(s) t.
 
-    n_f = G_f exp(-G_f t); n_s is the exact derivative of N_s / n0;
+    n_f = G_f exp(-G_f t); n_s is the exact derivative of N_s / n0,
+
+        n_s = G_f G_s / (G_s - G_f) * exp(-G_f t) * (1 - exp(-(G_s - G_f) t));
+
     n_i = G exp(-G t).  Vectorized over t.
+
+    For G_f > G_s the second factor of n_s grows as the first shrinks, and
+    their product overflows, or loses bits once exp(-G_f t) is subnormal.
+    There, and wherever the rate product G_f G_s overflows, n_s factors
+    out the slower exponential instead:
+
+        n_s = G_s * (G_f / (G_f - G_s) * exp(-G_s t) * (1 - exp(-(G_f - G_s) t)))
+
+    Where (G_s - G_f) t is below the normal range, and so has lost bits,
+    n_s is G_f G_s t exp(-G_f t), since 1 - exp(-(G_s - G_f) t) rounds to
+    (G_s - G_f) t there.  Elsewhere the first form is kept, with its bits.
+    In the degenerate limit, G^2 t exp(-G t) is taken as
+    G t exp(log G - G t) where the first form is not finite.
     """
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise InvalidParameterError("t must be nonnegative")
-    n_f = rates.gamma_f * np.exp(-rates.gamma_f * tt)
-    if abs(rates.gamma_s - rates.gamma_f) / rates.gamma_f < DEGENERATE_SWITCH:
-        g = rates.gamma_f
-        n_s = g * g * tt * np.exp(-g * tt)
-    else:
-        delta = rates.gamma_s - rates.gamma_f
-        diff = -np.exp(-rates.gamma_f * tt) * np.expm1(-delta * tt)
-        n_s = rates.gamma_f * rates.gamma_s / delta * diff
+    g_f, g_s = rates.gamma_f, rates.gamma_s
+    delta = g_s - g_f
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_f = g_f * np.exp(-g_f * tt)
+        if abs(delta) / g_f < DEGENERATE_SWITCH:
+            n_s = g_f * g_f * tt * np.exp(-g_f * tt)
+            redo = ~np.isfinite(n_s)
+            if np.any(redo):  # G exp(-x) as exp(log G - x), which is 0 from x = 1e4 on
+                x = np.minimum(g_f * tt, 1e4)
+                n_s = np.where(redo, x * np.exp(np.log(g_f) - x), n_s)
+        else:
+            first = np.exp(-g_f * tt)
+            n_s = g_f * g_s / delta * (-first * np.expm1(-delta * tt))
+            tiny = np.finfo(float).tiny
+            redo = ~np.isfinite(n_s) | (delta < 0) & (first < tiny)
+            if np.any(redo):
+                # the slower exponential factored out; for G_f < G_s it is the first
+                diff = np.exp(-g_s * tt) * np.expm1(delta * tt) if delta < 0 else -first * np.expm1(-delta * tt)
+                n_s = np.where(redo, g_s * (g_f / delta * diff), n_s)
+            short = (tt > 0) & (np.abs(delta * tt) < tiny)
+            if np.any(short):
+                n_s = np.where(short, g_f * (g_s * tt) * first, n_s)
     n_i = rates.gamma * np.exp(-rates.gamma * tt)
     return n_f, n_s, n_i
 

@@ -104,27 +104,27 @@ class ExperimentConfig:
         self._check_rates()
 
     def _check_rates(self) -> None:
-        """Each derived rate must be positive, and the longest wait the
-        draws give finite: -log(2^-54) over the rate, and for t_s, t_f plus
-        that wait.  n0 such waits must sum to a finite number too, as the
-        fits' means do.  A failure names those of gamma_inverse,
+        """Each derived rate must be positive and finite, and the longest
+        wait the draws give finite: -log(2^-54) over the rate, and for t_s,
+        t_f plus that wait.  n0 such waits must sum to a finite number too,
+        as the fits' means do.  A failure names those of n0, gamma_inverse,
         gamma_f_factor and gamma_s_factor that differ from their defaults,
-        which hold, after n0 if the sum is at fault."""
+        which hold, n0 only if the sum is at fault."""
         rates = self._rate_values()
         wait = 54 * math.log(2.0)  # -log of the smallest uniform draw, 2^-54
-        longest = max(wait / rates[0], wait / rates[1] + wait / rates[2]) if min(rates) > 0 else math.inf
+        finite = 0 < min(rates) and max(rates) < math.inf
+        longest = max(wait / rates[0], wait / rates[1] + wait / rates[2]) if finite else math.inf
         # n0 * longest <= the largest float, in a form that takes any int n0
-        if longest == 0 or longest < math.inf and self.n0 <= sys.float_info.max / longest:
+        if longest < math.inf and self.n0 <= sys.float_info.max / longest:
             return
-        fields = [f.name for f in dataclasses.fields(self)
-                  if f.name in _RATE_FIELDS and getattr(self, f.name) != f.default]
-        if longest < math.inf:
-            fields = ["n0", *fields]
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        names = ("n0", *_RATE_FIELDS) if longest < math.inf else _RATE_FIELDS
+        fields = [name for name in names if getattr(self, name) != defaults[name]]
         raise ConfigValidationError(
             fields, f"{', '.join(fields)}: the rates 1/gamma_inverse, gamma_f_factor/gamma_inverse and"
-            f" gamma_s_factor/gamma_inverse, {', '.join(f'{r:g}' for r in rates)} /s, must be positive,"
-            f" their longest waits, {wait:.2f} over the rate, finite, and n0 = {self.n0} of them"
-            f" summed, as a fit's mean sums them, finite too")
+            f" gamma_s_factor/gamma_inverse, {', '.join(f'{r:g}' for r in rates)} /s, must be positive"
+            f" and finite, their longest waits, {wait:.2f} over the rate, finite, and n0 = {self.n0} of"
+            f" them summed, as a fit's mean sums them, finite too")
 
     def set(self, key: str, value) -> None:
         """Set the field at dotted `key` to a JSON value, the way in for every outside
@@ -174,8 +174,13 @@ class ExperimentConfig:
             raise ConfigValidationError([path], f"{path} is not valid JSON: {exc}") from None
 
     def si_conversion(self) -> dict:
-        """SI equivalents of the natural units used by the amplitude stage."""
+        """SI equivalents of the natural units used by the amplitude stage;
+        a ConfigValidationError if one leaves the float range."""
         tau = self.atom_mass_kg * self.length_unit_m**2 / _HBAR_SI
+        if not math.isfinite(self.amplitude.dt * tau):
+            fields = ["atom_mass_kg", "length_unit_m"] + (["amplitude.dt"] if math.isfinite(tau) else [])
+            raise ConfigValidationError(fields, f"{', '.join(fields)}: the natural time unit, atom_mass_kg *"
+                                                f" length_unit_m^2 / hbar, or amplitude.dt in it, leaves the float range")
         return {
             "atom_mass_kg": self.atom_mass_kg,
             "length_unit_m": self.length_unit_m,
@@ -609,6 +614,7 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     """`run_experiment` up to report.json; also returns the histograms of
     the detection pass, from which `run_full` draws the overlays."""
     records = _simulate(cfg)  # validates cfg
+    echo = _echo(cfg)  # before any output
     hists, tau, counters = detection_pass(records, cfg)
     out = _ensure_outdir(cfg)
 
@@ -628,18 +634,17 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     streams = detector_streams(records)
     for i in (1, 2):
         fits.update(_supported_fits([(f"detector_{i}", fit_cumulative_curve, next(streams))]))
-    return _fit_report(cfg, fits, paths, counters), hists
+    return _fit_report(echo, fits, paths, counters), hists
 
 
-def _fit_report(cfg: ExperimentConfig, fits: dict[str, FitResult], curve_tables: dict,
-                counters: dict) -> ReportBundle:
+def _fit_report(echo: dict, fits: dict[str, FitResult], curve_tables: dict, counters: dict) -> ReportBundle:
     """The report of a fit stage: its fits and detection counters, no rate
-    ratios, the config echo."""
+    ratios, the config `echo`."""
     return ReportBundle(
         fits={k: dataclasses.asdict(f) for k, f in fits.items()},
         rate_ratios=[],
         curve_tables=curve_tables,
-        config_echo=_echo(cfg),
+        config_echo=echo,
         version=__version__,
         counters=counters,
     )
@@ -649,11 +654,12 @@ def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
     """Fit the rates of an existing events.csv and write report.json; a
     file that cannot be read leaves no output directory behind."""
     cfg.validate()
+    echo = _echo(cfg)
     data = read_events_csv(events_path)
     out = _ensure_outdir(cfg)
     tau, counters = _coincidences_and_counters(data)
     fits = _supported_fits(_mle_fit_jobs(data["t_f"], data["t_s"], tau))
-    bundle = _fit_report(cfg, fits, {"events": events_path}, counters)
+    bundle = _fit_report(echo, fits, {"events": events_path}, counters)
     write_report(os.path.join(out, "report.json"), bundle)
     return bundle
 
@@ -696,10 +702,14 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
         cfg.validate()  # with an overlay, simulating validates cfg
     # an ensemble too large for memory fails before the output directory is made
     hists = detection_pass(_simulate(cfg), cfg)[0] if overlay else None
-    out = _ensure_outdir(cfg)
     rates = cfg.rates
     g = rates.gamma
-    t = np.linspace(0.0, cfg.t_max_lifetimes / g, 401)
+    t_hi = cfg.t_max_lifetimes / g
+    if not math.isfinite(t_hi):
+        raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse"],
+                                    "t_max_lifetimes * gamma_inverse, the figure's time range, leaves the float range")
+    out = _ensure_outdir(cfg)
+    t = np.linspace(0.0, t_hi, 401)
     n_f, n_s, n_i = detection_densities(t, rates)
     path = os.path.join(out, "fig1.csv")
     with open(path, "wb") as fh:

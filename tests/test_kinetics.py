@@ -4,13 +4,15 @@ Independent oracles: saturation and t = 0 limits are forced analytically;
 the degenerate-rate limit is checked by series expansion (the exact
 first-order coefficient is sup_t G^2 t^2 e^{-Gt} / 2 = 2/e^2), and both
 second-photon curves are pinned continuous across the switch to it; the
-density peak position is found numerically; the coincidence closed form is
-checked against a Monte Carlo histogram.
+densities are checked against 50-digit mpmath; the density peak position
+is found numerically; the coincidence closed form is checked against a
+Monte Carlo histogram.
 """
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
@@ -121,6 +123,40 @@ def test_second_curves_are_continuous_across_the_degenerate_switch(gamma_f, x, s
     n_s_in = detection_densities(t, RateTriple(gamma_f / 2.0, gamma_f, inside))[1]
     n_s_out = detection_densities(t, RateTriple(gamma_f / 2.0, gamma_f, outside))[1]
     assert abs(n_s_in - n_s_out) / gamma_f < 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ratio=st.floats(1e-6, 1e6) | st.floats(1.0 - 1e-8, 1.0 + 1e-8),
+    gamma_s=st.floats(0.1, 10.0),
+    t=st.floats(0.0, 8.0),
+)
+# exp(-G_f t) is subnormal, and 0, where n_s is a normal float
+@example(ratio=90.0, gamma_s=1.0, t=7.98)
+@example(ratio=1e6, gamma_s=1.0, t=8.0)
+# (G_s - G_f) t below the normal range
+@example(ratio=1.0000000031807303, gamma_s=1.0, t=4.8e-302)
+def test_densities_match_mpmath(ratio, gamma_s, t):
+    # fig1's densities at G = 1 over its 8 lifetimes, within a few ulps of
+    # 50-digit values scaled by their condition number 1 + (G_f + G_s) t,
+    # since each exponential's argument is rounded; a density below the
+    # normal range may be off by at most the smallest normal float.  The
+    # near-degenerate n_s is the limit the code takes
+    gamma_f = ratio * gamma_s
+    got = [float(x) for x in detection_densities(t, RateTriple(1.0, gamma_f, gamma_s))]
+    mpmath.mp.dps = 50
+    tt, g_f, g_s = mpmath.mpf(t), mpmath.mpf(gamma_f), mpmath.mpf(gamma_s)
+    if abs(gamma_s - gamma_f) / gamma_f < DEGENERATE_SWITCH:
+        n_s = g_f * g_f * tt * mpmath.exp(-g_f * tt)
+    else:
+        n_s = g_f * g_s / (g_s - g_f) * mpmath.exp(-g_f * tt) * -mpmath.expm1(-(g_s - g_f) * tt)
+    want = [float(v) for v in (g_f * mpmath.exp(-g_f * tt), n_s, mpmath.exp(-tt))]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for value, exact in zip(got, want):
+        if exact < tiny:
+            assert abs(value - exact) <= tiny, (value, exact)
+        else:
+            assert abs(value - exact) <= 4 * eps * (1.0 + (gamma_f + gamma_s) * t) * exact, (value, exact)
 
 
 def test_density_values_at_zero():

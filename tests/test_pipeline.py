@@ -127,6 +127,8 @@ JSON_VALUES = st.recursive(
 @pytest.mark.parametrize("field", FIELDS + ["amplitude"])
 @settings(max_examples=20, deadline=None)
 @example(value=None)
+# a subnormal rate factor: a finite longest wait, but n0 of them overflow
+@example(value=2.225073858507e-311)
 @given(value=JSON_VALUES)
 def test_any_json_value_fails_only_as_config_error(field, value):
     # the field takes the value, or the only error names that field; null
@@ -571,8 +573,10 @@ def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys, monkeypatch):
     # a mode width of the state underflows, or the flight's phase overflows
     (["rates", "--set", "amplitude.width_diff=5e-324"], ["amplitude.width_diff"]),
     (["rates", "--set", "amplitude.dt=7.9e307"], ["amplitude.dt"]),
+    # the spread packets' overlap is NaN, so the second-emission ratio is too
+    (["rates", "--set", "amplitude.dt=1e300"], ["amplitude.dt"]),
 ], ids=["dt", "separations", "gamma_s-underflows", "gamma_s-wait-overflows", "gamma-wait-overflows",
-        "n0-waits-overflow", "width_diff-underflows", "dt-phase-overflows"])
+        "n0-waits-overflow", "width_diff-underflows", "dt-phase-overflows", "dt-overlap-nan"])
 def test_cli_values_out_of_the_float_range_exit_2_without_output(tmp_path, capsys, args, fields):
     out = tmp_path / "out"
     code = cli_main([*args, "--set", "amplitude.grid_points=64", "--out", str(out)])
@@ -1143,9 +1147,27 @@ def small_sizes(item) -> bool:
 @example(command=("simulate",), n0=5, sets=[("n0", 600000000000000000)])
 @example(command=("simulate",), n0=5, sets=[("bins", 2000000000000000000)])
 @example(command=("rates",), n0=5, sets=[("amplitude.grid_points", 100000000000000000000)])
+# packets spread so far that their overlap is NaN
+@example(command=("rates",), n0=5, sets=[("amplitude.dt", 1e300)])
+# a second-photon density whose exp(-G_f t) is subnormal or 0, and rates
+# or times whose densities once overflowed
+@example(command=("fig1",), n0=5, sets=[("gamma_f_factor", 90)])
+@example(command=("fig1", "--overlay"), n0=5, sets=[("gamma_f_factor", 1000)])
+@example(command=("fig1",), n0=5, sets=[("gamma_f_factor", 1e300)])
+@example(command=("fig1",), n0=5, sets=[("gamma_s_factor", 1e300)])
+@example(command=("fig1",), n0=5, sets=[("t_max_lifetimes", 1e300)])
+@example(command=("fig1",), n0=5, sets=[("gamma_inverse", 1e-160)])
+@example(command=("fig1",), n0=5, sets=[("gamma_inverse", 1e-300), ("gamma_f_factor", 1)])
+@example(command=("fig1",), n0=5, sets=[("t_max_lifetimes", 1e300), ("gamma_s_factor", 2)])
+@example(command=("fig1",), n0=5, sets=[("t_max_lifetimes", 1e300), ("gamma_inverse", 1e10)])
+# a natural time unit past the float range, and a detector fit whose
+# variance is infinite
+@example(command=("simulate",), n0=1, sets=[("atom_mass_kg", 1e300)])
+@example(command=("simulate",), n0=2, sets=[("gamma_inverse", 1e-300)])
 def test_cli_fuzz_config_values(command, n0, sets):
-    # a run exits 0, 2 or 3 and never with a traceback.  A RuntimeWarning
-    # is printed, not an exit, so the run keeps Python's default filters
+    # a run exits 0, 2 or 3 and never with a traceback, and one that exits
+    # 0 writes finite artifacts.  A RuntimeWarning is printed, not an exit,
+    # so the run keeps Python's default filters
     args = [*command, "--set", f"n0={n0}", "--set", "amplitude.grid_points=64"]
     for field, value in sets:
         args += ["--set", f"{field}={json.dumps(value)}"]
@@ -1154,7 +1176,26 @@ def test_cli_fuzz_config_values(command, n0, sets):
         warnings.simplefilter("default")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli_main([*args, "--out", os.path.join(tmp, "out")])
-    assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        if code == 0:
+            assert_strict_artifacts(os.path.join(tmp, "out"))
+
+
+def assert_strict_artifacts(out: str) -> None:
+    """Every JSON file in `out` parses without NaN or Infinity, and every
+    CSV field is a finite number, but the empty t1/t2 fields of events.csv."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a JSON artifact")
+
+    for name in os.listdir(out):
+        with open(os.path.join(out, name)) as fh:
+            if name.endswith(".json"):
+                json.load(fh, parse_constant=refuse)
+            elif name.endswith(".csv"):
+                header = fh.readline().rstrip("\n").split(",")
+                for line in fh:
+                    for column, value in zip(header, line.rstrip("\n").split(","), strict=True):
+                        assert value == "" and column in ("t1", "t2") or np.isfinite(float(value)), (name, line)
 
 
 def test_cli_check_fails_without_a_fit(tmp_path, capsys):
