@@ -18,6 +18,7 @@ from .amplitudes import (
     second_emission_amplitude,
     second_emission_rate_ratio,
 )
+from .config import AmplitudeParams, ExperimentConfig
 from .eventsim import (
     detector_streams,
     simulate_ensemble,
@@ -47,8 +48,6 @@ from .pairstate import (
     make_two_atom_gaussian,
 )
 from .pipeline import (
-    AmplitudeParams,
-    ExperimentConfig,
     ReportBundle,
     reproduce_figure1,
     run_experiment,

@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
+from .config import ExperimentConfig
 from .errors import ConfigValidationError, TwoAtomError
 from .pipeline import (
-    ExperimentConfig,
     check_report,
     reproduce_figure1,
     run_experiment,

@@ -12,7 +12,7 @@ models produce identically distributed (t_f, t_s) pairs; telling them
 apart from any detection statistic is impossible, which is exactly the
 disentanglement signature the analysis module tests for.
 
-`simulate_ensemble` reads the fields of a `pipeline.ExperimentConfig`,
+`simulate_ensemble` reads the fields of a `config.ExperimentConfig`,
 whose rules live with it.  Every random draw is a counter-based function
 of (seed, molecule_id), so results are byte-identical for any worker
 count or chunking (see `twoatom._kernels`).  Detection uses two detectors

@@ -39,6 +39,10 @@ _SQRT2 = np.sqrt(2.0)
 #: tolerated loss of probability mass to grid truncation
 TRUNCATION_TOL = 1e-8
 
+#: the coarsest grid spacing, in packet widths sigma, that samples a packet's
+#: mass to TRUNCATION_TOL: spacing h is off by up to 2 exp(-2 pi^2 sigma^2 / h^2)
+COARSEST_SPACING = float(np.pi * np.sqrt(2.0 / np.log(2.0 / TRUNCATION_TOL)))
+
 
 def _channel_sums(first, last, weight: float) -> tuple[float, float, float]:
     """(s1, s2, cross) of a pair's amplitudes `first` (C1's) and `last`
@@ -166,9 +170,12 @@ class ProductPair:
 
 def check_packet_mass(packets, grid: SpatialGrid) -> None:
     """Raise DomainTruncationError unless `grid` holds all but
-    `TRUNCATION_TOL` of each packet's probability mass."""
+    `TRUNCATION_TOL` of each packet's probability mass.  A sample whose
+    exponent leaves the float range makes the mass 0 or NaN, with no
+    warning, and fails the check."""
     for packet in packets:
-        mass = float(np.sum(abs2(sample_packet(packet, grid.points)))) * grid.spacing
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = float(np.sum(abs2(sample_packet(packet, grid.points)))) * grid.spacing
         if not abs(mass - 1.0) <= TRUNCATION_TOL:
             raise DomainTruncationError(f"grid holds {mass:.12f} of the probability mass of the"
                                         f" packet at {packet.center:g} (need 1 +/- {TRUNCATION_TOL:g})")

@@ -37,7 +37,7 @@ from twoatom.inference import Histogram
 from twoatom.kinetics import DEGENERATE_SWITCH, RateTriple
 from twoatom.packets import sample_packet
 from twoatom.pairstate import propagate_kernel
-from twoatom.pipeline import EVENTS_COLUMNS
+from twoatom.eventsio import EVENTS_COLUMNS
 
 
 def meshgrid_mode_kernel(mode_sum, mode_diff, grid):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import grids, pipeline
+from twoatom import eventsio, grids
 from twoatom._csvtext import READ_EXPONENTS, FAST_RANGE, _digits, float_field, float_values, int_field, int_values, rows
 from twoatom.eventsim import CHUNK_MOLECULES, simulate_ensemble
 from twoatom.pipeline import ExperimentConfig, write_events_csv
@@ -123,7 +123,7 @@ def test_events_csv_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatc
 def test_a_chunk_across_a_power_of_ten_in_the_molecule_id(tmp_path):
     # the chunk from 6 * 2^14 = 98304 holds ids of 5 and of 6 digits
     records = simulate_ensemble(ExperimentConfig(n0=10**5 + 5, seed=12, detector_efficiency=0.7))
-    got = pipeline._event_rows(records, 6 * CHUNK_MOLECULES).tobytes().splitlines()
+    got = eventsio._event_rows(records, 6 * CHUNK_MOLECULES).tobytes().splitlines()
     lines = events_bytes(tmp_path, records, write_events_csv_per_value).splitlines()
     assert got == lines[1 + 6 * CHUNK_MOLECULES:]
     assert got[10**5 - 1 - 6 * CHUNK_MOLECULES].startswith(b"99999,")

@@ -40,3 +40,25 @@ def test_every_top_level_definition_has_a_src_caller():
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
     assert sorted(defined - referenced - TEST_ONLY) == []
+
+
+def package_imports(tree) -> set[str]:
+    """The names of the package's modules that a module's `tree` imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "twoatom"):
+            module = (node.module or "").removeprefix("twoatom").lstrip(".")
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("twoatom.")}
+    return found
+
+
+def test_modules_import_downward():
+    # the config and the events.csv format sit below the stages that use
+    # them, and only the entry points reach the stages
+    imports = {path.stem: package_imports(ast.parse(path.read_text()))
+               for path in Path(twoatom.__file__).parent.glob("*.py")}
+    assert imports["config"] & {"pipeline", "cli"} == set()
+    assert imports["eventsio"] & {"pipeline", "cli", "config"} == set()
+    assert sorted(name for name, found in imports.items() if "pipeline" in found) == ["__init__", "cli"]

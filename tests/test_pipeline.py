@@ -21,17 +21,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import amplitudes, eventsim, grids, pairstate, pipeline
+from twoatom import amplitudes, eventsim, eventsio, grids, pairstate, pipeline
 from twoatom.cli import main as cli_main
 from twoatom.amplitudes import first_emission_rate_ratio
+from twoatom.config import AmplitudeParams
 from twoatom.errors import ConfigValidationError, EventsFileError, InsufficientDataError
 from twoatom.eventsim import MODES, detector_streams, simulate_ensemble
+from twoatom.eventsio import EVENTS_COLUMNS
 from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
 from twoatom.pairstate import make_two_atom_gaussian
 from twoatom.pipeline import (
-    EVENTS_COLUMNS,
-    AmplitudeParams,
     ExperimentConfig,
     detection_pass,
     read_events_csv,
@@ -575,8 +575,13 @@ def test_cli_packets_off_the_grid_exit_2(tmp_path, capsys, monkeypatch):
     (["rates", "--set", "amplitude.dt=7.9e307"], ["amplitude.dt"]),
     # the spread packets' overlap is NaN, so the second-emission ratio is too
     (["rates", "--set", "amplitude.dt=1e300"], ["amplitude.dt"]),
+    # a grid spacing of ~1e299 resolves no packet: too coarse, not too narrow
+    (["rates", "--set", "amplitude.grid_span_factor=1e300"], ["amplitude.grid_points", "amplitude.grid_span_factor"]),
+    (["rates", "--set", "amplitude.width_sum=1e300"],
+     ["amplitude.grid_points", "amplitude.grid_span_factor", "amplitude.width_sum"]),
 ], ids=["dt", "separations", "gamma_s-underflows", "gamma_s-wait-overflows", "gamma-wait-overflows",
-        "n0-waits-overflow", "width_diff-underflows", "dt-phase-overflows", "dt-overlap-nan"])
+        "n0-waits-overflow", "width_diff-underflows", "dt-phase-overflows", "dt-overlap-nan",
+        "span-too-coarse", "width-too-coarse"])
 def test_cli_values_out_of_the_float_range_exit_2_without_output(tmp_path, capsys, args, fields):
     out = tmp_path / "out"
     code = cli_main([*args, "--set", "amplitude.grid_points=64", "--out", str(out)])
@@ -909,7 +914,7 @@ def test_cli_fit_error_in_the_last_block_leaves_no_output_directory(tmp_path, ca
     with open(path, "a") as fh:
         fh.write("50,1e-09,x,,\n")
     out = tmp_path / "refit"
-    with mock.patch.object(pipeline, "READ_BLOCK", 256):
+    with mock.patch.object(eventsio, "READ_BLOCK", 256):
         assert cli_main(["fit", "--events", str(path), "--out", str(out)]) == 2
     assert f"{path}, line 52, column t_s: 'x' is not a number" in capsys.readouterr().err
     assert not out.exists()
@@ -1014,7 +1019,7 @@ ROW_EDITS = {
     seed=st.integers(0, 2**32 - 1),
     crlf=st.booleans(),
     final_newline=st.booleans(),
-    block=st.sampled_from([8, 100, 2048, pipeline.READ_BLOCK]),
+    block=st.sampled_from([8, 100, 2048, eventsio.READ_BLOCK]),
     edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(ROW_EDITS))), max_size=4),
 )
 @example(n0=60, efficiency=0.5, seed=1, crlf=True, final_newline=False, block=8, edits=[(3, "shortest-t_f")])
@@ -1033,7 +1038,7 @@ def test_read_events_csv_equals_the_loadtxt_reader(n0, efficiency, seed, crlf, f
             lines[row] = ",".join(ROW_EDITS[edit](lines[row].split(",")))
         end = "\r\n" if crlf else "\n"
         Path(path).write_bytes((end.join([header, *lines]) + (end if final_newline else "")).encode())
-        with mock.patch.object(pipeline, "READ_BLOCK", block):
+        with mock.patch.object(eventsio, "READ_BLOCK", block):
             got = read_outcome(read_events_csv, path)
         want = read_outcome(read_events_csv_loadtxt, path)
     if isinstance(want, str):
