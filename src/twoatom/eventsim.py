@@ -126,15 +126,34 @@ def detector_streams(records: np.ndarray):
     Every kept photon is registered, also the second one of a pair that
     lands on one detector: the count pattern the per-detector cumulative
     fit assumes.  Each stream holds its first photons in molecule order,
-    then its second photons in molecule order.  A stream is built only
-    when the caller asks for it, so a caller that drops one before asking
-    for the next holds one at a time.  The fates are the ones stored in
-    the records.
+    then its second photons in molecule order.  The fates are the ones
+    stored in the records; one pass over them counts the molecules per
+    fates value, which sizes each stream exactly, and each stream is then
+    filled one CHUNK_MOLECULES chunk at a time.  A stream is built only
+    when the caller asks for it and the generator keeps no reference to
+    it, so a caller that drops one before asking for the next holds one
+    at a time, and may sort it in place.
     """
-    fates = np.ascontiguousarray(records["fates"])
-    for detector in (0, 1):
-        first_here, second_here = _kept_at(fates, detector)
-        yield np.concatenate([records["t_f"][first_here], records["t_s"][second_here]])
+    per_fates = np.zeros(_FATES.size, np.intp)
+    for start in range(0, len(records), CHUNK_MOLECULES):
+        per_fates += np.bincount(records["fates"][start:start + CHUNK_MOLECULES], minlength=_FATES.size)
+    for detector, (first_here, second_here) in enumerate(_KEPT_AT):
+        yield _stream(records, detector, int(per_fates[first_here].sum()), int(per_fates[second_here].sum()))
+
+
+def _stream(records: np.ndarray, detector: int, n_first: int, n_second: int) -> np.ndarray:
+    """The `n_first` first photons kept at `detector`, in molecule order,
+    then its `n_second` second photons, in molecule order."""
+    stream = np.empty(n_first + n_second)
+    i, j = 0, n_first  # where the next first and the next second photons go
+    for start in range(0, len(records), CHUNK_MOLECULES):
+        chunk = records[start:start + CHUNK_MOLECULES]
+        first, second = _kept_at(chunk["fates"], detector)
+        k, m = np.count_nonzero(first), np.count_nonzero(second)
+        np.compress(first, chunk["t_f"], out=stream[i:i + k])
+        np.compress(second, chunk["t_s"], out=stream[j:j + m])
+        i, j = i + k, j + m
+    return stream
 
 
 def histogram_edges(bin_width: float, t_range: tuple[float, float]) -> np.ndarray:

@@ -66,9 +66,14 @@ def _as_sample_array(samples, minimum: int) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < minimum:
         raise InsufficientDataError(f"need at least {minimum} samples, got {x.size}")
-    if np.any(x < 0):
+    if np.fmin.reduce(x) < 0:  # np.any(x < 0) without an n-byte mask; NaN is skipped by both
         raise InvalidParameterError("samples must be nonnegative times")
     return x
+
+
+def _private_copy(samples) -> np.ndarray:
+    """A contiguous float64 copy of `samples`, flattened, for one in-place fit."""
+    return np.array(samples, dtype=float, order="C").ravel()
 
 
 #: sorted samples per block of the KS walk: each block's two temporaries
@@ -78,11 +83,17 @@ KS_BLOCK = 2**16
 
 def ks_statistic_exponential(samples: np.ndarray, rate: float) -> float:
     """One-sample KS distance between the data and Exponential(rate)."""
+    return _ks_in_place(_private_copy(samples), rate)
+
+
+def _ks_in_place(cdf: np.ndarray, rate: float) -> float:
+    """`ks_statistic_exponential` of the contiguous float64 sample `cdf`,
+    which it sorts and overwrites with the fitted law's cdf."""
     # at large n this sets a run's memory peak, so the cdf overwrites the
-    # sorted copy and the gaps to i/n are taken one block at a time; each
+    # sorted sample and the gaps to i/n are taken one block at a time; each
     # i/n and each gap is computed alone and max picks one of them, so the
     # blocks give the bits of one whole-array grid
-    cdf = np.sort(np.asarray(samples, dtype=float))
+    cdf.sort()
     n = cdf.size
     np.multiply(cdf, -rate, out=cdf)
     np.expm1(cdf, out=cdf)
@@ -103,7 +114,13 @@ def fit_exponential_mle(samples) -> FitResult:
     The standard error is rate / sqrt(n) (exact Fisher information for the
     exponential family).
     """
-    x = _as_sample_array(samples, 2)
+    return _mle_in_place(_private_copy(samples))
+
+
+def _mle_in_place(x: np.ndarray) -> FitResult:
+    """`fit_exponential_mle` of the contiguous float64 sample `x`, which its
+    KS walk sorts and overwrites; the mean is taken before, in `x`'s order."""
+    x = _as_sample_array(x, 2)
     mean = float(np.mean(x))
     if mean <= 0:
         raise InsufficientDataError("sample mean is zero; rate undefined")
@@ -115,7 +132,7 @@ def fit_exponential_mle(samples) -> FitResult:
         std_error=rate / np.sqrt(x.size),
         n_samples=int(x.size),
         method="mle",
-        goodness=ks_statistic_exponential(x, rate),
+        goodness=_ks_in_place(x, rate),
     )
 
 
@@ -128,8 +145,14 @@ def fit_cumulative_curve(times) -> FitResult:
     and the start values use only that copy, so the result does not depend
     on the input order.  A fit that does not converge raises InsufficientDataError.
     """
-    x = _as_sample_array(times, 2)
-    xs = np.sort(x)
+    return _cumulative_in_place(_private_copy(times))
+
+
+def _cumulative_in_place(xs: np.ndarray) -> FitResult:
+    """`fit_cumulative_curve` of the contiguous float64 sample `xs`, which
+    it sorts."""
+    xs = _as_sample_array(xs, 2)
+    xs.sort()
     t_max = float(xs[-1])
     if t_max <= 0:
         raise InsufficientDataError("all times are zero")
@@ -139,20 +162,19 @@ def fit_cumulative_curve(times) -> FitResult:
     def model(t, amp, rate):
         return amp * -np.expm1(-rate * t)
 
-    p0 = (float(x.size), 1.0 / float(np.mean(xs)))
+    p0 = (float(xs.size), 1.0 / float(np.mean(xs)))
     try:
         popt, pcov = curve_fit(model, grid, emp, p0=p0)
     except RuntimeError as exc:  # no convergence, common for a handful of samples
-        raise InsufficientDataError(f"cumulative fit of {x.size} samples did not converge") from exc
+        raise InsufficientDataError(f"cumulative fit of {xs.size} samples did not converge") from exc
     amp, rate = popt
     if not (np.isfinite(rate) and np.isfinite(pcov[1, 1])):
-        raise InsufficientDataError(f"cumulative fit of {x.size} samples leaves its rate or the rate's variance undefined")
+        raise InsufficientDataError(f"cumulative fit of {xs.size} samples leaves its rate or the rate's variance undefined")
     resid = emp - model(grid, *popt)
     return FitResult(
         rate_hat=float(rate),
         std_error=float(np.sqrt(pcov[1, 1])),
-        n_samples=int(x.size),
+        n_samples=int(xs.size),
         method="histogram-lsq",
         goodness=float(np.sqrt(np.mean(resid**2)) / max(amp, 1.0)),
     )
-

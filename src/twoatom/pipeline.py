@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from .eventsim import (
 )
 from .eventsio import read_events_csv, write_events_csv, write_histogram_csv
 from .grids import SpatialGrid
-from .inference import FitResult, Histogram, fit_cumulative_curve, fit_exponential_mle
+from .inference import FitResult, Histogram, _cumulative_in_place, _mle_in_place
 from .kinetics import detection_densities
 from .packets import make_packet
 from .pairstate import COARSEST_SPACING, ProductPair, check_packet_mass, largest_phase, make_two_atom_gaussian, mode_sigma
@@ -87,19 +88,34 @@ def _coincidences_and_counters(columns) -> tuple[np.ndarray, dict[str, int]]:
 
 
 def _supported_fits(jobs) -> dict[str, FitResult]:
-    """Run each (name, fit, sample) job; leave out a fit its sample cannot support."""
+    """Run each (name, fit, sample) job; leave out a fit its sample cannot
+    support.  Each sample is dropped before the next job makes its own."""
     fits = {}
     for name, fit, sample in jobs:
         with contextlib.suppress(InsufficientDataError):
             fits[name] = fit(sample)
+        del sample
     return fits
 
 
 def _mle_fit_jobs(t_f, t_s, tau):
-    """The MLE fit jobs of the report, each derived sample made for its fit only."""
-    yield "first", fit_exponential_mle, t_f
-    yield "second_interval", fit_exponential_mle, t_s - t_f
-    yield "coincidence", fit_exponential_mle, np.abs(tau)
+    """The MLE fit jobs of the report, each sample made for its fit only and
+    sorted in place by it.  The jobs take over `tau`, which the caller
+    drops, and a contiguous `t_f`, a column the caller no longer reads; the
+    strided `t_f` field of the records is copied.  `t_f` goes last, once
+    `t_s - t_f` is made and gone."""
+    yield "coincidence", _mle_in_place, np.abs(tau, out=tau)
+    del tau
+    yield "second_interval", _mle_in_place, t_s - t_f
+    yield "first", _mle_in_place, np.ascontiguousarray(t_f)
+
+
+def _stream_fit_jobs(records: np.ndarray):
+    """The cumulative fit jobs of the two detector streams, each stream
+    built once the previous one is dropped and sorted in place by its fit."""
+    streams = detector_streams(records)
+    yield "detector_1", _cumulative_in_place, next(streams)
+    yield "detector_2", _cumulative_in_place, next(streams)
 
 
 def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
@@ -205,14 +221,9 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
         write_histogram_csv(p, hists[name])
         paths[f"hist_{name}"] = p
 
-    fits = _supported_fits(_mle_fit_jobs(records["t_f"], records["t_s"], tau))
-    del tau
-    # one detector stream at a time: each is dropped before the next is
-    # built (an enumerate tuple would still hold it then)
-    streams = detector_streams(records)
-    for i in (1, 2):
-        fits.update(_supported_fits([(f"detector_{i}", fit_cumulative_curve, next(streams))]))
-    return _fit_report(echo, fits, paths, counters), hists
+    jobs = itertools.chain(_mle_fit_jobs(records["t_f"], records["t_s"], tau), _stream_fit_jobs(records))
+    del tau  # the jobs own it: it goes after its fit
+    return _fit_report(echo, _supported_fits(jobs), paths, counters), hists
 
 
 def _fit_report(echo: dict, fits: dict[str, FitResult], curve_tables: dict, counters: dict) -> ReportBundle:
@@ -236,8 +247,9 @@ def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
     data = read_events_csv(events_path)
     out = _ensure_outdir(cfg)
     tau, counters = _coincidences_and_counters(data)
-    fits = _supported_fits(_mle_fit_jobs(data["t_f"], data["t_s"], tau))
-    bundle = _fit_report(echo, fits, {"events": events_path}, counters)
+    jobs = _mle_fit_jobs(data["t_f"], data["t_s"], tau)
+    del tau  # the jobs own it, and sort it and the t_f column in place
+    bundle = _fit_report(echo, _supported_fits(jobs), {"events": events_path}, counters)
     write_report(os.path.join(out, "report.json"), bundle)
     return bundle
 

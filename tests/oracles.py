@@ -12,7 +12,8 @@ channels Psi and Psi^T each propagated and summed on its own behind the
 one channel of an exchange-symmetric kernel, the single-hit rule read bit by
 bit from the fates byte, with the whole-array detection records,
 coincidence differences and histograms built from it, behind the fates
-tables and the per-chunk detection pass, events.csv written one
+tables and the per-chunk detection pass, the detector streams as one
+concatenation each behind their chunked fill, events.csv written one
 ``"%.16e" %`` string per time, and events.csv read by one ``np.loadtxt``
 call on the whole file behind the block reader).
 """
@@ -116,6 +117,18 @@ def assign_detections(records: np.ndarray) -> np.ndarray:
         code = recorded_photon(records["fates"], detector)
         out[col] = np.choose(code, (np.nan, records["t_f"], records["t_s"]))
     return out
+
+
+def concatenated_detector_streams(records: np.ndarray) -> list[np.ndarray]:
+    """The detector-1 and the detector-2 stream of `eventsim.detector_streams`,
+    each the concatenation of its first photons and of its second photons,
+    both in molecule order."""
+    fates = np.ascontiguousarray(records["fates"])
+    streams = []
+    for detector in (0, 1):
+        first_here, second_here = photons_kept_at(fates, detector)
+        streams.append(np.concatenate([records["t_f"][first_here], records["t_s"][second_here]]))
+    return streams
 
 
 def coincidence_differences(detections: np.ndarray) -> np.ndarray:

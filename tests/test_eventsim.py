@@ -37,6 +37,7 @@ from oracles import (
     assign_detections,
     build_histogram,
     coincidence_differences,
+    concatenated_detector_streams,
     histogram_total,
     photons_kept_at,
 )
@@ -260,6 +261,22 @@ def test_chunked_pass_matches_unchunked_reference(seed, efficiency, n0, workers,
     got_1, got_2 = detector_streams(rec)
     assert _same_bits(got_1, want_1)
     assert _same_bits(got_2, want_2)
+
+
+@pytest.mark.parametrize("n0", [1, 2, CHUNK_MOLECULES - 1, CHUNK_MOLECULES, CHUNK_MOLECULES + 1,
+                                3 * CHUNK_MOLECULES + 7])
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(["sequential", "independent"]),
+)
+def test_chunked_streams_equal_the_concatenated_oracle(n0, seed, efficiency, mode):
+    # each stream filled chunk by chunk into its exact size, byte for byte
+    rec = simulate_ensemble(cfg_for(n0, mode=mode, seed=seed, detector_efficiency=efficiency))
+    got, want = list(detector_streams(rec)), concatenated_detector_streams(rec)
+    assert [s.dtype for s in got] == [s.dtype for s in want]
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 def test_thread_pool_stress_keeps_records_byte_identical(monkeypatch):

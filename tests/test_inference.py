@@ -2,8 +2,12 @@
 
 Oracles: closed-form MLE identities, self-consistency against the event
 generator at the known rates, a direct expression of the one-sample KS
-distance, and its whole-array form behind the blockwise walk.
+distance, and its whole-array form behind the blockwise walk.  The public
+fits against the in-place cores the stages call on samples they own.
 """
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoatom.errors import InsufficientDataError, InvalidParameterError
-from twoatom.eventsim import simulate_ensemble
+from twoatom.eventsim import CHUNK_MOLECULES, MODES, detector_streams, simulate_ensemble
 from twoatom.inference import (
     KS_BLOCK,
     FitResult,
     Histogram,
+    _cumulative_in_place,
+    _ks_in_place,
+    _mle_in_place,
     fit_cumulative_curve,
     fit_exponential_mle,
     ks_statistic_exponential,
@@ -135,3 +142,41 @@ def test_fit_result_validation():
         FitResult(rate_hat=0.0, std_error=1.0, n_samples=10, method="mle", goodness=0.0)
     with pytest.raises(InvalidParameterError):
         FitResult(rate_hat=1.0, std_error=-1.0, n_samples=10, method="mle", goodness=0.0)
+
+
+def _outcome(fit, *args):
+    """What `fit(*args)` gives: its FitResult or float as exact bits, or the
+    InsufficientDataError or warning it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(*args)
+    except (InsufficientDataError, Warning) as exc:
+        return repr(exc)
+    fields = dataclasses.astuple(result) if isinstance(result, FitResult) else (result,)
+    return tuple(float.hex(v) if isinstance(v, float) else v for v in fields)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n0=st.sampled_from([1, 2, CHUNK_MOLECULES - 1, CHUNK_MOLECULES, CHUNK_MOLECULES + 1, 3 * CHUNK_MOLECULES + 7]),
+    seed=st.integers(0, 2**64 - 1),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(MODES),
+)
+def test_public_fits_leave_their_input_and_equal_the_in_place_cores(n0, seed, efficiency, mode):
+    records = simulate_ensemble(ExperimentConfig(n0=n0, seed=seed, detector_efficiency=efficiency, mode=mode))
+    stream, _ = detector_streams(records)
+    before = records.tobytes()
+    # the strided fields of the records, a derived sample and a stream
+    for sample in (records["t_f"], records["t_s"], records["t_s"] - records["t_f"], stream):
+        copy = np.ascontiguousarray(sample)  # the sample itself when it is contiguous
+        kept = copy.tobytes()
+        rate = 1.0 / float(np.mean(copy)) if copy.size else GAMMA
+        for public, core, args in ((fit_exponential_mle, _mle_in_place, ()),
+                                   (fit_cumulative_curve, _cumulative_in_place, ()),
+                                   (ks_statistic_exponential, _ks_in_place, (rate,))):
+            want = _outcome(public, sample, *args)
+            assert _outcome(public, copy, *args) == want, public.__name__
+            assert records.tobytes() == before and copy.tobytes() == kept, public.__name__
+            assert _outcome(core, np.array(sample), *args) == want, core.__name__

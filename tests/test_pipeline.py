@@ -444,12 +444,27 @@ def test_rate_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
 
 
 def test_event_stage_peak_memory(tmp_path):
-    # the records (17 B/molecule) with one fit's sample and its sorted copy
-    # on top, or tau and its pieces; no whole-ensemble detection array, no
-    # n-sized KS grid and never both detector streams
+    # the records (17 B/molecule) with one sample on top, which its fit
+    # owns and sorts in place, or tau and its pieces: no sorted copy, no
+    # second sample, no negative-value mask, no whole-ensemble detection
+    # array and no n-sized KS grid
     n0 = 200_000
     cfg = small_config(tmp_path, n0=n0)
-    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 48 * n0
+    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 32 * n0
+
+
+def test_detector_streams_hold_one_stream_at_a_time():
+    # a caller that drops each stream before asking for the next holds one
+    # stream and one chunk's temporaries: the generator keeps no reference
+    records = simulate_ensemble(ExperimentConfig(n0=10**6, seed=17))
+    sizes = []
+
+    def consume():
+        for stream in detector_streams(records):
+            sizes.append(stream.nbytes)
+            del stream
+
+    assert traced_peak(consume) <= max(sizes) + 2**20
 
 
 def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
@@ -463,14 +478,15 @@ def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
 
 
 def test_fit_peak_memory_per_row(tmp_path):
-    # the five float columns (40 B/row) and the fits' samples on top, about
-    # 53 B/row, plus the ~6 MiB of temporaries of one READ_BLOCK block,
-    # which do not grow with the rows; no text of the file is held
+    # the five float columns (40 B/row) and one fit's sample (8 B/row) on
+    # top, sorted in place, the t_f column fitted where it lies, plus the
+    # ~6 MiB of temporaries of one READ_BLOCK block, which do not grow
+    # with the rows; no text of the file is held
     path = str(tmp_path / "events.csv")
     cfg = ExperimentConfig(output_dir=str(tmp_path / "fit"))
     for n0 in (2**16, 2**20):
         write_events_csv(path, simulate_ensemble(ExperimentConfig(n0=n0, seed=4, detector_efficiency=0.7)))
-        assert traced_peak(lambda: pipeline.run_fit(cfg, path)) <= 56 * n0 + 8 * 2**20, n0
+        assert traced_peak(lambda: pipeline.run_fit(cfg, path)) <= 48 * n0 + 8 * 2**20, n0
 
 
 def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
