@@ -5,7 +5,8 @@ Every random number consumed by the event simulation is a pure function of
 applied at counter molecule_id * DRAWS_PER_MOLECULE + slot.  This makes
 generation embarrassingly parallel and byte-reproducible for any chunking
 or worker count.  The float transforms (uniforms, exponentials, fair bits)
-sit on top of the integer hash.
+sit on top of the integer hash; the uniforms overwrite the draws they
+come from.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ SLOT_EFFICIENCY_SECOND = 5
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_ONE = np.uint64(1)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _DRAWS_U = np.uint64(DRAWS_PER_MOLECULE)
+_DRAWS_GAMMA = np.uint64(DRAWS_PER_MOLECULE * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
@@ -54,22 +55,25 @@ def _seed_key(seed: int) -> np.uint64:
 def raw_draws(seed: int, start_molecule: int, n_molecules: int, out=None) -> np.ndarray:
     """(n_molecules, DRAWS_PER_MOLECULE) uint64 draws for a contiguous id range.
 
-    `out`, a C-contiguous uint64 array of that shape, receives the draws
-    if given: a caller hashing many chunks reuses one buffer instead of
-    faulting in fresh pages for every chunk.
+    The draws are hashed slot-major: the result is the transposed view of
+    a (DRAWS_PER_MOLECULE, n_molecules) array, so each slot's column is
+    contiguous.  `out`, such a view of a slot-major buffer, receives the
+    draws if given: a caller hashing many chunks reuses one buffer instead
+    of faulting in fresh pages for every chunk.
     """
     if out is None:
-        out = np.empty((n_molecules, DRAWS_PER_MOLECULE), dtype=np.uint64)
-    z = out.reshape(-1)
-    # key + (counter + 1) * GAMMA; uint64 arithmetic wraps, so the order of
-    # the additions does not change a bit
-    np.add(
-        np.arange(n_molecules * DRAWS_PER_MOLECULE, dtype=np.uint64),
-        np.uint64(start_molecule) * _DRAWS_U + _ONE,
-        out=z,
-    )
-    z *= _GAMMA
-    z += _seed_key(seed)
+        out = np.empty((DRAWS_PER_MOLECULE, n_molecules), dtype=np.uint64).T
+    # key + (counter + 1) * GAMMA at counter (start + i) * 6 + slot is
+    # i * 6 GAMMA + [key + (start * 6 + slot + 1) * GAMMA]; uint64
+    # arithmetic wraps, so the order of the additions does not change a bit
+    slots = np.arange(1, DRAWS_PER_MOLECULE + 1, dtype=np.uint64)
+    slots += np.uint64(start_molecule) * _DRAWS_U
+    slots *= _GAMMA
+    slots += _seed_key(seed)
+    steps = np.arange(n_molecules, dtype=np.uint64)
+    steps *= _DRAWS_GAMMA
+    z = out.T
+    np.add(steps, slots[:, None], out=z)
     _mix64(z)
     return out
 
@@ -80,14 +84,20 @@ def backend_name() -> str:
 
 
 def to_open_uniform(raw: np.ndarray) -> np.ndarray:
-    """Map uint64 draws to doubles in the open interval (0, 1).
+    """Map uint64 draws to doubles in the open interval (0, 1), in place:
+    the uniforms overwrite the draws, and the result is `raw`'s memory
+    viewed as float64, with no temporary.
 
     ((raw >> 11) + 0.5) * 2^-53 is never 0, so inverse-CDF exponential
     sampling never evaluates log(0).  For raw >> 11 == 2^53 - 1 the sum
     rounds up to 2^53, so the result is clamped to 1 - 2^-53, the largest
     double below 1: an efficiency of 1 then keeps every photon.
     """
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    np.right_shift(raw, np.uint64(11), out=raw)
+    u = raw.view(np.float64)
+    u[...] = raw  # exact, below 2^53; numpy casts the same memory in place
+    u += 0.5
+    u *= 2.0**-53
     return np.minimum(u, _BELOW_ONE, out=u)
 
 

@@ -30,8 +30,8 @@ import sys
 import numpy as np
 
 from . import _kernels as kern
+from . import grids
 from .errors import InvalidParameterError
-from .grids import spread
 
 MODES = ("sequential", "independent")
 
@@ -64,7 +64,7 @@ def simulate_ensemble(cfg) -> np.ndarray:
     if cfg.n0 * EMISSION_DTYPE.itemsize > sys.maxsize:
         raise MemoryError
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    spread(functools.partial(_fill_chunks, cfg, cfg.rates, records), range(0, cfg.n0, CHUNK_MOLECULES), cfg.workers)
+    grids.spread(functools.partial(_fill_chunks, cfg, cfg.rates, records), range(0, cfg.n0, CHUNK_MOLECULES), cfg.workers)
     return records
 
 
@@ -72,24 +72,32 @@ def _fill_chunks(cfg, rates, records: np.ndarray, starts) -> None:
     """Hash the chunks beginning at `starts` and write their records, at
     the rates of `cfg`, read once as `rates`.
 
-    One draw buffer serves every chunk of the call.
+    One slot-major draw buffer serves every chunk of the call; each slot's
+    draws are a contiguous column, which its transforms overwrite.
     """
-    buffer = np.empty((CHUNK_MOLECULES, kern.DRAWS_PER_MOLECULE), dtype=np.uint64)
+    buffer = np.empty((kern.DRAWS_PER_MOLECULE, CHUNK_MOLECULES), dtype=np.uint64)
     eff = cfg.detector_efficiency
+
+    def wait(column, rate):
+        """-log(u) / rate of the uniforms u of a slot's draws, in their column."""
+        t = kern.to_open_uniform(column)
+        np.log(t, out=t)
+        np.negative(t, out=t)
+        t /= rate
+        return t
+
     for start in starts:
         chunk = records[start:start + CHUNK_MOLECULES]
-        raw = kern.raw_draws(cfg.seed, start, len(chunk), out=buffer[:len(chunk)])
-        u_a = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_A])
-        u_b = kern.to_open_uniform(raw[:, kern.SLOT_LIFETIME_B])
+        raw = kern.raw_draws(cfg.seed, start, len(chunk), out=buffer[:, :len(chunk)].T)
         if cfg.mode == "sequential":
-            t_f = -np.log(u_a) / rates.gamma_f
+            t_f = wait(raw[:, kern.SLOT_LIFETIME_A], rates.gamma_f)
             chunk["t_f"] = t_f
-            chunk["t_s"] = t_f + -np.log(u_b) / rates.gamma_s
+            np.add(t_f, wait(raw[:, kern.SLOT_LIFETIME_B], rates.gamma_s), out=chunk["t_s"])
         else:
-            life_a = -np.log(u_a) / rates.gamma
-            life_b = -np.log(u_b) / rates.gamma
-            chunk["t_f"] = np.minimum(life_a, life_b)
-            chunk["t_s"] = np.maximum(life_a, life_b)
+            life_a = wait(raw[:, kern.SLOT_LIFETIME_A], rates.gamma)
+            life_b = wait(raw[:, kern.SLOT_LIFETIME_B], rates.gamma)
+            np.minimum(life_a, life_b, out=chunk["t_f"])
+            np.maximum(life_a, life_b, out=chunk["t_s"])
 
         fates = kern.to_bit(raw[:, kern.SLOT_DETECTOR_FIRST]) * FATE_DET_FIRST
         fates |= kern.to_bit(raw[:, kern.SLOT_DETECTOR_SECOND]) * FATE_DET_SECOND
@@ -127,32 +135,42 @@ def detector_streams(records: np.ndarray):
     lands on one detector: the count pattern the per-detector cumulative
     fit assumes.  Each stream holds its first photons in molecule order,
     then its second photons in molecule order.  The fates are the ones
-    stored in the records; one pass over them counts the molecules per
-    fates value, which sizes each stream exactly, and each stream is then
-    filled one CHUNK_MOLECULES chunk at a time.  A stream is built only
-    when the caller asks for it and the generator keeps no reference to
-    it, so a caller that drops one before asking for the next holds one
-    at a time, and may sort it in place.
+    stored in the records; one pass over them counts each CHUNK_MOLECULES
+    chunk's molecules per fates value, which sizes each stream exactly and
+    gives each chunk the places its photons go, so the chunks fill a
+    stream independently, spread over `thread_count()` threads.  A stream
+    is built only when the caller asks for it and the generator keeps no
+    reference to it, so a caller that drops one before asking for the
+    next holds one at a time, and may sort it in place.
     """
-    per_fates = np.zeros(_FATES.size, np.intp)
-    for start in range(0, len(records), CHUNK_MOLECULES):
-        per_fates += np.bincount(records["fates"][start:start + CHUNK_MOLECULES], minlength=_FATES.size)
+    starts = range(0, len(records), CHUNK_MOLECULES)
+    per_fates = np.empty((len(starts), _FATES.size), np.intp)  # per chunk
+
+    def count(share):
+        for k in share:
+            per_fates[k] = np.bincount(records["fates"][starts[k]:starts[k] + CHUNK_MOLECULES], minlength=_FATES.size)
+
+    grids.spread(count, range(len(starts)), grids.thread_count())
     for detector, (first_here, second_here) in enumerate(_KEPT_AT):
-        yield _stream(records, detector, int(per_fates[first_here].sum()), int(per_fates[second_here].sum()))
+        yield _stream(records, detector, per_fates[:, first_here].sum(axis=1), per_fates[:, second_here].sum(axis=1))
 
 
-def _stream(records: np.ndarray, detector: int, n_first: int, n_second: int) -> np.ndarray:
-    """The `n_first` first photons kept at `detector`, in molecule order,
-    then its `n_second` second photons, in molecule order."""
-    stream = np.empty(n_first + n_second)
-    i, j = 0, n_first  # where the next first and the next second photons go
-    for start in range(0, len(records), CHUNK_MOLECULES):
-        chunk = records[start:start + CHUNK_MOLECULES]
-        first, second = _kept_at(chunk["fates"], detector)
-        k, m = np.count_nonzero(first), np.count_nonzero(second)
-        np.compress(first, chunk["t_f"], out=stream[i:i + k])
-        np.compress(second, chunk["t_s"], out=stream[j:j + m])
-        i, j = i + k, j + m
+def _stream(records: np.ndarray, detector: int, n_first: np.ndarray, n_second: np.ndarray) -> np.ndarray:
+    """The first photons kept at `detector`, in molecule order, then its
+    second photons, in molecule order, given the counts of each chunk's
+    first and second photons kept there."""
+    ends_first = np.cumsum(n_first)
+    ends_second = ends_first[-1] + np.cumsum(n_second)
+    stream = np.empty(ends_second[-1])
+
+    def fill(share):
+        for k in share:
+            chunk = records[k * CHUNK_MOLECULES:(k + 1) * CHUNK_MOLECULES]
+            first, second = _kept_at(chunk["fates"], detector)
+            np.compress(first, chunk["t_f"], out=stream[ends_first[k] - n_first[k]:ends_first[k]])
+            np.compress(second, chunk["t_s"], out=stream[ends_second[k] - n_second[k]:ends_second[k]])
+
+    grids.spread(fill, range(len(n_first)), grids.thread_count())
     return stream
 
 

@@ -117,7 +117,7 @@ class _EventsTable:
     def __init__(self, path: str, names: list[str], size: int):
         self.path, self.names = path, names
         self.decode = names == list(EVENTS_COLUMNS)  # the writer's header
-        self.data = np.empty((len(EVENTS_COLUMNS), size))
+        self.data = [np.empty(size) for _ in EVENTS_COLUMNS]  # one array per column, so each can go alone
         self.rows = 0  # rows filled
         self.line = 2  # the file line of the next block's first line
         # the first empty or non-finite field outside t1/t2: loadtxt reads
@@ -128,7 +128,7 @@ class _EventsTable:
     def columns(self) -> dict[str, np.ndarray]:
         if self.not_finite:
             raise self.not_finite
-        return {c: row[:self.rows] for c, row in zip(EVENTS_COLUMNS, self.data)}
+        return {c: column[:self.rows] for c, column in zip(EVENTS_COLUMNS, self.data)}
 
     def ragged(self, line: int, fields: int) -> EventsFileError:
         names = self.names
@@ -149,7 +149,8 @@ class _EventsTable:
             first = np.argmax(nonblank)
             if commas[first] + 1 != len(self.names):
                 raise self.ragged(self.line + first, commas[first] + 1)
-        self.data[:, row[decoded]] = values
+        for column, value in zip(self.data, values):
+            column[row[decoded]] = value
         nonblank[decoded] = False
         self.loadtxt(data, np.flatnonzero(nonblank), starts, ends, row)
         self.rows = int(row[-1]) + 1

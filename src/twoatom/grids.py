@@ -7,7 +7,8 @@ dense passes over such kernels are elementwise per row or independent per
 row or column, so they run block by block on every usable CPU (up to
 `ROWS_IN_FLIGHT`); each output element is computed by the same code
 whichever thread takes its block, so the bits do not depend on the
-thread count.
+thread count.  The event stage's passes after the draws spread their
+chunks, sorted segments and KS blocks the same way.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ def usable_cpus() -> int:
 
 
 def thread_count() -> int:
-    """Threads a dense pass runs on: one per usable CPU, at most
-    `ROWS_IN_FLIGHT`, so that every thread takes at least one row."""
+    """Threads a pass runs on: one per usable CPU, at most
+    `ROWS_IN_FLIGHT`, so that every thread of a dense pass takes at least
+    one row."""
     return min(usable_cpus(), ROWS_IN_FLIGHT)
 
 
@@ -95,12 +97,11 @@ def spread(work, items, shares: int) -> None:
         future.result()
 
 
-def each_block(work, n: int) -> None:
-    """Call ``work(block)`` for each slice of ROWS_IN_FLIGHT //
-    thread_count() indices that tile range(n), spread over
-    `thread_count()` threads."""
+def each_block(work, n: int, in_flight: int = ROWS_IN_FLIGHT) -> None:
+    """Call ``work(block)`` for each slice of in_flight // thread_count()
+    indices that tile range(n), spread over `thread_count()` threads."""
     threads = thread_count()
-    rows = ROWS_IN_FLIGHT // threads
+    rows = in_flight // threads
 
     def run(share):
         for start in share:

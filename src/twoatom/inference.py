@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
+from . import grids
 from .errors import InsufficientDataError, InvalidParameterError
 
 
@@ -76,8 +77,25 @@ def _private_copy(samples) -> np.ndarray:
     return np.array(samples, dtype=float, order="C").ravel()
 
 
-#: sorted samples per block of the KS walk: each block's two temporaries
-#: of KS_BLOCK floats (512 KiB) stay in cache
+def _sort_in_place(x: np.ndarray) -> None:
+    """Sort the contiguous float64 array `x` in place, on `thread_count()`
+    threads: ``ndarray.partition`` at thread_count() - 1 cuts puts every
+    cut's value in its sorted place, with no greater value before it and
+    no smaller one after, and then each segment between cuts is sorted on
+    a thread of its own.  The result has the bytes of ``np.sort(x)``
+    (barring a mix of 0.0 and -0.0, whose order no sort fixes)."""
+    threads = grids.thread_count()
+    cuts = [x.size * k // threads for k in range(1, threads)]
+    if cuts:
+        x.partition(cuts)
+    bounds = [0, *cuts, x.size]
+    grids.spread(lambda share: [x[lo:hi].sort() for lo, hi in share], list(zip(bounds, bounds[1:])), threads)
+
+
+#: sorted samples per block of the KS walk, taken by all threads together:
+#: each of `thread_count()` threads walks blocks of KS_BLOCK //
+#: thread_count() samples, so their temporaries, two blocks each, add up
+#: to 2 * KS_BLOCK floats (1 MiB) whatever the number of CPUs
 KS_BLOCK = 2**16
 
 
@@ -91,21 +109,24 @@ def _ks_in_place(cdf: np.ndarray, rate: float) -> float:
     which it sorts and overwrites with the fitted law's cdf."""
     # at large n this sets a run's memory peak, so the cdf overwrites the
     # sorted sample and the gaps to i/n are taken one block at a time; each
-    # i/n and each gap is computed alone and max picks one of them, so the
-    # blocks give the bits of one whole-array grid
-    cdf.sort()
+    # cdf value, each i/n and each gap is computed alone and max picks one
+    # of them, so the blocks give the bits of one whole-array grid
+    _sort_in_place(cdf)
     n = cdf.size
-    np.multiply(cdf, -rate, out=cdf)
-    np.expm1(cdf, out=cdf)
-    np.negative(cdf, out=cdf)
-    above = below = -np.inf
-    for i in range(0, n, KS_BLOCK):
-        block = cdf[i:i + KS_BLOCK]
-        grid = np.arange(i, i + block.size + 1, dtype=float)
+    gaps = []
+
+    def walk(rows):
+        block = cdf[rows]
+        np.multiply(block, -rate, out=block)
+        np.expm1(block, out=block)
+        np.negative(block, out=block)
+        grid = np.arange(rows.start, rows.start + block.size + 1, dtype=float)
         grid /= n
-        above = max(above, np.max(grid[1:] - block))
-        below = max(below, np.max(block - grid[:-1]))
-    return float(max(above, below))
+        gaps.append(max(np.max(grid[1:] - block), np.max(block - grid[:-1])))
+
+    grids.each_block(walk, n, KS_BLOCK)
+    # np.max gives NaN if any gap is NaN, in whatever order the blocks ended
+    return float(np.max(gaps, initial=-np.inf))
 
 
 def fit_exponential_mle(samples) -> FitResult:
@@ -152,7 +173,7 @@ def _cumulative_in_place(xs: np.ndarray) -> FitResult:
     """`fit_cumulative_curve` of the contiguous float64 sample `xs`, which
     it sorts."""
     xs = _as_sample_array(xs, 2)
-    xs.sort()
+    _sort_in_place(xs)
     t_max = float(xs[-1])
     if t_max <= 0:
         raise InsufficientDataError("all times are zero")

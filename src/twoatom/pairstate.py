@@ -25,13 +25,14 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
+from . import grids
 from .errors import (
     DomainTruncationError,
     InvalidCaseError,
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .grids import SpatialGrid, abs2, each_block, thread_count
+from .grids import SpatialGrid, abs2, each_block
 from .packets import GaussianPacket, make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
@@ -289,12 +290,12 @@ def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:
     k = grid.wavenumbers
     spec = np.array(kernels, complex)
     for axis in (-1, -2):
-        spec = scipy.fft.fft(spec, axis=axis, overwrite_x=True, workers=thread_count())
+        spec = scipy.fft.fft(spec, axis=axis, overwrite_x=True, workers=grids.thread_count())
 
     def evolve(rows):
         spec[:, rows] *= np.exp(-0.5j * dt * (k[rows, None] ** 2 + k[None, :] ** 2))
 
     each_block(evolve, k.size)
     for axis in (-1, -2):
-        spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True, workers=thread_count())
+        spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True, workers=grids.thread_count())
     return spec

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, grids
 from ._csvtext import float_field, rows
 from ._kernels import backend_name
 from .amplitudes import (
@@ -73,18 +73,18 @@ def _ensure_outdir(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _coincidences_and_counters(columns) -> tuple[np.ndarray, dict[str, int]]:
+def _coincidences_and_counters(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
     """The coincidence differences t1 - t2, in row order, and the counters
     of `detection_pass`, from the t1/t2 columns of an events table (NaN =
     not recorded)."""
-    hit_1, hit_2 = ~np.isnan(columns["t1"]), ~np.isnan(columns["t2"])
+    hit_1, hit_2 = ~np.isnan(t1), ~np.isnan(t2)
     both = hit_1 & hit_2
     counters = {
         "recorded_1": int(np.count_nonzero(hit_1)),
         "recorded_2": int(np.count_nonzero(hit_2)),
         "coincidences": int(np.count_nonzero(both)),
     }
-    return columns["t1"][both] - columns["t2"][both], counters
+    return t1[both] - t2[both], counters
 
 
 def _supported_fits(jobs) -> dict[str, FitResult]:
@@ -103,10 +103,12 @@ def _mle_fit_jobs(t_f, t_s, tau):
     sorted in place by it.  The jobs take over `tau`, which the caller
     drops, and a contiguous `t_f`, a column the caller no longer reads; the
     strided `t_f` field of the records is copied.  `t_f` goes last, once
-    `t_s - t_f` is made and gone."""
+    `t_s - t_f` is made and gone; the jobs drop `t_s` once it is made, so a
+    `t_s` column the caller does not keep goes with it."""
     yield "coincidence", _mle_in_place, np.abs(tau, out=tau)
     del tau
     yield "second_interval", _mle_in_place, t_s - t_f
+    del t_s
     yield "first", _mle_in_place, np.ascontiguousarray(t_f)
 
 
@@ -134,7 +136,11 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     time of 16 x (n_bins + 1) integers, the last column counting the times
     outside the range; each histogram is a sum of table rows, and each
     counter a sum of molecules per fates value.  They equal those of the
-    whole-array detection records on the whole ensemble.
+    whole-array detection records on the whole ensemble.  The chunks are
+    spread over `thread_count()` threads, each share of them counted into
+    a table set of its own; the sets are summed at the end, and each
+    chunk's tau is kept in its place, so no result depends on the number
+    of threads.
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
@@ -142,35 +148,42 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
         raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse", "bins"],
                                     f"t_max_lifetimes * gamma_inverse = {t_hi:g} s in {cfg.bins} bins:"
                                     " the bin width or the coincidence range leaves the float range")
-    size = 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
+    starts = range(0, len(records), CHUNK_MOLECULES)
+    shares = min(grids.thread_count(), len(starts))
+    size = shares * 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
     try:
         if size > sys.maxsize:  # past what numpy can address
             raise MemoryError
         edges = histogram_edges(width, (0.0, t_hi))
         tau_edges = histogram_edges(width, (-t_hi, t_hi))
         row = len(edges)  # n_bins + 1 slots per fates value
-        tables = np.zeros((2, _FATES.size * row), np.intp)
+        tables = np.zeros((shares, 2, _FATES.size * row), np.intp)  # per share: the t_f and the t_s table
+        tau_counts = np.zeros((shares, len(tau_edges)), np.intp)
     except MemoryError:
         raise ConfigValidationError(
             ["bins"],
             f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
-            f" 2*16*(bins + 1) (fates, bin) pairs, {size / 2**30:.2f} GiB",
+            f" 2*16*(bins + 1) (fates, bin) pairs on each of {shares} threads, {size / 2**30:.2f} GiB",
         ) from None
-    tau_counts, taus = 0, []
-    for start in range(0, len(records), CHUNK_MOLECULES):
-        chunk = records[start:start + CHUNK_MOLECULES]
-        fates = chunk["fates"].astype(np.intp)  # an intp index looks up tables fastest
-        offset = fates * row
-        for table, name in zip(tables, ("t_f", "t_s")):
-            table += np.bincount(offset + bin_index(chunk[name], edges, t_hi, width), minlength=table.size)
-        # t1 - t2 of the coincidences: one photon at each detector
-        both = np.flatnonzero(_COINCIDENT[fates])
-        t1_is_first = _RECORDED[0][fates[both]] == 1
-        t_f, t_s = chunk["t_f"][both], chunk["t_s"][both]
-        tau = np.where(t1_is_first, t_f, t_s) - np.where(t1_is_first, t_s, t_f)
-        tau_counts += np.bincount(bin_index(tau, tau_edges, t_hi, width), minlength=len(tau_edges))
-        taus.append(tau)
-    by_first, by_second = tables.reshape(2, _FATES.size, row)  # the t_f and the t_s table
+    free, taus = list(range(shares)), [None] * len(starts)
+
+    def count(share):
+        s = free.pop()  # the share's own table set
+        for k in share:
+            chunk = records[starts[k]:starts[k] + CHUNK_MOLECULES]
+            fates = chunk["fates"].astype(np.intp)  # an intp index looks up tables fastest
+            offset = fates * row
+            for table, name in zip(tables[s], ("t_f", "t_s")):
+                table += np.bincount(offset + bin_index(chunk[name], edges, t_hi, width), minlength=table.size)
+            # t1 - t2 of the coincidences: one photon at each detector
+            both = np.flatnonzero(_COINCIDENT[fates])
+            t1_is_first = _RECORDED[0][fates[both]] == 1
+            t_f, t_s = chunk["t_f"][both], chunk["t_s"][both]
+            taus[k] = np.where(t1_is_first, t_f, t_s) - np.where(t1_is_first, t_s, t_f)
+            tau_counts[s] += np.bincount(bin_index(taus[k], tau_edges, t_hi, width), minlength=len(tau_edges))
+
+    grids.spread(count, range(len(starts)), shares)
+    by_first, by_second = tables.sum(axis=0).reshape(2, _FATES.size, row)  # the t_f and the t_s table
     (first_at_1, second_at_1), _ = _KEPT_AT
     counts = {
         "first": by_first.sum(axis=0),
@@ -180,7 +193,7 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
         "detector": by_first[first_at_1].sum(axis=0) + by_second[second_at_1].sum(axis=0),
     }
     hists = {name: Histogram(edges=edges, counts=c[:-1]) for name, c in counts.items()}
-    hists["coincidence"] = Histogram(edges=tau_edges, counts=tau_counts[:-1])
+    hists["coincidence"] = Histogram(edges=tau_edges, counts=tau_counts.sum(axis=0)[:-1])
     molecules = by_first.sum(axis=1)  # per fates value
     counters = {
         "recorded_1": int(molecules[_RECORDED[0] > 0].sum()),
@@ -246,9 +259,11 @@ def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
     echo = _echo(cfg)
     data = read_events_csv(events_path)
     out = _ensure_outdir(cfg)
-    tau, counters = _coincidences_and_counters(data)
-    jobs = _mle_fit_jobs(data["t_f"], data["t_s"], tau)
-    del tau  # the jobs own it, and sort it and the t_f column in place
+    del data["molecule_id"]  # nothing reads it
+    # the t1/t2 columns go once the counters and tau are taken
+    tau, counters = _coincidences_and_counters(data.pop("t1"), data.pop("t2"))
+    jobs = _mle_fit_jobs(data.pop("t_f"), data.pop("t_s"), tau)
+    del tau  # the jobs own it and the columns, and sort it and the t_f column in place
     bundle = _fit_report(echo, _supported_fits(jobs), {"events": events_path}, counters)
     write_report(os.path.join(out, "report.json"), bundle)
     return bundle
@@ -362,10 +377,10 @@ def _arithmetic_of(*fields):
 
 def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
     """Compute the rate entries and write rates.json.  A grid too large
-    for memory, too narrow for the states or too coarse for the prop1
-    packets is a configuration error, and so are amplitude fields whose
-    arithmetic leaves the float range; the output directory is made once
-    the entries exist."""
+    for memory, too narrow for the states, or too coarse for the prop1
+    packets or for the state's narrower mode is a configuration error,
+    and so are amplitude fields whose arithmetic leaves the float range;
+    the output directory is made once the entries exist."""
     cfg.validate()
     a = cfg.amplitude
     grid = SpatialGrid.centered(a.grid_span_factor * max(a.width_sum, a.width_diff), a.grid_points)
@@ -393,15 +408,27 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
             f" 16*n^2 bytes = {16 * n * n / 2**30:.2f} GiB, and the rate stage holds 3.5 of them",
         ) from None
     except DomainTruncationError as exc:
-        # a coarser grid of 64 points or more spans over 32 sigma: it does
-        # not truncate the packets at +/-6 sigma, it cannot resolve them
-        if grid.spacing <= COARSEST_SPACING * a.sigma:
-            raise ConfigValidationError(["amplitude.grid_span_factor"],
-                                        f"amplitude.grid_span_factor is too small: {exc}") from None
-        wide = "width_sum" if a.width_sum >= a.width_diff else "width_diff"
-        names = [f"amplitude.{name}" for name in ("grid_points", "grid_span_factor", wide)]
-        raise ConfigValidationError(names, f"{', '.join(names)}: the grid spacing, {grid.spacing:g}, is too coarse for"
-                                           f" the prop1 packets, over {COARSEST_SPACING:.3f} sigma ({exc})") from None
+        # a grid too coarse for the prop1 packets, of 64 points or more,
+        # spans over 32 sigma: it does not truncate them at +/-6 sigma, it
+        # cannot resolve them
+        if grid.spacing > COARSEST_SPACING * a.sigma:
+            wide = "width_sum" if a.width_sum >= a.width_diff else "width_diff"
+            names = [f"amplitude.{name}" for name in ("grid_points", "grid_span_factor", wide)]
+            raise ConfigValidationError(names, f"{', '.join(names)}: the grid spacing, {grid.spacing:g}, is too coarse"
+                                               f" for the prop1 packets, over {COARSEST_SPACING:.3f} sigma ({exc})") from None
+        # the grid samples the state's modes along x + y and x - y, at
+        # spacing / sqrt 2, and cannot resolve one narrower than that over
+        # COARSEST_SPACING, whatever its span
+        narrow = "width_sum" if a.width_sum <= a.width_diff else "width_diff"
+        mode_width = mode_sigma(getattr(a, narrow))
+        if grid.spacing / math.sqrt(2.0) > COARSEST_SPACING * mode_width:
+            names = [f"amplitude.{name}" for name in ("grid_points", "grid_span_factor", narrow)]
+            raise ConfigValidationError(names, f"{', '.join(names)}: the grid spacing, {grid.spacing:g}, is too coarse"
+                                               f" for the state's narrower mode, of width {mode_width:g}: it samples"
+                                               f" the mode at spacing/sqrt 2, over {COARSEST_SPACING:.3f} mode widths"
+                                               f" ({exc})") from None
+        raise ConfigValidationError(["amplitude.grid_span_factor"],
+                                    f"amplitude.grid_span_factor is too small: {exc}") from None
     with open(os.path.join(_ensure_outdir(cfg), "rates.json"), "w") as fh:
         json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,12 +8,14 @@ fits against the in-place cores the stages call on samples they own.
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoatom import grids
 from twoatom.errors import InsufficientDataError, InvalidParameterError
 from twoatom.eventsim import CHUNK_MOLECULES, MODES, detector_streams, simulate_ensemble
 from twoatom.inference import (
@@ -23,6 +25,7 @@ from twoatom.inference import (
     _cumulative_in_place,
     _ks_in_place,
     _mle_in_place,
+    _sort_in_place,
     fit_cumulative_curve,
     fit_exponential_mle,
     ks_statistic_exponential,
@@ -180,3 +183,36 @@ def test_public_fits_leave_their_input_and_equal_the_in_place_cores(n0, seed, ef
             assert _outcome(public, copy, *args) == want, public.__name__
             assert records.tobytes() == before and copy.tobytes() == kept, public.__name__
             assert _outcome(core, np.array(sample), *args) == want, core.__name__
+
+
+#: thread counts of the parallel sort and KS walk: one, two, one that
+#: does not divide the sizes below, and one past the CPUs of a small host
+THREADS = (1, 2, 3, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # n = 2 and 3, n below the thread count, n around the cuts n * k //
+    # threads (multiples of 2, 3 and 7), and n around the KS blocks of
+    # KS_BLOCK // threads samples and around KS_BLOCK
+    n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 20, 21, 22, 41, 42, 43,
+                       KS_BLOCK // 7 - 1, KS_BLOCK // 7 + 1, KS_BLOCK // 3 + 1, KS_BLOCK // 2 + 1,
+                       KS_BLOCK - 1, KS_BLOCK, KS_BLOCK + 1, 2 * KS_BLOCK + 3]),
+    seed=st.integers(0, 2**32 - 1),
+    tied=st.booleans(),
+)
+def test_parallel_sort_and_fit_cores_do_not_depend_on_the_thread_count(n, seed, tied):
+    x = draws(n, seed)
+    if tied:  # a few values, zero among them, many times each
+        x = np.random.default_rng(seed).choice([0.0, 0.5e-9, 1.0e-9, 4.0e-9], size=n)
+    want = np.sort(x).tobytes()
+    rate = 1.0 / float(np.mean(x)) if np.mean(x) > 0 else GAMMA
+    outcomes = set()
+    for threads in THREADS:
+        with mock.patch.object(grids, "thread_count", lambda: threads):
+            y = x.copy()
+            _sort_in_place(y)
+            assert y.tobytes() == want, threads
+            outcomes.add((_outcome(_mle_in_place, x.copy()), _outcome(_ks_in_place, x.copy(), rate),
+                          _outcome(_cumulative_in_place, x.copy())))
+    assert len(outcomes) == 1

@@ -26,7 +26,7 @@ from twoatom.cli import main as cli_main
 from twoatom.amplitudes import first_emission_rate_ratio
 from twoatom.config import AmplitudeParams
 from twoatom.errors import ConfigValidationError, EventsFileError, InsufficientDataError
-from twoatom.eventsim import MODES, detector_streams, simulate_ensemble
+from twoatom.eventsim import CHUNK_MOLECULES, MODES, detector_streams, simulate_ensemble
 from twoatom.eventsio import EVENTS_COLUMNS
 from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
@@ -478,15 +478,16 @@ def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
 
 
 def test_fit_peak_memory_per_row(tmp_path):
-    # the five float columns (40 B/row) and one fit's sample (8 B/row) on
-    # top, sorted in place, the t_f column fitted where it lies, plus the
+    # the five float columns (40 B/row) while the file is read, plus the
     # ~6 MiB of temporaries of one READ_BLOCK block, which do not grow
-    # with the rows; no text of the file is held
+    # with the rows; no text of the file is held.  Then molecule_id goes,
+    # t1 and t2 go once the counters and tau are taken, and the fits hold
+    # t_f, t_s and one sample at most, sorted in place
     path = str(tmp_path / "events.csv")
     cfg = ExperimentConfig(output_dir=str(tmp_path / "fit"))
     for n0 in (2**16, 2**20):
         write_events_csv(path, simulate_ensemble(ExperimentConfig(n0=n0, seed=4, detector_efficiency=0.7)))
-        assert traced_peak(lambda: pipeline.run_fit(cfg, path)) <= 48 * n0 + 8 * 2**20, n0
+        assert traced_peak(lambda: pipeline.run_fit(cfg, path)) <= 40 * n0 + 8 * 2**20, n0
 
 
 def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
@@ -505,6 +506,22 @@ def test_cli_grid_too_large_for_memory_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "amplitude.grid_points" in proc.stderr and "5.96 GiB" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [[], ["--set", "amplitude.grid_span_factor=40"]], ids=["default-span", "wider-span"])
+@pytest.mark.parametrize("narrow, wide", [("width_diff", "width_sum"), ("width_sum", "width_diff")])
+def test_cli_grid_too_coarse_for_the_narrower_mode_exits_2(tmp_path, capsys, args, narrow, wide):
+    # a mode of width 0.05 / (2 sqrt 2) = 0.018 on a grid that samples it at
+    # 0.063 / sqrt 2: no span holds its mass, a wider one only coarsens
+    # the grid, so the error names the fields that set the spacing
+    out = tmp_path / "out"
+    code = cli_main(["rates", "--set", f"amplitude.{narrow}=0.05", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("configuration error: amplitude.grid_points, amplitude.grid_span_factor,"
+                          f" amplitude.{narrow}: ")
+    assert "too coarse for the state's narrower mode" in err and f"amplitude.{wide}" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, field", [
@@ -692,6 +709,45 @@ def test_simulate_and_fit_report_equal_counters(tmp_path):
     assert counters == {"recorded_1": int(hit_1.sum()), "recorded_2": int(hit_2.sum()),
                         "coincidences": int((hit_1 & hit_2).sum())}
     assert 0 < counters["coincidences"] < min(counters["recorded_1"], counters["recorded_2"])
+
+
+def _stage_outputs(out: Path) -> dict:
+    """The bytes of every file in `out` but report.json, and report.json's
+    fits, as float.hex, and counters."""
+    got = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "report.json"}
+    report = read_report(out / "report.json")
+    got["fits"] = {name: {k: float.hex(v) if isinstance(v, float) else v for k, v in fit.items()}
+                   for name, fit in report["fits"].items()}
+    got["counters"] = report["counters"]
+    return got
+
+
+def test_event_stages_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    # the detection pass, the detector streams, the fit sorts and the KS
+    # walks spread their work over thread_count() threads: each chunk's tau
+    # keeps its place, each share counts into a table set of its own, and
+    # each sorted segment and KS block is computed alone.  7 threads may
+    # outnumber the CPUs, and a short switch interval makes the threads
+    # interleave often
+    n0 = 8 * CHUNK_MOLECULES + 123
+    amp = AmplitudeParams(grid_points=128)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setattr(grids, "thread_count", lambda: threads)
+            base = tmp_path / str(threads)
+            cfg = small_config(tmp_path, n0=n0, detector_efficiency=0.7, amplitude=amp, output_dir=str(base / "run"))
+            tau = detection_pass(simulate_ensemble(cfg), cfg)[1]
+            run_experiment(cfg)
+            full = dataclasses.replace(cfg, output_dir=str(base / "full"))
+            run_full(full)
+            pipeline.run_fit(dataclasses.replace(cfg, output_dir=str(base / "fit")), str(base / "full" / "events.csv"))
+            seen.append([tau.tobytes(), *(_stage_outputs(base / stage) for stage in ("run", "full", "fit"))])
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(outputs == seen[0] for outputs in seen[1:])
 
 
 def test_cross_engine_agreement(tmp_path):
