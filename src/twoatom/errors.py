@@ -42,5 +42,5 @@ class ConfigValidationError(TwoAtomError, ValueError):
 
 class EventsFileError(TwoAtomError, ValueError):
     """An events file cannot be read: empty, not UTF-8, a missing column,
-    a ragged row or a bad field.  The message names the file and, for a
-    row, its line and column."""
+    columns too large for memory, a ragged row or a bad field.  The
+    message names the file and, for a row, its line and column."""

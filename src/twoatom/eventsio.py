@@ -75,7 +75,8 @@ def read_events_csv(path: str) -> dict[str, np.ndarray]:
 
     An empty t1/t2 field reads as NaN.  Raises EventsFileError, naming the
     file, for an empty file, a header that is not UTF-8 or lacks one of
-    EVENTS_COLUMNS, and, naming the line and the column as well, for a
+    EVENTS_COLUMNS, columns that do not fit in memory (with the bytes
+    they need), and, naming the line and the column as well, for a
     ragged row, a field that is not a number, and an empty or non-finite
     field outside t1/t2.  Blank lines are skipped.
 
@@ -117,7 +118,11 @@ class _EventsTable:
     def __init__(self, path: str, names: list[str], size: int):
         self.path, self.names = path, names
         self.decode = names == list(EVENTS_COLUMNS)  # the writer's header
-        self.data = [np.empty(size) for _ in EVENTS_COLUMNS]  # one array per column, so each can go alone
+        try:
+            self.data = [np.empty(size) for _ in EVENTS_COLUMNS]  # one array per column, so each can go alone
+        except MemoryError:
+            raise EventsFileError(f"{path} does not fit in memory: its {size} lines take {len(EVENTS_COLUMNS)} columns"
+                                  f" of 8 B per line, {len(EVENTS_COLUMNS) * 8 * size / 2**30:.2f} GiB") from None
         self.rows = 0  # rows filled
         self.line = 2  # the file line of the next block's first line
         # the first empty or non-finite field outside t1/t2: loadtxt reads

@@ -3,12 +3,13 @@ helpers that spread work over threads.
 
 A two-atom kernel is sampled on the product of one grid with itself, and
 its final states are sampled on the same grid.  The amplitude engine's
-dense passes over such kernels are elementwise per row or independent per
-row or column, so they run block by block on every usable CPU (up to
-`ROWS_IN_FLIGHT`); each output element is computed by the same code
-whichever thread takes its block, so the bits do not depend on the
-thread count.  The event stage's passes after the draws spread their
-chunks, sorted segments and KS blocks the same way.
+dense passes over such kernels, the 1D FFT passes of free flight among
+them, are elementwise per row or independent per row or column, so they
+run block by block on every usable CPU (up to `ROWS_IN_FLIGHT`); each
+output element is computed by the same code whichever thread takes its
+block, so the bits do not depend on the thread count.  The event stage's
+passes after the draws spread their chunks, sorted segments and KS
+blocks the same way.  Every thread the package starts comes from `spread`.
 """
 
 from __future__ import annotations
@@ -97,11 +98,12 @@ def spread(work, items, shares: int) -> None:
         future.result()
 
 
-def each_block(work, n: int, in_flight: int = ROWS_IN_FLIGHT) -> None:
-    """Call ``work(block)`` for each slice of in_flight // thread_count()
-    indices that tile range(n), spread over `thread_count()` threads."""
+def each_block(work, n: int, in_flight: int | None = None) -> None:
+    """Call ``work(block)`` for each slice of in_flight (by default
+    `ROWS_IN_FLIGHT`, read at the call) // thread_count() indices that
+    tile range(n), spread over `thread_count()` threads."""
     threads = thread_count()
-    rows = in_flight // threads
+    rows = (in_flight or ROWS_IN_FLIGHT) // threads
 
     def run(share):
         for start in share:

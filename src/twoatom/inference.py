@@ -185,7 +185,9 @@ def _cumulative_in_place(xs: np.ndarray) -> FitResult:
 
     p0 = (float(xs.size), 1.0 / float(np.mean(xs)))
     try:
-        popt, pcov = curve_fit(model, grid, emp, p0=p0)
+        # an overflowing covariance is left out below, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            popt, pcov = curve_fit(model, grid, emp, p0=p0)
     except RuntimeError as exc:  # no convergence, common for a handful of samples
         raise InsufficientDataError(f"cumulative fit of {xs.size} samples did not converge") from exc
     amp, rate = popt

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
-from . import grids
 from .errors import (
     DomainTruncationError,
     InvalidCaseError,
@@ -277,25 +275,25 @@ def propagate_kernel(kernels, grid: SpatialGrid, dt: float) -> np.ndarray:
     themselves are never written.
 
     The kernels are copied into one buffer, which is then transformed in
-    place by 1D passes of ``scipy.fft`` on `thread_count()` threads: rows
-    (the last axis) first, then columns, the order of ``np.fft.fft2`` and
-    ``np.fft.ifftn``, with their bits.  The inverse is two passes, not one
-    ``scipy.fft.ifftn``, which scales once by 1/n^2 where numpy scales each
-    pass by 1/n (other bits unless n is a power of two).  Between them,
-    each block of rows is multiplied by its phase block, which serves
-    every spectrum.
+    place by 1D passes of ``np.fft`` over the rows, then the columns (the
+    order of ``np.fft.fft2`` and ``np.fft.ifftn``, with their bits), one
+    `each_block` block per thread, as a pass in place holds no block
+    temporaries.  Between the two directions, each block of rows is
+    multiplied by its phase block, which serves every spectrum.
     """
     if dt < 0:
         raise InvalidParameterError("dt must be nonnegative")
     k = grid.wavenumbers
     spec = np.array(kernels, complex)
-    for axis in (-1, -2):
-        spec = scipy.fft.fft(spec, axis=axis, overwrite_x=True, workers=grids.thread_count())
+
+    def transform(fft):
+        for lines in (spec, spec.swapaxes(1, 2)):  # the rows, then the columns
+            each_block(lambda block, lines=lines: fft(lines[:, block], out=lines[:, block]), k.size, k.size)
 
     def evolve(rows):
         spec[:, rows] *= np.exp(-0.5j * dt * (k[rows, None] ** 2 + k[None, :] ** 2))
 
+    transform(np.fft.fft)
     each_block(evolve, k.size)
-    for axis in (-1, -2):
-        spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=True, workers=grids.thread_count())
+    transform(np.fft.ifft)
     return spec

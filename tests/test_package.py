@@ -65,3 +65,19 @@ def test_modules_import_downward():
     assert imports["config"] & {"pipeline", "cli"} == set()
     assert imports["eventsio"] & {"pipeline", "cli", "config"} == set()
     assert sorted(name for name, found in imports.items() if "pipeline" in found) == ["__init__", "cli"]
+
+
+def test_only_inference_imports_scipy_and_only_its_optimizer():
+    # the amplitude engine is numpy only, FFTs included: scipy serves the
+    # cumulative fit's curve_fit alone
+    found = {}
+    for path in Path(twoatom.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found.setdefault(path.stem, set()).update(m for m in modules if m.split(".")[0] == "scipy")
+    assert {stem: modules for stem, modules in found.items() if modules} == {"inference": {"scipy.optimize"}}

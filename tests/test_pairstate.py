@@ -215,6 +215,16 @@ def test_a_pass_works_on_rows_in_flight_at_most(cpus, monkeypatch):
     assert rows * grids.thread_count() <= grids.ROWS_IN_FLIGHT
 
 
+@pytest.mark.parametrize("count, block", [(1, 1), (2, 16), (3, 128)])
+def test_threads_sets_the_rows_of_every_block(count, block):
+    # each_block reads ROWS_IN_FLIGHT at the call, so threads() sets the
+    # block of every pass that the bit-identity tests run
+    rows = []  # list.append is atomic
+    with threads(count, block):
+        grids.each_block(lambda block: rows.append(block.stop - block.start), 1000)
+    assert max(rows) == block
+
+
 def test_usable_cpus_without_an_affinity_mask(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)

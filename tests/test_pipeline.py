@@ -553,6 +553,30 @@ def test_cli_event_stage_too_large_for_memory_exits_2(tmp_path, args, field):
     assert not os.path.exists(out)
 
 
+def test_cli_fit_too_large_for_memory_exits_2(tmp_path):
+    # the reader sizes its five float columns by the file's line ends, so
+    # 6*10^7 blank lines ask for 2.24 GiB; the child caps its own address
+    # space at 2 GiB, so the allocation fails whatever the host's
+    # overcommit policy
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    events, out = tmp_path / "events.csv", str(tmp_path / "out")
+    with open(events, "wb") as fh:
+        fh.write(b"molecule_id,t_f,t_s,t1,t2\n")
+        fh.write(b"\n" * 60_000_000)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from twoatom.cli import main\n"
+        f"sys.exit(main(['fit', '--events', {str(events)!r}, '--out', {out!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert str(events) in proc.stderr and "does not fit in memory" in proc.stderr and "2.24 GiB" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
 def test_cli_memory_error_on_a_worker_thread_exits_2(tmp_path, monkeypatch):
     # a dense pass re-raises what its worker threads raise, so a grid that
     # runs out of memory in a thread's row block is reported like one that
@@ -1245,9 +1269,7 @@ def test_cli_fuzz_config_values(command, n0, sets):
     # a run exits 0, 2 or 3 and never with a traceback, and one that exits
     # 0 writes finite artifacts.  A RuntimeWarning is printed, not an exit,
     # so the run keeps Python's default filters
-    args = [*command, "--set", f"n0={n0}", "--set", "amplitude.grid_points=64"]
-    for field, value in sets:
-        args += ["--set", f"{field}={json.dumps(value)}"]
+    args = fuzz_args(command, n0, sets)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("default")
@@ -1256,6 +1278,33 @@ def test_cli_fuzz_config_values(command, n0, sets):
         assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
         if code == 0:
             assert_strict_artifacts(os.path.join(tmp, "out"))
+
+
+def fuzz_args(command, n0, sets) -> list[str]:
+    """The command line of a config fuzz case, on a 64-point grid."""
+    args = [*command, "--set", f"n0={n0}", "--set", "amplitude.grid_points=64"]
+    for field, value in sets:
+        args += ["--set", f"{field}={json.dumps(value)}"]
+    return args
+
+
+def test_cli_fuzz_examples_under_warnings_as_errors(tmp_path):
+    # the config fuzz's explicit examples, once, in a child where every
+    # warning is an exception: a run that warns must still exit 0, 2 or 3
+    # without a traceback, as a fit whose covariance overflows does
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    runs = [[*fuzz_args(**example.kwargs), "--out", str(tmp_path / str(i))]
+            for i, example in enumerate(test_cli_fuzz_config_values.hypothesis_explicit_examples)]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from twoatom.cli import main\n"
+        f"print([main(args) for args in {runs!r}])\n"
+    )
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert len(codes) == len(runs) and set(codes) <= {0, 2, 3}
 
 
 def assert_strict_artifacts(out: str) -> None:
