@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCaseError, InvalidParameterError, InvalidStateError, NumericalDegeneracyError
-from .grids import SpatialGrid, abs2
+from .grids import SpatialGrid, sum_abs2
 from .packets import GaussianPacket, apply_recoil, evolve_free, make_packet, overlap, sample_packet
 from .pairstate import ProductPair, TwoAtomState, _channel_sums, check_packet_mass, propagate_kernel
 
@@ -90,7 +90,7 @@ def _out_vector(out, grid: SpatialGrid) -> np.ndarray:
     f = np.asarray(out)
     if f.shape != (grid.n_points,):
         raise InvalidStateError("sampled final state does not match the state grid")
-    norm2 = float(np.sum(abs2(f))) * grid.spacing
+    norm2 = sum_abs2(f) * grid.spacing
     if abs(norm2 - 1.0) > 1e-6:
         raise InvalidStateError(f"final state is not unit-normalized (|f|^2 = {norm2:.3e})")
     return f

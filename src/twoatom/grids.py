@@ -7,9 +7,12 @@ dense passes over such kernels, the 1D FFT passes of free flight among
 them, are elementwise per row or independent per row or column, so they
 run block by block on every usable CPU (up to `ROWS_IN_FLIGHT`); each
 output element is computed by the same code whichever thread takes its
-block, so the bits do not depend on the thread count.  The event stage's
-passes after the draws spread their chunks, sorted segments and KS
-blocks the same way.  Every thread the package starts comes from `spread`.
+block, so the bits do not depend on the thread count.  Their sums of
+|.|^2 run through `sum_abs2`, whose threads each square and reduce one
+leaf of numpy's pairwise tree at a time, so no real array of a kernel's
+size is made.  The event stage's passes after the draws spread their
+chunks, sorted segments and KS blocks the same way.  Every thread the
+package starts comes from `spread`.
 """
 
 from __future__ import annotations
@@ -112,18 +115,56 @@ def each_block(work, n: int, in_flight: int | None = None) -> None:
     spread(run, range(0, n, rows), threads)
 
 
-def abs2(a: np.ndarray) -> np.ndarray:
-    """|a|^2 elementwise in one real array laid out like `a`; the same
-    bits as ``np.abs(a) ** 2`` without its second temporary.  A
-    Fortran-ordered `a` (such as a kernel's transpose) gives a
-    Fortran-ordered result."""
-    out = np.empty_like(a, dtype=float)
-    # blocks of the leading axis of the C-ordered view, so each is contiguous
-    src, dst = (a.T, out.T) if a.flags.f_contiguous else (a, out)
+#: items of numpy's pairwise summation tree that `sum_abs2` squares and
+#: reduces at a time, one leaf per thread
+SUM_LEAF = 2**14
 
-    def square(rows):
-        np.abs(src[rows], out=dst[rows])
-        dst[rows] *= dst[rows]
 
-    each_block(square, len(src))
-    return out
+def _pairwise_tree(lo: int, n: int, leaves: list):
+    """numpy's pairwise summation tree over the items [lo, lo + n).  A run
+    of at most `SUM_LEAF` items is a leaf: it is appended to `leaves` as a
+    slice, and the tree is its index there.  A longer run splits where
+    numpy splits it, at n // 2 rounded down to a multiple of 8, and the
+    tree is the pair of its halves' trees."""
+    if n <= SUM_LEAF:
+        leaves.append(slice(lo, lo + n))
+        return len(leaves) - 1
+    half = n // 2 - n // 2 % 8
+    return _pairwise_tree(lo, half, leaves), _pairwise_tree(lo + half, n - half, leaves)
+
+
+def _sum_of_squares(leaf: np.ndarray):
+    """``np.add.reduce`` of |leaf|^2, squared in a real array that is freed
+    on return."""
+    squares = np.abs(leaf, out=np.empty(leaf.size))
+    squares *= squares
+    return np.add.reduce(squares)
+
+
+def sum_abs2(a: np.ndarray) -> float:
+    """``float(np.sum(np.abs(a) ** 2))`` with its bits, without its real
+    array of a's size.
+
+    ``np.sum`` reads `a` in its memory order (a Fortran-ordered kernel's
+    transpose column by column) and adds the items along numpy's pairwise
+    tree.  Below a node of the tree its sum does not depend on what lies
+    outside it, so each leaf of at most `SUM_LEAF` items is squared on its
+    own and reduced by ``np.add.reduce``; the leaves run on
+    `thread_count()` threads, and their sums are added in the tree's
+    order, so the bits do not depend on the thread count.
+    """
+    flat = a.ravel(order="K")  # a view of a C- or Fortran-contiguous `a`
+    leaves = []
+    tree = _pairwise_tree(0, flat.size, leaves)
+    sums = np.empty(len(leaves))
+
+    def reduce(share):
+        for i in share:
+            sums[i] = _sum_of_squares(flat[leaves[i]])
+
+    spread(reduce, range(len(leaves)), thread_count())
+
+    def add(tree):
+        return sums[tree] if isinstance(tree, int) else add(tree[0]) + add(tree[1])
+
+    return float(add(tree))

@@ -8,10 +8,11 @@ the count measurements are reported in.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import grids
 from .errors import InsufficientDataError, InvalidParameterError
@@ -183,10 +184,16 @@ def _cumulative_in_place(xs: np.ndarray) -> FitResult:
     def model(t, amp, rate):
         return amp * -np.expm1(-rate * t)
 
-    p0 = (float(xs.size), 1.0 / float(np.mean(xs)))
+    mean = float(np.mean(xs))
+    if mean <= 0:  # a sum of subnormal times can round to 0
+        raise InsufficientDataError("sample mean is zero; the start rate is undefined")
+    p0 = (float(xs.size), 1.0 / mean)
     try:
-        # an overflowing covariance is left out below, with no warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a covariance that overflows or cannot be estimated is left out
+        # below, with no warning; the fits run on the calling thread, so
+        # the filter is theirs alone
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
             popt, pcov = curve_fit(model, grid, emp, p0=p0)
     except RuntimeError as exc:  # no convergence, common for a handful of samples
         raise InsufficientDataError(f"cumulative fit of {xs.size} samples did not converge") from exc

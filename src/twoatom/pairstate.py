@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .grids import SpatialGrid, abs2, each_block
+from .grids import SpatialGrid, each_block, sum_abs2
 from .packets import GaussianPacket, make_packet, overlap, sample_packet
 
 _SQRT2 = np.sqrt(2.0)
@@ -49,12 +49,13 @@ def _channel_sums(first, last, weight: float) -> tuple[float, float, float]:
 
         s1 = ||first||^2,  s2 = ||last||^2,  cross = 2 Re<first|last>
 
-    so that sum |amp|^2 = 2 N^2 (s1 + s2 + cross).  Pairwise numpy
-    summation keeps each reduction order-independent, and a repeated
-    channel (`last` is `first`) is summed once.
+    so that sum |amp|^2 = 2 N^2 (s1 + s2 + cross).  s1 and s2 are
+    `sum_abs2`'s, numpy's pairwise sums of |.|^2 with no real array of
+    the amplitudes' size, and a repeated channel (`last` is `first`) is
+    summed once.
     """
-    s1 = float(np.sum(abs2(first))) * weight
-    s2 = s1 if last is first else float(np.sum(abs2(last))) * weight
+    s1 = sum_abs2(first) * weight
+    s2 = s1 if last is first else sum_abs2(last) * weight
     cross = 2.0 * float((np.vdot(first, last) * weight).real)
     return s1, s2, cross
 
@@ -174,7 +175,7 @@ def check_packet_mass(packets, grid: SpatialGrid) -> None:
     warning, and fails the check."""
     for packet in packets:
         with np.errstate(over="ignore", invalid="ignore"):
-            mass = float(np.sum(abs2(sample_packet(packet, grid.points)))) * grid.spacing
+            mass = sum_abs2(sample_packet(packet, grid.points)) * grid.spacing
         if not abs(mass - 1.0) <= TRUNCATION_TOL:
             raise DomainTruncationError(f"grid holds {mass:.12f} of the probability mass of the"
                                         f" packet at {packet.center:g} (need 1 +/- {TRUNCATION_TOL:g})")
@@ -213,7 +214,7 @@ def _mode_kernel(mode_sum, mode_diff, grid: SpatialGrid) -> np.ndarray:
 
 def _checked_unit_kernel(kernel: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Normalize a freshly built `kernel` in place after the mass checks."""
-    mass = float(np.sum(abs2(kernel))) * grid.spacing**2
+    mass = sum_abs2(kernel) * grid.spacing**2
     if not np.isfinite(mass) or mass <= 0.0:
         raise NumericalDegeneracyError("kernel is not normalizable")
     if abs(mass - 1.0) > TRUNCATION_TOL:

@@ -405,7 +405,7 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
         raise ConfigValidationError(
             ["amplitude.grid_points"],
             f"amplitude.grid_points = {n} does not fit in memory: one dense kernel takes"
-            f" 16*n^2 bytes = {16 * n * n / 2**30:.2f} GiB, and the rate stage holds 3.5 of them",
+            f" 16*n^2 bytes = {16 * n * n / 2**30:.2f} GiB, and the rate stage holds 2 of them",
         ) from None
     except DomainTruncationError as exc:
         # a grid too coarse for the prop1 packets, of 64 points or more,
@@ -436,14 +436,20 @@ def _rate_stage(cfg: ExperimentConfig, main_cases: bool) -> list:
 
 
 def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, chi, xi) -> list:
-    """Build the two-atom state once on `grid`; one entry per report."""
+    """Build the two-atom state once on `grid`; one entry per report.
+
+    The state's studies read only its kept sums, so they are taken before
+    prop1's and the state goes before prop1's pairs build their channels:
+    the stage holds two dense kernels at a time, the state and an evolved
+    copy or the two channels of a pair.  The entries keep the order of
+    the cases, prop1's first."""
     a = cfg.amplitude
     g = cfg.rates.gamma
     with _arithmetic_of("width_sum", "width_diff"):
         state = make_two_atom_gaussian(a.width_sum, a.width_diff, grid)
-    entries = []
+    entries, of_state = [], []
 
-    def add(params: dict, report, interference=None):
+    def add(params: dict, report, interference=None, to=entries):
         entry = {
             "case": report.case_label,
             "params": params,
@@ -452,11 +458,11 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, ch
         }
         if interference is not None:
             entry["interference_magnitude"] = interference
-        entries.append(entry)
+        to.append(entry)
 
-    def study(params: dict, case: str, pair, **kwargs):
+    def study(params: dict, case: str, pair, to=entries, **kwargs):
         result = property_case_rate(case, pair, **kwargs)
-        add(params, result.report, result.interference_magnitude)
+        add(params, result.report, result.interference_magnitude, to)
 
     if main_cases:
         add({"evolution": "identity"}, first_emission_rate_ratio(state))
@@ -466,9 +472,14 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, ch
                 report = second_emission_rate_ratio(receding_pair(sep, a.dt, a.sigma), a.dt, a.recoil_k)
             add({"separation": sep, "dt": a.dt, "recoil_k": a.recoil_k, "sigma": a.sigma}, report)
 
-    # the case studies.  Non-entangled initial state: symmetrized pair of
-    # the packets (chi, xi), reported under both final-state conventions,
-    # plus the identical-packet variant
+    # the case studies.  The state's, at dt = 0, read its kept sums
+    study({}, "prop2-nonsymmetrized", state, to=of_state)
+    study({}, "prop3-entangled-final", state, to=of_state)
+    study({"variant": "both-symmetric"}, "prop4-entangled-second", state, to=of_state)
+    del state  # its kernel goes before prop1's channels are built
+    # Non-entangled initial state: symmetrized pair of the packets (chi,
+    # xi), reported under both final-state conventions, plus the
+    # identical-packet variant
     sep = xi.center - chi.center
     orthogonal = {"variant": "orthogonal", "separation": sep}
     pair = ProductPair(chi, xi, grid)  # the three orthogonal studies share its channels
@@ -481,10 +492,7 @@ def _rate_entries(cfg: ExperimentConfig, main_cases: bool, grid: SpatialGrid, ch
           convention="restricted-subset", family=spanning)
     del pair  # its two channels go before the identical pair builds its one
     study({"variant": "identical"}, "prop1-nonentangled", ProductPair(chi, chi, grid))
-    study({}, "prop2-nonsymmetrized", state)
-    study({}, "prop3-entangled-final", state)
-    study({"variant": "both-symmetric"}, "prop4-entangled-second", state)
-    return entries
+    return entries + of_state
 
 
 def run_full(cfg: ExperimentConfig) -> ReportBundle:

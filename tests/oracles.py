@@ -33,7 +33,6 @@ from twoatom.eventsim import (
     bin_index,
     histogram_edges,
 )
-from twoatom.grids import abs2
 from twoatom.inference import Histogram
 from twoatom.kinetics import DEGENERATE_SWITCH, RateTriple
 from twoatom.packets import sample_packet
@@ -243,12 +242,13 @@ def two_channel_sums(state, swapped, dt, convention, family=None):
     e1, e2 = channels if dt == 0 else propagate_kernel(channels, grid, dt)
     if convention == "ordered-grid-product":
         dx2 = grid.spacing**2
-        return (float(np.sum(abs2(e1))) * dx2, float(np.sum(abs2(e2))) * dx2,
+        return (float(np.sum(whole_array_abs2(e1))) * dx2, float(np.sum(whole_array_abs2(e2))) * dx2,
                 2.0 * float((np.vdot(e1, e2) * dx2).real))
     m = np.stack([sample_packet(p, grid.points) for p in family], axis=1) * np.sqrt(grid.spacing)
     q, _ = np.linalg.qr(m)
     a1, a2 = (q.conj().T @ e @ q.conj() * grid.spacing for e in (e1, e2))
-    return float(np.sum(abs2(a1))), float(np.sum(abs2(a2))), 2.0 * float(np.vdot(a1, a2).real)
+    return (float(np.sum(whole_array_abs2(a1))), float(np.sum(whole_array_abs2(a2))),
+            2.0 * float(np.vdot(a1, a2).real))
 
 
 def two_channel_rate(state, swapped, case, dt, convention, family=None):

@@ -28,11 +28,11 @@ from twoatom.amplitudes import (
     second_emission_rate_ratio,
 )
 from twoatom.errors import DomainTruncationError, InvalidCaseError, InvalidParameterError, InvalidStateError
-from twoatom.grids import SpatialGrid, abs2
+from twoatom.grids import SpatialGrid
 from twoatom.packets import make_packet, overlap, sample_packet
 from twoatom.pairstate import ProductPair, TwoAtomState, make_two_atom_gaussian, propagate_kernel
 
-from oracles import schmidt_ratio, two_channel_rate, two_channel_sums
+from oracles import schmidt_ratio, two_channel_rate, two_channel_sums, whole_array_abs2
 
 GRID = SpatialGrid.centered(16.0, 512)
 STATE = make_two_atom_gaussian(2.0, 1.0, GRID)
@@ -266,7 +266,7 @@ def test_prop2_channel_follows_the_convention():
     f = make_packet(0.5, 0.0, 0.7)
     res = property_case_rate("prop2-nonsymmetrized", STATE, convention="restricted-subset", family=[f])
     ff = np.outer(sample_packet(f, GRID.points), sample_packet(f, GRID.points))
-    ff /= np.sqrt(np.sum(abs2(ff))) * GRID.spacing
+    ff /= np.sqrt(np.sum(whole_array_abs2(ff))) * GRID.spacing
     expected = abs(np.vdot(ff, STATE.kernel) * GRID.spacing**2) ** 2
     assert res.report.basis_convention == "restricted-subset"
     assert res.report.completeness_sum == pytest.approx(expected, rel=1e-9)

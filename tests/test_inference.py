@@ -103,6 +103,17 @@ def test_cumulative_curve_fit_recovers_rate():
         fit_cumulative_curve([1.0])
 
 
+@pytest.mark.parametrize("times", [[0.0, 5e-324], [1e-310, 2e-310]], ids=["mean-underflows", "no-covariance"])
+def test_cumulative_fit_of_subnormal_times_is_left_out_with_no_warning(times):
+    # the mean of [0, 5e-324] rounds to 0, and curve_fit cannot estimate
+    # the covariance of [1e-310, 2e-310]: each fit is left out, with no
+    # ZeroDivisionError or OptimizeWarning, also when warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientDataError):
+            fit_cumulative_curve(times)
+
+
 def _ks_exponential_reference(samples, rate):
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size

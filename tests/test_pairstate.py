@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoatom import grids
@@ -23,7 +23,7 @@ from twoatom.errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from twoatom.grids import SpatialGrid, abs2
+from twoatom.grids import SpatialGrid
 from twoatom.packets import evolve_free, make_packet, sample_packet
 from twoatom.pairstate import (
     ProductPair,
@@ -313,29 +313,38 @@ def test_blocked_propagation_is_bit_identical(n, half, dt, transposed, second, s
         assert k.tobytes() == b
 
 
-# below one block, not a multiple of it, and a rate stage's family sizes
-SMALL_OR_ODD = st.sampled_from([1, 5, 7, 15, 17, 33, 64, 65, 129])
+# lengths around numpy's unroll of 8 and its pairwise block of 128, around
+# SUM_LEAF and its multiples, and any multiple of 8, up to 3 * 10^6
+SUM_LENGTHS = st.one_of(
+    st.tuples(st.sampled_from([8, 128, grids.SUM_LEAF, 2 * grids.SUM_LEAF, 5 * grids.SUM_LEAF]),
+              st.integers(-1, 1)).map(sum),
+    st.sampled_from([0, 1, 7, 9, 3 * 10**6]),
+    st.integers(1, 3 * 10**6 // 8).map(lambda k: 8 * k),
+    st.integers(1, 3 * 10**6),
+)
+SUM_SIDES = st.sampled_from([1, 7, 64, 127, 128, 129, 300, 1000])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    shape=st.one_of(st.tuples(SMALL_OR_ODD), st.tuples(SMALL_OR_ODD, SMALL_OR_ODD)),
+    shape=st.one_of(st.tuples(SUM_LENGTHS), st.tuples(SUM_SIDES, SUM_SIDES)),
     fortran=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    count=THREADS,
-    block=BLOCK,
+    count=st.sampled_from([1, 2, 3, 7]),
 )
-def test_blocked_abs2_is_bit_identical(shape, fortran, seed, count, block):
-    # a kernel's transpose is Fortran-ordered, and its |.|^2 must stay so
+@example(shape=(3 * 10**6,), fortran=False, seed=0, count=7)
+@example(shape=(1000, 1000), fortran=True, seed=1, count=3)
+def test_sum_abs2_has_the_bits_of_the_whole_array_sum(shape, fortran, seed, count):
+    # the leaves are reduced on `count` threads and added in the tree's
+    # order; a kernel's transpose is Fortran-ordered and summed in its
+    # memory order, as np.sum sums it.  Scales spread over decades make
+    # any other order of the additions show in the last bits
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-3, 3, shape)
     a = np.asfortranarray(a) if fortran else a
-    with threads(count, block):
-        squared = abs2(a)
-    expected = whole_array_abs2(a)
-    assert squared.flags.c_contiguous == expected.flags.c_contiguous
-    assert squared.flags.f_contiguous == expected.flags.f_contiguous
-    assert squared.tobytes(order="A") == expected.tobytes(order="A")
+    with threads(count, 1):
+        got = grids.sum_abs2(a)
+    assert got.hex() == float(np.sum(whole_array_abs2(a))).hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,8 +384,8 @@ def test_state_sums_have_the_bits_of_the_channel_sums(n, seed, data):
     kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     state = TwoAtomState(SpatialGrid.centered(10.0, n), kernel)
     dx2 = state.grid.spacing**2
-    assert float(np.sum(abs2(kernel.T))).hex() == float(np.sum(abs2(kernel))).hex()
-    assert state.full_basis_sums[0].hex() == (float(np.sum(abs2(kernel.T))) * dx2).hex()
+    assert float(np.sum(whole_array_abs2(kernel.T))).hex() == float(np.sum(whole_array_abs2(kernel))).hex()
+    assert state.full_basis_sums[0].hex() == (float(np.sum(whole_array_abs2(kernel.T))) * dx2).hex()
     cross = 2.0 * float((np.vdot(kernel, kernel.T) * dx2).real)
     assert state.full_basis_sums[2].hex() == cross.hex()
     # either kind of pair state: its full-basis sums are the ordered sums
@@ -385,8 +394,8 @@ def test_state_sums_have_the_bits_of_the_channel_sums(n, seed, data):
     for kind in (state, pair):
         c1, c2 = kind.channels
         ordered = (
-            float(np.sum(abs2(c1))) * dx2,
-            float(np.sum(abs2(c2))) * dx2,
+            float(np.sum(whole_array_abs2(c1))) * dx2,
+            float(np.sum(whole_array_abs2(c2))) * dx2,
             2.0 * float((np.vdot(c1, c2) * dx2).real),
         )
         want = [x.hex() for x in ordered]
