@@ -19,10 +19,7 @@ from .amplitudes import (
     second_emission_rate_ratio,
 )
 from .config import AmplitudeParams, ExperimentConfig
-from .eventsim import (
-    detector_streams,
-    simulate_ensemble,
-)
+from .eventsim import simulate_ensemble
 from .grids import SpatialGrid
 from .inference import (
     FitResult,
@@ -70,7 +67,6 @@ __all__ = [
     "TwoAtomState",
     "apply_recoil",
     "detection_densities",
-    "detector_streams",
     "evolve_free",
     "first_emission_amplitude",
     "first_emission_rate_ratio",

@@ -19,7 +19,9 @@ count or chunking (see `twoatom._kernels`).  Detection uses two detectors
 hit with probability 1/2 each per photon and an efficiency thinning.
 What each detector records follows the single-hit rule (when both photons
 land on one detector only the earlier is recorded), spelled once, as the
-fates tables below; the per-detector streams keep every photon.
+fates tables below; the per-detector streams keep every photon, and
+are sorted inside the records' own memory once nothing else reads the
+records.
 """
 
 from __future__ import annotations
@@ -43,9 +45,21 @@ EMISSION_DTYPE = np.dtype([("t_f", np.float64), ("t_s", np.float64), ("fates", n
 FATE_DET_FIRST, FATE_DET_SECOND, FATE_KEEP_FIRST, FATE_KEEP_SECOND = 1, 2, 4, 8
 
 
-#: molecules per draw chunk: a chunk's raw block (2^14 x 6 uint64 draws,
-#: 768 KiB) stays in cache while all of its slots are transformed
+#: the most molecules per piece of a pass over the records: a draw chunk's
+#: raw block (2^14 x 6 uint64 draws, 768 KiB) stays in cache while all of
+#: its slots are transformed
 CHUNK_MOLECULES = 2**14
+
+
+def piece_molecules(n0: int) -> int:
+    """Molecules per piece of the passes over n0 records (the draws, the
+    detection pass, the coincidence differences and the detector streams),
+    which take one piece per thread at a time: about n0 / 64, a power of
+    two from 2^11 to CHUNK_MOLECULES.  Their temporaries, tens of
+    bytes per molecule, then stay small beside the records, and a large
+    ensemble's pieces are long enough that the threads spend their time in
+    numpy, not waiting for each other."""
+    return min(max(1 << (n0 // 64).bit_length() >> 1, 2**11), CHUNK_MOLECULES)
 
 
 def simulate_ensemble(cfg) -> np.ndarray:
@@ -55,7 +69,7 @@ def simulate_ensemble(cfg) -> np.ndarray:
     Returns records (t_f, t_s, fates) with t_f <= t_s, in seconds; row i
     holds molecule i.  Records past what numpy can address raise
     MemoryError, as records past the free memory do.  The draws are hashed
-    once, in fixed chunks of CHUNK_MOLECULES molecules, spread over
+    once, in chunks of `piece_molecules`(n0) molecules, spread over
     `workers` threads.  Each chunk's values depend only on (seed,
     molecule_id), and the chunk boundaries do not depend on the worker
     count, so the records are byte-identical for every worker count.
@@ -64,18 +78,19 @@ def simulate_ensemble(cfg) -> np.ndarray:
     if cfg.n0 * EMISSION_DTYPE.itemsize > sys.maxsize:
         raise MemoryError
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    grids.spread(functools.partial(_fill_chunks, cfg, cfg.rates, records), range(0, cfg.n0, CHUNK_MOLECULES), cfg.workers)
+    step = piece_molecules(cfg.n0)
+    grids.spread(functools.partial(_fill_chunks, cfg, cfg.rates, records, step), range(0, cfg.n0, step), cfg.workers)
     return records
 
 
-def _fill_chunks(cfg, rates, records: np.ndarray, starts) -> None:
-    """Hash the chunks beginning at `starts` and write their records, at
-    the rates of `cfg`, read once as `rates`.
+def _fill_chunks(cfg, rates, records: np.ndarray, step: int, starts) -> None:
+    """Hash the chunks of `step` molecules beginning at `starts` and write
+    their records, at the rates of `cfg`, read once as `rates`.
 
     One slot-major draw buffer serves every chunk of the call; each slot's
     draws are a contiguous column, which its transforms overwrite.
     """
-    buffer = np.empty((kern.DRAWS_PER_MOLECULE, CHUNK_MOLECULES), dtype=np.uint64)
+    buffer = np.empty((kern.DRAWS_PER_MOLECULE, step), dtype=np.uint64)
     eff = cfg.detector_efficiency
 
     def wait(column, rate):
@@ -87,7 +102,7 @@ def _fill_chunks(cfg, rates, records: np.ndarray, starts) -> None:
         return t
 
     for start in starts:
-        chunk = records[start:start + CHUNK_MOLECULES]
+        chunk = records[start:start + step]
         raw = kern.raw_draws(cfg.seed, start, len(chunk), out=buffer[:, :len(chunk)].T)
         if cfg.mode == "sequential":
             t_f = wait(raw[:, kern.SLOT_LIFETIME_A], rates.gamma_f)
@@ -127,51 +142,86 @@ _RECORDED = [np.select(masks, (1, 2)) for masks in _KEPT_AT]
 _COINCIDENT = (_RECORDED[0] > 0) & (_RECORDED[1] > 0)
 
 
-def detector_streams(records: np.ndarray):
-    """All kept photon times per detector, unsorted: yields the detector-1
-    stream, then the detector-2 stream.
+#: per fates value, the sign its first and its second photon's time takes
+#: in `sorted_detector_streams`: + at detector 1, - at detector 2
+_SIGNS = [np.where(_FATES & bit, -1.0, 1.0) for bit in (FATE_DET_FIRST, FATE_DET_SECOND)]
+#: per fates value, whether its first and whether its second photon is kept
+_KEPT = [(_FATES & bit) != 0 for bit in (FATE_KEEP_FIRST, FATE_KEEP_SECOND)]
+
+
+def sorted_detector_streams(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All kept photon times per detector, each stream sorted, written over
+    the records' own bytes: returns the detector-1 and the detector-2
+    stream as views of `records`, which they consume.  The times must be
+    nonnegative, as every emission time is.
 
     Every kept photon is registered, also the second one of a pair that
     lands on one detector: the count pattern the per-detector cumulative
-    fit assumes.  Each stream holds its first photons in molecule order,
-    then its second photons in molecule order.  The fates are the ones
-    stored in the records; one pass over them counts each CHUNK_MOLECULES
-    chunk's molecules per fates value, which sizes each stream exactly and
-    gives each chunk the places its photons go, so the chunks fill a
-    stream independently, spread over `thread_count()` threads.  A stream
-    is built only when the caller asks for it and the generator keeps no
-    reference to it, so a caller that drops one before asking for the
-    next holds one at a time, and may sort it in place.
+    fit assumes.  One pass over the fates counts each `piece_molecules`
+    piece's molecules per fates value, which gives each piece the place
+    its photons go.  Then, piece by piece in order, the kept times are
+    written over the records as float64, a detector-2 time negated: at
+    most 16 B per molecule where each molecule's record takes 17, so the
+    writes trail the reads.  A piece whose writes reach its own bytes (one
+    of the first 16) is copied before use, and the pieces whose writes all
+    land below the first one's bytes are filled together, spread over
+    `grids.threads_for` threads.  One sort then gives [detector 2 negated and
+    reversed | detector 1]; detector 2's part is negated and reversed in
+    place, block by block, and any zero time is made +0.0, so each stream
+    has the bytes of ``np.sort`` of it.
     """
-    starts = range(0, len(records), CHUNK_MOLECULES)
-    per_fates = np.empty((len(starts), _FATES.size), np.intp)  # per chunk
+    size = piece_molecules(len(records))
+    starts = range(0, len(records), size)
+    per_fates = np.empty((len(starts), _FATES.size), np.intp)  # per piece
 
     def count(share):
         for k in share:
-            per_fates[k] = np.bincount(records["fates"][starts[k]:starts[k] + CHUNK_MOLECULES], minlength=_FATES.size)
+            per_fates[k] = np.bincount(records["fates"][starts[k]:starts[k] + size], minlength=_FATES.size)
 
-    grids.spread(count, range(len(starts)), grids.thread_count())
-    for detector, (first_here, second_here) in enumerate(_KEPT_AT):
-        yield _stream(records, detector, per_fates[:, first_here].sum(axis=1), per_fates[:, second_here].sum(axis=1))
-
-
-def _stream(records: np.ndarray, detector: int, n_first: np.ndarray, n_second: np.ndarray) -> np.ndarray:
-    """The first photons kept at `detector`, in molecule order, then its
-    second photons, in molecule order, given the counts of each chunk's
-    first and second photons kept there."""
-    ends_first = np.cumsum(n_first)
-    ends_second = ends_first[-1] + np.cumsum(n_second)
-    stream = np.empty(ends_second[-1])
+    threads = grids.threads_for(size * grids.thread_count())
+    grids.spread(count, range(len(starts)), threads)
+    kept = [per_fates[:, mask].sum(axis=1) for mask in _KEPT]  # per piece: first and second photons kept
+    written = 8 * np.cumsum(kept[0] + kept[1])  # the byte where each piece's writes end
+    times = records.view(np.uint8)[:written[-1] if len(written) else 0].view(np.float64)
+    itemsize = EMISSION_DTYPE.itemsize
 
     def fill(share):
         for k in share:
-            chunk = records[k * CHUNK_MOLECULES:(k + 1) * CHUNK_MOLECULES]
-            first, second = _kept_at(chunk["fates"], detector)
-            np.compress(first, chunk["t_f"], out=stream[ends_first[k] - n_first[k]:ends_first[k]])
-            np.compress(second, chunk["t_s"], out=stream[ends_second[k] - n_second[k]:ends_second[k]])
+            piece = records[starts[k]:starts[k] + size]
+            if written[k] > itemsize * starts[k]:  # its writes reach its own bytes
+                piece = piece.copy()
+            fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
+            at = written[k] // 8 - kept[0][k] - kept[1][k]
+            for name, signs, here, n in zip(("t_f", "t_s"), _SIGNS, _KEPT, (kept[0][k], kept[1][k])):
+                signed = signs[fates]
+                signed *= piece[name]
+                np.compress(here[fates], signed, out=times[at:at + n])
+                at += n
 
-    grids.spread(fill, range(len(n_first)), grids.thread_count())
-    return stream
+    k = 0
+    while k < len(starts):
+        # the pieces from k on whose writes end below piece k's bytes, at least piece k
+        wave = max(k + 1, int(np.searchsorted(written, itemsize * starts[k], side="right")))
+        grids.spread(fill, range(k, wave), threads)
+        k = wave
+    grids.sort_in_place(times)
+    at_2 = int(sum(per_fates[:, mask].sum() for mask in _KEPT_AT[1]))
+    second, first = times[:at_2], times[at_2:]
+    half = at_2 // 2
+
+    def swap(rows):  # the items [lo, hi) of `second` with their mirror images, both negated
+        lo, hi = rows.start, min(rows.stop, half)
+        mirror = second[at_2 - hi:at_2 - lo]
+        low = -second[lo:hi][::-1]
+        np.negative(mirror[::-1], out=second[lo:hi])
+        mirror[...] = low
+
+    grids.each_block(swap, half, CHUNK_MOLECULES)
+    if at_2 % 2:
+        second[half] = -second[half]
+    for stream in (first, second):  # sorted: any zeros lead
+        stream[:np.searchsorted(stream, 0.0, side="right")] = 0.0
+    return first, second
 
 
 def histogram_edges(bin_width: float, t_range: tuple[float, float]) -> np.ndarray:
@@ -195,11 +245,13 @@ def bin_index(x: np.ndarray, edges: np.ndarray, hi: float, bin_width: float) -> 
     cast.
     """
     lo, n_bins = edges[0], len(edges) - 1
-    q = np.fmin(np.fmax(x, lo), hi)  # NaN goes to lo
+    q = np.fmax(x, lo)  # NaN goes to lo
+    np.fmin(q, hi, out=q)
     q -= lo
     q /= bin_width
     np.floor(q, out=q)
     np.minimum(q, n_bins - 1, out=q)
     idx = q.astype(np.intp)
+    del q
     idx[~((x >= lo) & (x < hi))] = n_bins
     return idx

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -38,16 +40,16 @@ from .eventsim import (
     _FATES,
     _KEPT_AT,
     _RECORDED,
-    CHUNK_MOLECULES,
     EMISSION_DTYPE,
     bin_index,
-    detector_streams,
     histogram_edges,
+    piece_molecules,
     simulate_ensemble,
+    sorted_detector_streams,
 )
 from .eventsio import read_events_csv, write_events_csv, write_histogram_csv
 from .grids import SpatialGrid
-from .inference import FitResult, Histogram, _cumulative_in_place, _mle_in_place
+from .inference import FitResult, Histogram, _cumulative_sorted, _mle
 from .kinetics import detection_densities
 from .packets import make_packet
 from .pairstate import COARSEST_SPACING, ProductPair, check_packet_mass, largest_phase, make_two_atom_gaussian, mode_sigma
@@ -88,59 +90,92 @@ def _coincidences_and_counters(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarr
 
 
 def _supported_fits(jobs) -> dict[str, FitResult]:
-    """Run each (name, fit, sample) job; leave out a fit its sample cannot
-    support.  Each sample is dropped before the next job makes its own."""
+    """Run each (name, fit) job; leave out a fit its sample cannot support."""
     fits = {}
-    for name, fit, sample in jobs:
+    for name, fit in jobs:
         with contextlib.suppress(InsufficientDataError):
-            fits[name] = fit(sample)
-        del sample
+            fits[name] = fit()
     return fits
 
 
-def _mle_fit_jobs(t_f, t_s, tau):
-    """The MLE fit jobs of the report, each sample made for its fit only and
-    sorted in place by it.  The jobs take over `tau`, which the caller
-    drops, and a contiguous `t_f`, a column the caller no longer reads; the
-    strided `t_f` field of the records is copied.  `t_f` goes last, once
-    `t_s - t_f` is made and gone; the jobs drop `t_s` once it is made, so a
-    `t_s` column the caller does not keep goes with it."""
-    yield "coincidence", _mle_in_place, np.abs(tau, out=tau)
-    del tau
-    yield "second_interval", _mle_in_place, t_s - t_f
-    del t_s
-    yield "first", _mle_in_place, np.ascontiguousarray(t_f)
+def _mle_fit_jobs(t_f: np.ndarray, t_s: np.ndarray, abs_tau):
+    """The MLE fit jobs of the report, from the emission-time columns or
+    fields `t_f` and `t_s` and the sample source `abs_tau` of |tau|.  No
+    job holds a sample: each fit reads its own leaf by leaf, `t_s - t_f`
+    made per leaf and `t_f` copied per leaf where it is a strided field."""
+    n = len(t_f)
+    yield "coincidence", functools.partial(_mle, *abs_tau)
+    yield "second_interval", functools.partial(_mle, n, lambda lo, hi: t_s[lo:hi] - t_f[lo:hi])
+    yield "first", functools.partial(_mle, n, lambda lo, hi: np.ascontiguousarray(t_f[lo:hi]))
+
+
+def _abs_tau(records: np.ndarray, coincident: np.ndarray):
+    """The sample source of |tau|, the coincidence differences in molecule
+    order, given the bits of `detection_pass` that mark the coincident
+    molecules: the items [lo, hi) are made from the times of the
+    `piece_molecules` pieces that hold them, and each thread keeps the last
+    piece it made, since a pass asks for consecutive items.  |t1 - t2| of
+    a coincidence is t_s - t_f, with its bits."""
+    step = piece_molecules(len(records))
+    ends = np.cumsum(np.add.reduceat(np.bitwise_count(coincident), range(0, coincident.size, step // 8)))
+    last = threading.local()
+
+    def of_piece(k):
+        if getattr(last, "k", None) != k:
+            piece = records[k * step:(k + 1) * step]
+            both = np.unpackbits(coincident[k * step // 8:(k + 1) * step // 8], count=len(piece)).view(bool)
+            tau = np.compress(both, piece["t_s"])
+            tau -= np.compress(both, piece["t_f"])
+            last.k, last.tau = k, tau
+        return last.tau
+
+    def leaf(lo, hi):
+        k = int(np.searchsorted(ends, lo, side="right"))
+        tau = of_piece(k)
+        if hi <= ends[k]:  # within one piece: a view of it
+            return tau[lo - (ends[k] - tau.size):hi - (ends[k] - tau.size)]
+        out, at = np.empty(hi - lo), 0
+        while at < out.size:
+            tau = of_piece(k)
+            part = tau[lo + at - (ends[k] - tau.size):hi - (ends[k] - tau.size)]
+            out[at:at + part.size] = part
+            at += part.size
+            k += 1
+        return out
+
+    return int(ends[-1]) if len(ends) else 0, leaf
 
 
 def _stream_fit_jobs(records: np.ndarray):
-    """The cumulative fit jobs of the two detector streams, each stream
-    built once the previous one is dropped and sorted in place by its fit."""
-    streams = detector_streams(records)
-    yield "detector_1", _cumulative_in_place, next(streams)
-    yield "detector_2", _cumulative_in_place, next(streams)
+    """The cumulative fit jobs of the two detector streams, which are sorted
+    over the records' memory: the records are consumed."""
+    first, second = sorted_detector_streams(records)
+    yield "detector_1", functools.partial(_cumulative_sorted, first)
+    yield "detector_2", functools.partial(_cumulative_sorted, second)
 
 
 def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
-    """Every detection-derived result of a run, one CHUNK_MOLECULES chunk
+    """Every detection-derived result of a run, one `piece_molecules` piece
     of the records at a time.
 
-    Returns (histograms, tau, counters).  The histograms, keyed first,
-    second, det1, det2, coincidence and detector (the detector-1 stream),
-    share cfg's bin width; tau holds the coincidence differences in
-    molecule order; counters hold the photons recorded at each detector and
-    the molecules recorded at both.
+    Returns (histograms, coincident, counters).  The histograms, keyed
+    first, second, det1, det2, coincidence and detector (the detector-1
+    stream), share cfg's bin width; coincident marks the molecules recorded
+    at both detectors, one bit per molecule (``np.packbits``), from which
+    `_abs_tau` makes the coincidence differences (tau); counters hold the
+    photons recorded at each detector and the molecules recorded at both.
 
     Apart from tau, a molecule enters every result only through its fates
-    byte and the bins of its t_f and t_s.  So each chunk adds the counts
+    byte and the bins of its t_f and t_s.  So each piece adds the counts
     of its (fates, bin) pairs, one `bincount` per time, to one table per
     time of 16 x (n_bins + 1) integers, the last column counting the times
     outside the range; each histogram is a sum of table rows, and each
     counter a sum of molecules per fates value.  They equal those of the
-    whole-array detection records on the whole ensemble.  The chunks are
-    spread over `thread_count()` threads, each share of them counted into
+    whole-array detection records on the whole ensemble.  The pieces are
+    spread over `grids.threads_for` threads, each share of them counted into
     a table set of its own; the sets are summed at the end, and each
-    chunk's tau is kept in its place, so no result depends on the number
-    of threads.
+    piece's tau is binned and dropped, so no result depends on the number
+    of threads and no tau is kept.
     """
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     width = t_hi / cfg.bins
@@ -148,8 +183,9 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
         raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse", "bins"],
                                     f"t_max_lifetimes * gamma_inverse = {t_hi:g} s in {cfg.bins} bins:"
                                     " the bin width or the coincidence range leaves the float range")
-    starts = range(0, len(records), CHUNK_MOLECULES)
-    shares = min(grids.thread_count(), len(starts))
+    step = piece_molecules(len(records))
+    starts = range(0, len(records), step)
+    shares = min(grids.threads_for(step * grids.thread_count()), len(starts))
     size = shares * 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
     try:
         if size > sys.maxsize:  # past what numpy can address
@@ -165,22 +201,25 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
             f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
             f" 2*16*(bins + 1) (fates, bin) pairs on each of {shares} threads, {size / 2**30:.2f} GiB",
         ) from None
-    free, taus = list(range(shares)), [None] * len(starts)
+    free, coincident = list(range(shares)), np.empty((len(records) + 7) // 8, np.uint8)
 
     def count(share):
         s = free.pop()  # the share's own table set
         for k in share:
-            chunk = records[starts[k]:starts[k] + CHUNK_MOLECULES]
-            fates = chunk["fates"].astype(np.intp)  # an intp index looks up tables fastest
+            piece = records[starts[k]:starts[k] + step]
+            fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
             offset = fates * row
             for table, name in zip(tables[s], ("t_f", "t_s")):
-                table += np.bincount(offset + bin_index(chunk[name], edges, t_hi, width), minlength=table.size)
+                table += np.bincount(offset + bin_index(piece[name], edges, t_hi, width), minlength=table.size)
             # t1 - t2 of the coincidences: one photon at each detector
-            both = np.flatnonzero(_COINCIDENT[fates])
+            both = _COINCIDENT[fates]
+            bits = np.packbits(both)  # a piece starts on a whole byte
+            coincident[starts[k] // 8:starts[k] // 8 + bits.size] = bits
+            both = np.flatnonzero(both)
             t1_is_first = _RECORDED[0][fates[both]] == 1
-            t_f, t_s = chunk["t_f"][both], chunk["t_s"][both]
-            taus[k] = np.where(t1_is_first, t_f, t_s) - np.where(t1_is_first, t_s, t_f)
-            tau_counts[s] += np.bincount(bin_index(taus[k], tau_edges, t_hi, width), minlength=len(tau_edges))
+            t_f, t_s = piece["t_f"][both], piece["t_s"][both]
+            tau = np.where(t1_is_first, t_f, t_s) - np.where(t1_is_first, t_s, t_f)
+            tau_counts[s] += np.bincount(bin_index(tau, tau_edges, t_hi, width), minlength=len(tau_edges))
 
     grids.spread(count, range(len(starts)), shares)
     by_first, by_second = tables.sum(axis=0).reshape(2, _FATES.size, row)  # the t_f and the t_s table
@@ -200,7 +239,7 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
         "recorded_2": int(molecules[_RECORDED[1] > 0].sum()),
         "coincidences": int(molecules[_COINCIDENT].sum()),
     }
-    return hists, np.concatenate(taus), counters
+    return hists, coincident, counters
 
 
 def _simulate(cfg: ExperimentConfig) -> np.ndarray:
@@ -222,7 +261,7 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     the detection pass, from which `run_full` draws the overlays."""
     records = _simulate(cfg)  # validates cfg
     echo = _echo(cfg)  # before any output
-    hists, tau, counters = detection_pass(records, cfg)
+    hists, coincident, counters = detection_pass(records, cfg)
     out = _ensure_outdir(cfg)
 
     paths = {}
@@ -234,8 +273,9 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
         write_histogram_csv(p, hists[name])
         paths[f"hist_{name}"] = p
 
-    jobs = itertools.chain(_mle_fit_jobs(records["t_f"], records["t_s"], tau), _stream_fit_jobs(records))
-    del tau  # the jobs own it: it goes after its fit
+    # the detector streams come last: they are sorted over the records
+    jobs = itertools.chain(_mle_fit_jobs(records["t_f"], records["t_s"], _abs_tau(records, coincident)),
+                           _stream_fit_jobs(records))
     return _fit_report(echo, _supported_fits(jobs), paths, counters), hists
 
 
@@ -262,8 +302,8 @@ def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
     del data["molecule_id"]  # nothing reads it
     # the t1/t2 columns go once the counters and tau are taken
     tau, counters = _coincidences_and_counters(data.pop("t1"), data.pop("t2"))
-    jobs = _mle_fit_jobs(data.pop("t_f"), data.pop("t_s"), tau)
-    del tau  # the jobs own it and the columns, and sort it and the t_f column in place
+    np.abs(tau, out=tau)
+    jobs = _mle_fit_jobs(data["t_f"], data["t_s"], (tau.size, lambda lo, hi: tau[lo:hi]))
     bundle = _fit_report(echo, _supported_fits(jobs), {"events": events_path}, counters)
     write_report(os.path.join(out, "report.json"), bundle)
     return bundle

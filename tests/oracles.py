@@ -4,16 +4,16 @@ None of these serves a pipeline stage: each is an independent route to a
 quantity the package computes another way (a 1D spectral propagator and
 the free dispersion law, the cumulative count curves behind the detection
 densities, the coincidence density behind the simulated tau histogram,
-the total of a histogram, the whole-array KS distance behind the blockwise
-one, the Schmidt spectrum of a correlated Gaussian behind the
+the total of a histogram, the whole-array KS distance behind the pruned
+streamed one, the Schmidt spectrum of a correlated Gaussian behind the
 dominant-mode amplitude, the whole-array forms of the amplitude
 engine's row-blocked, threaded passes, a state's rates from its two
 channels Psi and Psi^T each propagated and summed on its own behind the
 one channel of an exchange-symmetric kernel, the single-hit rule read bit by
 bit from the fates byte, with the whole-array detection records,
 coincidence differences and histograms built from it, behind the fates
-tables and the per-chunk detection pass, the detector streams as one
-concatenation each behind their chunked fill, events.csv written one
+tables and the per-piece detection pass, the detector streams as one
+concatenation each behind their sort inside the records, events.csv written one
 ``"%.16e" %`` string per time, and events.csv read by one ``np.loadtxt``
 call on the whole file behind the block reader).
 """
@@ -119,9 +119,9 @@ def assign_detections(records: np.ndarray) -> np.ndarray:
 
 
 def concatenated_detector_streams(records: np.ndarray) -> list[np.ndarray]:
-    """The detector-1 and the detector-2 stream of `eventsim.detector_streams`,
-    each the concatenation of its first photons and of its second photons,
-    both in molecule order."""
+    """The detector-1 and the detector-2 stream, each the concatenation of
+    its first photons and of its second photons, both in molecule order:
+    ``np.sort`` of each has the bytes of `eventsim.sorted_detector_streams`."""
     fates = np.ascontiguousarray(records["fates"])
     streams = []
     for detector in (0, 1):

@@ -19,7 +19,7 @@ from twoatom.amplitudes import (
     receding_pair,
     second_emission_rate_ratio,
 )
-from twoatom.eventsim import detector_streams, simulate_ensemble
+from twoatom.eventsim import simulate_ensemble
 from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_exponential_mle
 from twoatom.packets import make_packet
@@ -28,7 +28,13 @@ from twoatom.pipeline import ExperimentConfig, run_experiment
 
 import dataclasses
 
-from oracles import assign_detections, build_histogram, coincidence_differences, second_count_fraction
+from oracles import (
+    assign_detections,
+    build_histogram,
+    coincidence_differences,
+    concatenated_detector_streams,
+    second_count_fraction,
+)
 
 SEED = 20260810
 GAMMA_INVERSE = 1.6e-9
@@ -98,7 +104,7 @@ def test_criterion_3_figure_reproduction(million_run):
     # 4 sigma coverage level (exact quantiles; Gaussian +/-4 sqrt(mu) in
     # the well-populated bins)
     records = simulate_ensemble(cfg)
-    d1, _ = detector_streams(records)
+    d1, _ = concatenated_detector_streams(records)
     n0 = cfg.n0
     width = 0.1 / g
     edges_lo = np.arange(80) * width

@@ -15,10 +15,13 @@ def test_every_bench_entry_names_a_workload_and_its_metrics_with_their_units():
     units = {m["name"]: m["unit"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     entries = json.loads((ROOT / "BENCH_trajectory.json").read_text())["entries"]
     assert entries
+    newest = max(entry["pr"] for entry in entries)
     for entry in entries:
         where = (entry["pr"], entry["workload"])
         assert isinstance(entry["pr"], int) and entry["workload"] in workloads, where
-        assert entry["sha"] is None or re.fullmatch("[0-9a-f]{7,40}", entry["sha"]), where
+        # only the newest PR's entries may wait for the sha of their commit
+        if entry["sha"] is not None or entry["pr"] != newest:
+            assert re.fullmatch("[0-9a-f]{7,40}", entry["sha"] or ""), where
         assert entry["pairs"] >= 1 and entry["seeds"] and entry["source"], where
         assert entry["machine_facts"]["nproc"] >= 1, where
         assert entry["metrics"], where

@@ -8,6 +8,7 @@ laws and order statistics as oracles.
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from twoatom.eventsim import (
     FATE_DET_SECOND,
     FATE_KEEP_FIRST,
     FATE_KEEP_SECOND,
-    detector_streams,
     simulate_ensemble,
+    sorted_detector_streams,
 )
 from twoatom.kinetics import RateTriple
 from twoatom.pipeline import ExperimentConfig
@@ -257,25 +258,57 @@ def test_chunked_pass_matches_unchunked_reference(seed, efficiency, n0, workers,
     det = assign_detections(rec)
     assert _same_bits(det["t1"], detections[0])
     assert _same_bits(det["t2"], detections[1])
-    want_1, want_2 = streams
-    got_1, got_2 = detector_streams(rec)
-    assert _same_bits(got_1, want_1)
-    assert _same_bits(got_2, want_2)
+    assert [_same_bits(got, want) for got, want in zip(concatenated_detector_streams(rec), streams)] == [True, True]
+    got_1, got_2 = sorted_detector_streams(rec)  # consumes the records
+    assert _same_bits(got_1, np.sort(streams[0]))
+    assert _same_bits(got_2, np.sort(streams[1]))
 
 
 @pytest.mark.parametrize("n0", [1, 2, CHUNK_MOLECULES - 1, CHUNK_MOLECULES, CHUNK_MOLECULES + 1,
-                                3 * CHUNK_MOLECULES + 7])
+                                3 * CHUNK_MOLECULES + 7, 16 * CHUNK_MOLECULES + 7])
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    efficiency=st.sampled_from([0.7, 1.0]),
     mode=st.sampled_from(["sequential", "independent"]),
+    threads=st.sampled_from([1, 2, 3, 7]),
 )
-def test_chunked_streams_equal_the_concatenated_oracle(n0, seed, efficiency, mode):
-    # each stream filled chunk by chunk into its exact size, byte for byte
+def test_chunked_streams_equal_the_concatenated_oracle(n0, seed, efficiency, mode, threads):
+    # each stream sorted inside the records' own bytes, byte for byte
+    # np.sort of its concatenation; 16 chunks and more reach the pieces
+    # whose writes trail their reads and run in waves on the threads
     rec = simulate_ensemble(cfg_for(n0, mode=mode, seed=seed, detector_efficiency=efficiency))
-    got, want = list(detector_streams(rec)), concatenated_detector_streams(rec)
+    want = [np.sort(s) for s in concatenated_detector_streams(rec)]
+    with mock.patch.object(grids, "thread_count", lambda: threads):
+        got = sorted_detector_streams(rec)
     assert [s.dtype for s in got] == [s.dtype for s in want]
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    assert all(np.shares_memory(s, rec) for s in got if s.size)  # no stream of their own
+
+
+@pytest.mark.parametrize("mode", ["sequential", "independent"])
+def test_sorted_streams_do_not_depend_on_the_order_of_a_wave(monkeypatch, mode):
+    # the threads may fill a wave's pieces in any order: every spread pass
+    # here runs its items last to first, on one thread, so a wave whose
+    # writes reached a piece not yet read would show
+    rec = simulate_ensemble(cfg_for(16 * CHUNK_MOLECULES + 7, mode=mode, seed=29, detector_efficiency=0.7))
+    want = [np.sort(s) for s in concatenated_detector_streams(rec)]
+    monkeypatch.setattr(grids, "spread", lambda work, items, shares: work(items[::-1]))
+    assert [s.tobytes() for s in sorted_detector_streams(rec)] == [s.tobytes() for s in want]
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 17, CHUNK_MOLECULES + 1])
+def test_sorted_streams_of_zero_times_read_plus_zero(n0):
+    # times of 0.0 on both detectors: detector 2's are negated to -0.0 and
+    # sorted among detector 1's +0.0, and each stream comes out +0.0, as
+    # np.sort of it
+    rec = np.zeros(n0, dtype=EMISSION_DTYPE)
+    rec["t_s"][1::2] = 2.5
+    # both photons kept; the detector bits run through their four values
+    rec["fates"] = FATE_KEEP_FIRST | FATE_KEEP_SECOND | np.arange(n0) % 4
+    want = [np.sort(s) for s in concatenated_detector_streams(rec)]
+    assert [np.count_nonzero(s == 0) > 0 for s in want] == [True, n0 > 1]
+    got = sorted_detector_streams(rec)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
@@ -360,7 +393,7 @@ def test_efficiency_thins_the_streams():
     n = 100_000
     cfg = cfg_for(n, seed=31, detector_efficiency=0.5)
     rec = simulate_ensemble(cfg)
-    s1, s2 = detector_streams(rec)
+    s1, s2 = concatenated_detector_streams(rec)
     kept = s1.size + s2.size
     # each of the 2n photons survives with p = 1/2: a 4-sigma upper bound
     # plus a loose lower bound
@@ -372,7 +405,7 @@ def test_multi_hit_keeps_every_photon():
     n = 50_000
     cfg = cfg_for(n, seed=61)
     rec = simulate_ensemble(cfg)
-    s1, s2 = detector_streams(rec)
+    s1, s2 = concatenated_detector_streams(rec)
     assert s1.size + s2.size == 2 * n
 
 

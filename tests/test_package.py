@@ -7,9 +7,8 @@ from pathlib import Path
 import twoatom
 
 #: kept with only test callers: the first two carry the amplitude engine's
-#: closed-form checks; the public fits each fit a private copy of their
-#: input, while the stages fit the samples they own through the same
-#: in-place cores
+#: closed-form checks; the public fits read their input through the same
+#: streamed cores that the stages feed from their sample sources
 TEST_ONLY = {"first_emission_amplitude", "second_emission_amplitude",
              "fit_exponential_mle", "fit_cumulative_curve", "ks_statistic_exponential"}
 

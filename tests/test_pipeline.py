@@ -26,7 +26,7 @@ from twoatom.cli import main as cli_main
 from twoatom.amplitudes import first_emission_rate_ratio
 from twoatom.config import AmplitudeParams
 from twoatom.errors import ConfigValidationError, EventsFileError, InsufficientDataError
-from twoatom.eventsim import CHUNK_MOLECULES, MODES, detector_streams, simulate_ensemble
+from twoatom.eventsim import CHUNK_MOLECULES, MODES, simulate_ensemble
 from twoatom.eventsio import EVENTS_COLUMNS
 from twoatom.grids import SpatialGrid
 from twoatom.inference import fit_cumulative_curve, fit_exponential_mle
@@ -42,7 +42,13 @@ from twoatom.pipeline import (
     write_events_csv,
 )
 
-from oracles import assign_detections, build_histogram, coincidence_differences, read_events_csv_loadtxt
+from oracles import (
+    assign_detections,
+    build_histogram,
+    coincidence_differences,
+    concatenated_detector_streams,
+    read_events_csv_loadtxt,
+)
 
 
 def small_config(tmp_path, **kw):
@@ -460,28 +466,43 @@ def test_rate_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
     assert traced_peak(lambda: run_rate_derivation(cfg)) <= 2.3 * 16 * n * n
 
 
-def test_event_stage_peak_memory(tmp_path):
-    # the records (17 B/molecule) with one sample on top, which its fit
-    # owns and sorts in place, or tau and its pieces: no sorted copy, no
-    # second sample, no negative-value mask, no whole-ensemble detection
-    # array and no n-sized KS grid
+def test_event_stage_peak_memory(tmp_path, monkeypatch):
+    # the records (17 B/molecule) and, on 2 threads, at most about 2.4
+    # B/molecule more at 2*10^5 (19.4 measured), where the fixed buffers
+    # weigh most: no fit holds a sample.  Each MLE fit walks its sample
+    # leaf by leaf (its sum, its extremes and one shared table of bucket
+    # counts), then gathers the items that can reach its KS distance;
+    # the detector streams are sorted inside the records' own bytes; the
+    # draws and the detection pass take pieces of about n0 / 64 molecules
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 2)
     n0 = 200_000
     cfg = small_config(tmp_path, n0=n0)
-    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 32 * n0
+    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 20 * n0
 
 
-def test_detector_streams_hold_one_stream_at_a_time():
-    # a caller that drops each stream before asking for the next holds one
-    # stream and one chunk's temporaries: the generator keeps no reference
+def test_event_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
+    # on 32 threads each MLE fit still counts into one shared table of
+    # buckets, and the stream stage fills pieces in waves of one piece per
+    # thread.  What grows with the threads is a piece's temporaries per
+    # thread in the passes long enough to spread (`grids.threads_for`: 16
+    # threads over pieces of 2^13 molecules at 10^6): the detection pass's
+    # (with one table set per thread), the stream fill's and the
+    # coincidence differences' (one piece kept per thread), 23.6
+    # B/molecule in all
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 64)
+    assert grids.thread_count() == grids.ROWS_IN_FLIGHT
+    n0 = 10**6
+    cfg = small_config(tmp_path, n0=n0)
+    assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 25 * n0
+
+
+def test_detector_stream_stage_holds_no_stream_of_its_own(monkeypatch):
+    # both streams are written, sorted and fitted inside the records' own
+    # bytes: above the records, a piece's temporaries and a copy of one
+    # piece while the writes reach it, 0.4 MiB at 10^6 on 2 CPUs
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 2)
     records = simulate_ensemble(ExperimentConfig(n0=10**6, seed=17))
-    sizes = []
-
-    def consume():
-        for stream in detector_streams(records):
-            sizes.append(stream.nbytes)
-            del stream
-
-    assert traced_peak(consume) <= max(sizes) + 2**20
+    assert traced_peak(lambda: pipeline._supported_fits(pipeline._stream_fit_jobs(records))) <= 2 * 2**20
 
 
 def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
@@ -688,10 +709,10 @@ def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed, bins, t
     cfg = ExperimentConfig(n0=n0, mode=mode, seed=seed, detector_efficiency=efficiency, bins=bins,
                            t_max_lifetimes=t_max_lifetimes)
     records = simulate_ensemble(cfg)
-    hists, tau, counters = detection_pass(records, cfg)
+    hists, coincident, counters = detection_pass(records, cfg)
     det = assign_detections(records)
     want_tau = coincidence_differences(det)
-    d1, _ = detector_streams(records)
+    d1, _ = concatenated_detector_streams(records)
     t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
     samples = {
         "first": (records["t_f"], 0.0),
@@ -709,16 +730,23 @@ def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed, bins, t
         # count conservation: each sample in [lo, hi) is counted once, and
         # no other sample is counted
         assert want.counts.sum() == np.count_nonzero((x >= lo) & (x < t_hi)), name
-    assert tau.tobytes() == want_tau.tobytes()
+    # the coincidences' bits, and |tau| made from them in any pieces
+    both = ~np.isnan(det["t1"]) & ~np.isnan(det["t2"])
+    assert coincident.tobytes() == np.packbits(both).tobytes()
+    n, leaf = pipeline._abs_tau(records, coincident)
+    assert n == want_tau.size
+    cuts = sorted({0, n, *np.random.default_rng(seed).integers(0, n + 1, 5).tolist()})
+    parts = [leaf(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.concatenate([np.empty(0), *parts]).tobytes() == np.abs(want_tau).tobytes()
     recorded = [int(np.count_nonzero(~np.isnan(det[c]))) for c in ("t1", "t2")]
     assert counters == {"recorded_1": recorded[0], "recorded_2": recorded[1], "coincidences": want_tau.size}
 
 
 def test_detection_pass_takes_no_per_chunk_detection_records(tmp_path, monkeypatch):
     # the pass counts (fates, bin) pairs and builds neither the detection
-    # records nor a detector stream; the fit stage takes the detector-1
-    # stream once (and the detector-2 stream from the same generator)
-    calls = {"detector_streams": 0}
+    # records nor a detector stream; the fit stage sorts both streams once,
+    # over the records
+    calls = {"sorted_detector_streams": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -731,7 +759,7 @@ def test_detection_pass_takes_no_per_chunk_detection_records(tmp_path, monkeypat
         for module in (eventsim, pipeline):
             monkeypatch.setattr(module, name, wrapper, raising=False)
     run_experiment(small_config(tmp_path, n0=3 * 2**14 + 7), write_events=False)
-    assert calls == {"detector_streams": 1}
+    assert calls == {"sorted_detector_streams": 1}
     assert not hasattr(eventsim, "assign_detections")
 
 
@@ -939,7 +967,7 @@ def test_small_ensemble_report_leaves_out_unfittable_fits(tmp_path, n0):
     cfg = ExperimentConfig(n0=n0)
     records = simulate_ensemble(cfg)
     tau = coincidence_differences(assign_detections(records))
-    d1, d2 = detector_streams(records)
+    d1, d2 = concatenated_detector_streams(records)
     direct = {
         "first": (fit_exponential_mle, records["t_f"]),
         "second_interval": (fit_exponential_mle, records["t_s"] - records["t_f"]),
