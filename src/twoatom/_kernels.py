@@ -4,9 +4,11 @@ Every random number consumed by the event simulation is a pure function of
 (seed, molecule_id, slot): the 64-bit draw is the splitmix64 finalizer
 applied at counter molecule_id * DRAWS_PER_MOLECULE + slot.  This makes
 generation embarrassingly parallel and byte-reproducible for any chunking
-or worker count.  The float transforms (uniforms, exponentials, fair bits)
-sit on top of the integer hash; the uniforms overwrite the draws they
-come from.
+or worker count, and each chunk of draws final once it is written.  The
+uniforms sit on top of the integer hash and overwrite the draws they come
+from; the fair bits and the efficiency decisions are integer compares of
+the draws themselves (`TOP_BIT`, `keep_below`), with the bits of the
+uniform compares they replace.
 """
 
 from __future__ import annotations
@@ -101,6 +103,25 @@ def to_open_uniform(raw: np.ndarray) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def to_bit(raw: np.ndarray) -> np.ndarray:
-    """Fair 0/1 decision from the top bit of each draw."""
-    return (raw >> np.uint64(63)).astype(np.uint8)
+#: a draw at or above it has its top bit set: the fair 0/1 decision
+TOP_BIT = np.uint64(2**63)
+
+
+def keep_below(probability: float):
+    """(compare, bound) with ``compare(raw, bound)`` equal to
+    ``to_open_uniform(raw) < probability`` for every uint64 draw `raw`.
+
+    The uniform is a nondecreasing function u(raw >> 11), so the draws it
+    keeps are those below K * 2^11, where K is the least k in [0, 2^53]
+    with u(k) >= probability, found by bisection through `to_open_uniform`
+    itself.  K = 0 keeps nothing; K = 2^53 keeps every draw, and as 2^64
+    is past uint64 its compare is ``raw <= 2^64 - 1``.
+    """
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if to_open_uniform(np.array([mid << 11], np.uint64))[0] >= probability:
+            hi = mid
+        else:
+            lo = mid + 1
+    return (np.less, np.uint64(lo << 11)) if lo < 2**53 else (np.less_equal, np.uint64(2**64 - 1))

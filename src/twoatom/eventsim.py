@@ -15,8 +15,11 @@ disentanglement signature the analysis module tests for.
 `simulate_ensemble` reads the fields of a `config.ExperimentConfig`,
 whose rules live with it.  Every random draw is a counter-based function
 of (seed, molecule_id), so results are byte-identical for any worker
-count or chunking (see `twoatom._kernels`).  Detection uses two detectors
-hit with probability 1/2 each per photon and an efficiency thinning.
+count or chunking (see `twoatom._kernels`), and each piece of the records
+is final once it is written: the draw lanes hash the pieces while the
+other lanes count each one as it lands (`_lanes`).  Detection uses two
+detectors hit with probability 1/2 each per photon and an efficiency
+thinning, both decided by an integer compare of a draw.
 What each detector records follows the single-hit rule (when both photons
 land on one detector only the earlier is recorded), spelled once, as the
 fates tables below; the per-detector streams keep every photon, and
@@ -26,8 +29,8 @@ records.
 
 from __future__ import annotations
 
-import functools
 import sys
+import threading
 
 import numpy as np
 
@@ -62,48 +65,151 @@ def piece_molecules(n0: int) -> int:
     return min(max(1 << (n0 // 64).bit_length() >> 1, 2**11), CHUNK_MOLECULES)
 
 
-def simulate_ensemble(cfg) -> np.ndarray:
+def simulate_ensemble(cfg, tally=None) -> np.ndarray:
     """Per-molecule emission times and photon fates of the `ExperimentConfig`
-    `cfg`, which it validates first, as a structured array.
+    `cfg`, which it validates first, as a structured array; with `tally`,
+    each piece is also counted as soon as it has landed.
 
     Returns records (t_f, t_s, fates) with t_f <= t_s, in seconds; row i
     holds molecule i.  Records past what numpy can address raise
     MemoryError, as records past the free memory do.  The draws are hashed
-    once, in chunks of `piece_molecules`(n0) molecules, spread over
-    `workers` threads.  Each chunk's values depend only on (seed,
-    molecule_id), and the chunk boundaries do not depend on the worker
-    count, so the records are byte-identical for every worker count.
+    once, in pieces of `piece_molecules`(n0) molecules, by `workers` lanes
+    (see `_lanes`).  Each piece's values depend only on (seed,
+    molecule_id), and the piece boundaries do not depend on the worker
+    count, so the records are byte-identical for every worker count, and
+    each piece is final once it is written.
+
+    `tally(records, lanes)` is called once the records are allocated and
+    before any draw is hashed, with the number of counting lanes; it
+    returns ``count(lane, k)``, which a counting lane calls on piece k once
+    that piece has landed.  The counting runs behind the draws, on the
+    lanes past `workers` and on each draw lane once its own pieces are
+    done.
     """
     cfg.validate()
     if cfg.n0 * EMISSION_DTYPE.itemsize > sys.maxsize:
         raise MemoryError
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    step = piece_molecules(cfg.n0)
-    grids.spread(functools.partial(_fill_chunks, cfg, cfg.rates, records, step), range(0, cfg.n0, step), cfg.workers)
+    _lanes(records, tally, cfg)
     return records
 
 
-def _fill_chunks(cfg, rates, records: np.ndarray, step: int, starts) -> None:
-    """Hash the chunks of `step` molecules beginning at `starts` and write
-    their records, at the rates of `cfg`, read once as `rates`.
+class _Landing:
+    """Which pieces of a pass have landed, the next piece to count, and
+    whether a lane of the pass has failed."""
+
+    def __init__(self, pieces: int, landed: bool):
+        self._changed = threading.Condition()
+        self._landed = [landed] * pieces
+        self._next = 0
+        self._failed = False
+
+    def land(self, k: int) -> bool:
+        """Mark piece k landed; False once the pass has failed."""
+        with self._changed:
+            self._landed[k] = True
+            self._changed.notify_all()
+            return not self._failed
+
+    def fail(self) -> None:
+        with self._changed:
+            self._failed = True
+            self._changed.notify_all()
+
+    def take(self):
+        """The next piece in order, once it has landed; None once every piece
+        is taken or the pass has failed."""
+        with self._changed:
+            k = self._next
+            if k == len(self._landed) or self._failed:
+                return None
+            self._next += 1
+            self._changed.wait_for(lambda: self._landed[k] or self._failed)
+            return None if self._failed else k
+
+
+def _lanes(records: np.ndarray, tally=None, cfg=None) -> None:
+    """One pass over the `piece_molecules` pieces of `records`, in lanes
+    spread by one `grids.spread` call, one thread each.
+
+    With `cfg`, lane i < `workers` (cut to `grids.thread_count()` and to
+    the pieces) hashes the pieces i, i + workers, ... and marks each one
+    landed; without it every piece has landed.  With `tally`, lane i <
+    `grids.threads_for`(piece * thread_count()) then counts pieces: it takes
+    them in order from one shared counter, each once it has landed.  There
+    are as many lanes as the larger of the two, so at one draw lane and
+    one counting lane a single lane draws and then counts.  A lane that
+    raises marks the pass failed and wakes every waiting lane, which stops
+    without an error of its own; `spread` re-raises the exception, so no
+    lane outlives the call.
+    """
+    step = piece_molecules(len(records))
+    starts = range(0, len(records), step)
+    draws = 0 if cfg is None else min(cfg.workers, grids.thread_count(), len(starts))
+    counts = 0 if tally is None else min(grids.threads_for(step * grids.thread_count()), len(starts))
+    count = tally(records, counts) if tally is not None else None
+    keep = kern.keep_below(cfg.detector_efficiency) if cfg is not None else None
+    landing = _Landing(len(starts), landed=cfg is None)
+
+    def lane(share):
+        for i in share:  # one lane: there are no more lanes than threads
+            try:
+                if i < draws:
+                    for start in _fill_chunks(cfg, records, step, starts[i::draws], keep):
+                        if not landing.land(start // step):
+                            return
+                if i < counts:
+                    while (k := landing.take()) is not None:
+                        count(i, k)
+            except BaseException:
+                landing.fail()
+                raise
+
+    lanes = max(draws, counts)
+    grids.spread(lane, range(lanes), lanes)
+
+
+def _fill_chunks(cfg, records: np.ndarray, step: int, starts, keep):
+    """Hash the chunks of `step` molecules beginning at `starts`, write
+    their records, and yield each start once its chunk is written.
 
     One slot-major draw buffer serves every chunk of the call; each slot's
-    draws are a contiguous column, which its transforms overwrite.
+    draws are a contiguous column, which the wait transforms overwrite.
+    The fates bits are integer compares of the draws, one row of a bool
+    buffer each: a detector bit is the draw's top bit, and a photon is
+    kept where ``compare(draw, bound)`` of `keep`, `kern.keep_below` of the
+    detector efficiency, holds.
     """
+    rates = cfg.rates
     buffer = np.empty((kern.DRAWS_PER_MOLECULE, step), dtype=np.uint64)
-    eff = cfg.detector_efficiency
+    # row j holds bit 1 << j of `fates` (FATE_DET_FIRST, FATE_DET_SECOND,
+    # FATE_KEEP_FIRST, FATE_KEEP_SECOND); seen as uint64 words, a shift by
+    # j < 8 moves each 0/1 byte's bit within its byte
+    bits = np.zeros((4, step), dtype=bool)
+    words = bits.view(np.uint64)
+    kept, bound = keep
 
     def wait(column, rate):
-        """-log(u) / rate of the uniforms u of a slot's draws, in their column."""
+        """-log(u) / rate of the uniforms u of a slot's draws, in their
+        column, as log(u) / -rate: IEEE division is symmetric in sign, so
+        the bits are the same, in one pass fewer."""
         t = kern.to_open_uniform(column)
         np.log(t, out=t)
-        np.negative(t, out=t)
-        t /= rate
+        t /= -rate
         return t
 
     for start in starts:
         chunk = records[start:start + step]
-        raw = kern.raw_draws(cfg.seed, start, len(chunk), out=buffer[:, :len(chunk)].T)
+        n = len(chunk)
+        raw = kern.raw_draws(cfg.seed, start, n, out=buffer[:, :n].T)
+        np.greater_equal(raw[:, kern.SLOT_DETECTOR_FIRST], kern.TOP_BIT, out=bits[0, :n])
+        np.greater_equal(raw[:, kern.SLOT_DETECTOR_SECOND], kern.TOP_BIT, out=bits[1, :n])
+        kept(raw[:, kern.SLOT_EFFICIENCY_FIRST], bound, out=bits[2, :n])
+        kept(raw[:, kern.SLOT_EFFICIENCY_SECOND], bound, out=bits[3, :n])
+        for j in (1, 2, 3):
+            words[j] <<= j
+            words[0] |= words[j]
+        chunk["fates"] = bits[0, :n].view(np.uint8)
         if cfg.mode == "sequential":
             t_f = wait(raw[:, kern.SLOT_LIFETIME_A], rates.gamma_f)
             chunk["t_f"] = t_f
@@ -113,14 +219,7 @@ def _fill_chunks(cfg, rates, records: np.ndarray, step: int, starts) -> None:
             life_b = wait(raw[:, kern.SLOT_LIFETIME_B], rates.gamma)
             np.minimum(life_a, life_b, out=chunk["t_f"])
             np.maximum(life_a, life_b, out=chunk["t_s"])
-
-        fates = kern.to_bit(raw[:, kern.SLOT_DETECTOR_FIRST]) * FATE_DET_FIRST
-        fates |= kern.to_bit(raw[:, kern.SLOT_DETECTOR_SECOND]) * FATE_DET_SECOND
-        kept_f = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_FIRST]) < eff
-        kept_s = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_SECOND]) < eff
-        fates |= kept_f.view(np.uint8) * FATE_KEEP_FIRST
-        fates |= kept_s.view(np.uint8) * FATE_KEEP_SECOND
-        chunk["fates"] = fates
+        yield start
 
 
 def _kept_at(fates: np.ndarray, detector: int):

@@ -41,6 +41,7 @@ from .eventsim import (
     _KEPT_AT,
     _RECORDED,
     EMISSION_DTYPE,
+    _lanes,
     bin_index,
     histogram_edges,
     piece_molecules,
@@ -154,9 +155,89 @@ def _stream_fit_jobs(records: np.ndarray):
     yield "detector_2", functools.partial(_cumulative_sorted, second)
 
 
+class _Detection:
+    """The tally of `detection_pass` (see `eventsim.simulate_ensemble`):
+    called with the records and the number of counting lanes, it allocates
+    one table set per lane and the coincidence bits, and returns `count`,
+    which counts one piece of the records; `results` sums the sets."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    def __call__(self, records: np.ndarray, lanes: int):
+        cfg = self.cfg
+        self.t_hi = t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
+        self.width = width = t_hi / cfg.bins
+        if not (width > 0 and np.isfinite(2 * t_hi)):  # the coincidence range spans 2 t_hi
+            raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse", "bins"],
+                                        f"t_max_lifetimes * gamma_inverse = {t_hi:g} s in {cfg.bins} bins:"
+                                        " the bin width or the coincidence range leaves the float range")
+        size = lanes * 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
+        try:
+            if size > sys.maxsize:  # past what numpy can address
+                raise MemoryError
+            self.edges = histogram_edges(width, (0.0, t_hi))
+            self.tau_edges = histogram_edges(width, (-t_hi, t_hi))
+            self.row = len(self.edges)  # n_bins + 1 slots per fates value
+            # per lane: the t_f and the t_s table
+            self.tables = np.zeros((lanes, 2, _FATES.size * self.row), np.intp)
+            self.tau_counts = np.zeros((lanes, len(self.tau_edges)), np.intp)
+        except MemoryError:
+            raise ConfigValidationError(
+                ["bins"],
+                f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
+                f" 2*16*(bins + 1) (fates, bin) pairs on each of {lanes} threads, {size / 2**30:.2f} GiB",
+            ) from None
+        self.records, self.step = records, piece_molecules(len(records))
+        self.coincident = np.empty((len(records) + 7) // 8, np.uint8)
+        return self.count
+
+    def count(self, lane: int, k: int) -> None:
+        """Count piece k into the table set of `lane`."""
+        start, t_hi, width = k * self.step, self.t_hi, self.width
+        piece = self.records[start:start + self.step]
+        fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
+        offset = fates * self.row
+        for table, name in zip(self.tables[lane], ("t_f", "t_s")):
+            table += np.bincount(offset + bin_index(piece[name], self.edges, t_hi, width), minlength=table.size)
+        # t1 - t2 of the coincidences, one photon at each detector: t_f -
+        # t_s, negated where detector 1 recorded the second photon (IEEE
+        # subtraction is antisymmetric, and both zeros take one bin)
+        both = _COINCIDENT[fates]
+        bits = np.packbits(both)  # a piece starts on a whole byte
+        self.coincident[start // 8:start // 8 + bits.size] = bits
+        tau = np.compress(both, piece["t_f"])
+        tau -= np.compress(both, piece["t_s"])
+        np.negative(tau, out=tau, where=_RECORDED[0][np.compress(both, fates)] == 2)
+        self.tau_counts[lane] += np.bincount(bin_index(tau, self.tau_edges, t_hi, width),
+                                             minlength=len(self.tau_edges))
+
+    def results(self):
+        """(histograms, coincident, counters) of `detection_pass`."""
+        by_first, by_second = self.tables.sum(axis=0).reshape(2, _FATES.size, self.row)  # the t_f and the t_s table
+        (first_at_1, second_at_1), _ = _KEPT_AT
+        counts = {
+            "first": by_first.sum(axis=0),
+            "second": by_second.sum(axis=0),
+            "det1": by_first[_RECORDED[0] == 1].sum(axis=0) + by_second[_RECORDED[0] == 2].sum(axis=0),
+            "det2": by_first[_RECORDED[1] == 1].sum(axis=0) + by_second[_RECORDED[1] == 2].sum(axis=0),
+            "detector": by_first[first_at_1].sum(axis=0) + by_second[second_at_1].sum(axis=0),
+        }
+        hists = {name: Histogram(edges=self.edges, counts=c[:-1]) for name, c in counts.items()}
+        hists["coincidence"] = Histogram(edges=self.tau_edges, counts=self.tau_counts.sum(axis=0)[:-1])
+        molecules = by_first.sum(axis=1)  # per fates value
+        counters = {
+            "recorded_1": int(molecules[_RECORDED[0] > 0].sum()),
+            "recorded_2": int(molecules[_RECORDED[1] > 0].sum()),
+            "coincidences": int(molecules[_COINCIDENT].sum()),
+        }
+        return hists, self.coincident, counters
+
+
 def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
-    """Every detection-derived result of a run, one `piece_molecules` piece
-    of the records at a time.
+    """Every detection-derived result of a run whose pieces have all landed,
+    one `piece_molecules` piece of the records at a time.  A run counts the
+    same pieces as they land (`_simulate`), through the same `_Detection`.
 
     Returns (histograms, coincident, counters).  The histograms, keyed
     first, second, det1, det2, coincidence and detector (the detector-1
@@ -172,81 +253,25 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     outside the range; each histogram is a sum of table rows, and each
     counter a sum of molecules per fates value.  They equal those of the
     whole-array detection records on the whole ensemble.  The pieces are
-    spread over `grids.threads_for` threads, each share of them counted into
-    a table set of its own; the sets are summed at the end, and each
-    piece's tau is binned and dropped, so no result depends on the number
-    of threads and no tau is kept.
+    counted on `grids.threads_for` lanes (`eventsim._lanes`), each
+    into a table set of its own; the sets are summed at the end (integer
+    sums, exact in any order), each piece writes its own bytes of
+    coincidence bits, and each piece's tau is binned and dropped, so no
+    result depends on the number of lanes and no tau is kept.
     """
-    t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
-    width = t_hi / cfg.bins
-    if not (width > 0 and np.isfinite(2 * t_hi)):  # the coincidence range spans 2 t_hi
-        raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse", "bins"],
-                                    f"t_max_lifetimes * gamma_inverse = {t_hi:g} s in {cfg.bins} bins:"
-                                    " the bin width or the coincidence range leaves the float range")
-    step = piece_molecules(len(records))
-    starts = range(0, len(records), step)
-    shares = min(grids.threads_for(step * grids.thread_count()), len(starts))
-    size = shares * 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
+    detection = _Detection(cfg)
+    _lanes(records, detection)
+    return detection.results()
+
+
+def _simulate(cfg: ExperimentConfig):
+    """The ensemble of `cfg` and the results of `detection_pass` on it,
+    each piece counted as soon as it has landed; records too large for
+    memory are a configuration error, reported before the detection
+    tables are allocated, and those before any draw is hashed."""
+    detection = _Detection(cfg)
     try:
-        if size > sys.maxsize:  # past what numpy can address
-            raise MemoryError
-        edges = histogram_edges(width, (0.0, t_hi))
-        tau_edges = histogram_edges(width, (-t_hi, t_hi))
-        row = len(edges)  # n_bins + 1 slots per fates value
-        tables = np.zeros((shares, 2, _FATES.size * row), np.intp)  # per share: the t_f and the t_s table
-        tau_counts = np.zeros((shares, len(tau_edges)), np.intp)
-    except MemoryError:
-        raise ConfigValidationError(
-            ["bins"],
-            f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
-            f" 2*16*(bins + 1) (fates, bin) pairs on each of {shares} threads, {size / 2**30:.2f} GiB",
-        ) from None
-    free, coincident = list(range(shares)), np.empty((len(records) + 7) // 8, np.uint8)
-
-    def count(share):
-        s = free.pop()  # the share's own table set
-        for k in share:
-            piece = records[starts[k]:starts[k] + step]
-            fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
-            offset = fates * row
-            for table, name in zip(tables[s], ("t_f", "t_s")):
-                table += np.bincount(offset + bin_index(piece[name], edges, t_hi, width), minlength=table.size)
-            # t1 - t2 of the coincidences: one photon at each detector
-            both = _COINCIDENT[fates]
-            bits = np.packbits(both)  # a piece starts on a whole byte
-            coincident[starts[k] // 8:starts[k] // 8 + bits.size] = bits
-            both = np.flatnonzero(both)
-            t1_is_first = _RECORDED[0][fates[both]] == 1
-            t_f, t_s = piece["t_f"][both], piece["t_s"][both]
-            tau = np.where(t1_is_first, t_f, t_s) - np.where(t1_is_first, t_s, t_f)
-            tau_counts[s] += np.bincount(bin_index(tau, tau_edges, t_hi, width), minlength=len(tau_edges))
-
-    grids.spread(count, range(len(starts)), shares)
-    by_first, by_second = tables.sum(axis=0).reshape(2, _FATES.size, row)  # the t_f and the t_s table
-    (first_at_1, second_at_1), _ = _KEPT_AT
-    counts = {
-        "first": by_first.sum(axis=0),
-        "second": by_second.sum(axis=0),
-        "det1": by_first[_RECORDED[0] == 1].sum(axis=0) + by_second[_RECORDED[0] == 2].sum(axis=0),
-        "det2": by_first[_RECORDED[1] == 1].sum(axis=0) + by_second[_RECORDED[1] == 2].sum(axis=0),
-        "detector": by_first[first_at_1].sum(axis=0) + by_second[second_at_1].sum(axis=0),
-    }
-    hists = {name: Histogram(edges=edges, counts=c[:-1]) for name, c in counts.items()}
-    hists["coincidence"] = Histogram(edges=tau_edges, counts=tau_counts.sum(axis=0)[:-1])
-    molecules = by_first.sum(axis=1)  # per fates value
-    counters = {
-        "recorded_1": int(molecules[_RECORDED[0] > 0].sum()),
-        "recorded_2": int(molecules[_RECORDED[1] > 0].sum()),
-        "coincidences": int(molecules[_COINCIDENT].sum()),
-    }
-    return hists, coincident, counters
-
-
-def _simulate(cfg: ExperimentConfig) -> np.ndarray:
-    """The ensemble of `cfg`; records too large for memory are a
-    configuration error."""
-    try:
-        return simulate_ensemble(cfg)
+        records = simulate_ensemble(cfg, detection)
     except MemoryError:
         size = cfg.n0 * EMISSION_DTYPE.itemsize
         raise ConfigValidationError(
@@ -254,14 +279,14 @@ def _simulate(cfg: ExperimentConfig) -> np.ndarray:
             f"n0 = {cfg.n0} does not fit in memory: the event records take"
             f" {EMISSION_DTYPE.itemsize} B per molecule, {size / 2**30:.2f} GiB",
         ) from None
+    return records, detection.results()
 
 
 def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
     """`run_experiment` up to report.json; also returns the histograms of
     the detection pass, from which `run_full` draws the overlays."""
-    records = _simulate(cfg)  # validates cfg
+    records, (hists, coincident, counters) = _simulate(cfg)  # validates cfg
     echo = _echo(cfg)  # before any output
-    hists, coincident, counters = detection_pass(records, cfg)
     out = _ensure_outdir(cfg)
 
     paths = {}
@@ -346,7 +371,7 @@ def reproduce_figure1(cfg: ExperimentConfig, overlay: bool = False) -> str:
     if not overlay:
         cfg.validate()  # with an overlay, simulating validates cfg
     # an ensemble too large for memory fails before the output directory is made
-    hists = detection_pass(_simulate(cfg), cfg)[0] if overlay else None
+    hists = _simulate(cfg)[1][0] if overlay else None
     rates = cfg.rates
     g = rates.gamma
     t_hi = cfg.t_max_lifetimes / g

@@ -15,7 +15,8 @@ coincidence differences and histograms built from it, behind the fates
 tables and the per-piece detection pass, the detector streams as one
 concatenation each behind their sort inside the records, events.csv written one
 ``"%.16e" %`` string per time, and events.csv read by one ``np.loadtxt``
-call on the whole file behind the block reader).
+call on the whole file behind the block reader, and the fair bit as the
+draw's top bit shifted down behind the integer compare of the draw pass).
 """
 
 import math
@@ -85,6 +86,11 @@ def packet_sigma(packet) -> float:
     """Position standard deviation of a packet after its elapsed free flight."""
     s = packet.width_sigma
     return float(np.hypot(s, packet.t / (2.0 * s)))
+
+
+def to_bit(raw: np.ndarray) -> np.ndarray:
+    """Fair 0/1 decision from the top bit of each draw."""
+    return (raw >> np.uint64(63)).astype(np.uint8)
 
 
 def photons_kept_at(fates, detector: int):

@@ -41,6 +41,7 @@ from oracles import (
     concatenated_detector_streams,
     histogram_total,
     photons_kept_at,
+    to_bit,
 )
 
 GAMMA = 1.0 / 1.6e-9
@@ -114,6 +115,36 @@ def test_top_raw_draw_stays_below_one(monkeypatch):
     assert np.all(rec["fates"] & FATE_KEEP_FIRST)
     assert np.all(rec["fates"] & FATE_KEEP_SECOND)
     assert np.all(rec["t_f"] > 0)
+
+
+def _near(x):
+    """x and its neighbouring doubles, within (0, 1]."""
+    return st.sampled_from([v for v in (x, math.nextafter(x, 0.0), math.nextafter(x, 2.0)) if 0.0 < v <= 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    efficiency=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(5e-324, 2.2250738585072014e-308),  # subnormals
+        st.integers(1, 2**53).flatmap(lambda k: _near(k * 2.0**-53)),
+        st.integers(0, 2**53 - 1).flatmap(lambda k: _near((k + 0.5) * 2.0**-53)),  # the uniforms themselves
+        st.sampled_from([5e-324, 2.0**-53, 1.0 - 2.0**-53, 1.0]),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_keep_bound_equals_the_uniform_compare(efficiency, seed):
+    # a photon is kept where its draw is below K * 2^11 (at K = 2^53, every
+    # draw): the draws the uniform compare keeps, checked on both sides of
+    # the bound, around 2^63, at the ends and on random draws
+    kept, bound = kern.keep_below(efficiency)
+    k = int(bound) >> 11 if kept is np.less else 2**53
+    assert kept is np.less or (kept is np.less_equal and int(bound) == 2**64 - 1)
+    edges = [k * 2**11 - 1, k * 2**11, 2**63 - 1, 2**63, 2**63 + 1, 0, 2**64 - 1, 2**64 - 2**11, 2**64 - 2**11 - 1]
+    draws = np.array([d for d in edges if 0 <= d < 2**64], dtype=np.uint64)
+    draws = np.concatenate([draws, np.random.default_rng(seed).integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)])
+    want = kern.to_open_uniform(draws.copy()) < efficiency
+    assert np.array_equal(kept(draws, bound), want)
 
 
 def test_golden_record_pinned():
@@ -219,8 +250,8 @@ def _unchunked_reference(cfg):
         life_b = -np.log(u_b) / cfg.rates.gamma
         t_f = np.minimum(life_a, life_b)
         t_s = np.maximum(life_a, life_b)
-    det_f = kern.to_bit(raw[:, kern.SLOT_DETECTOR_FIRST])
-    det_s = kern.to_bit(raw[:, kern.SLOT_DETECTOR_SECOND])
+    det_f = to_bit(raw[:, kern.SLOT_DETECTOR_FIRST])
+    det_s = to_bit(raw[:, kern.SLOT_DETECTOR_SECOND])
     eff = cfg.detector_efficiency
     keep_f = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_FIRST]) < eff
     keep_s = kern.to_open_uniform(raw[:, kern.SLOT_EFFICIENCY_SECOND]) < eff

@@ -8,9 +8,12 @@ import twoatom
 
 #: kept with only test callers: the first two carry the amplitude engine's
 #: closed-form checks; the public fits read their input through the same
-#: streamed cores that the stages feed from their sample sources
+#: streamed cores that the stages feed from their sample sources; the
+#: detection pass of landed records counts through the same tally that a
+#: run feeds as its pieces land
 TEST_ONLY = {"first_emission_amplitude", "second_emission_amplitude",
-             "fit_exponential_mle", "fit_cumulative_curve", "ks_statistic_exponential"}
+             "fit_exponential_mle", "fit_cumulative_curve", "ks_statistic_exponential",
+             "detection_pass"}
 
 
 def test_every_public_name_resolves_once():

@@ -819,6 +819,148 @@ def test_event_stages_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
     assert all(outputs == seen[0] for outputs in seen[1:])
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_counting_behind_the_draws_gives_the_records_first_bytes(tmp_path, monkeypatch, workers, threads):
+    # a run counts each piece as soon as it has landed, on the lanes past
+    # `workers` and on each draw lane once its own pieces are done: its
+    # results and artifacts equal those of the detection pass over the
+    # whole records.  65 pieces of 2^13, the last one ragged; at 7 threads
+    # 3 lanes count.  A short switch interval makes the lanes interleave
+    n0 = 2**19 + 4099
+    monkeypatch.setattr(grids, "thread_count", lambda: threads)
+    assert threads < 7 or grids.threads_for(eventsim.piece_molecules(n0) * threads) == 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for mode, efficiency in ((m, e) for m in MODES for e in (0.7, 1.0)):
+            cfg = small_config(tmp_path, n0=n0, mode=mode, seed=10 * workers + threads, workers=workers,
+                               detector_efficiency=efficiency, output_dir=str(tmp_path / f"{mode}-{efficiency}"))
+            records, (hists, coincident, counters) = pipeline._simulate(cfg)
+            want_records = simulate_ensemble(cfg)
+            want_hists, want_coincident, want_counters = detection_pass(want_records, cfg)
+            assert records.tobytes() == want_records.tobytes()
+            assert {k: (h.edges.tobytes(), h.counts.tobytes()) for k, h in hists.items()} == \
+                {k: (h.edges.tobytes(), h.counts.tobytes()) for k, h in want_hists.items()}
+            assert coincident.tobytes() == want_coincident.tobytes()
+            assert counters == want_counters
+            bundle = run_experiment(cfg, write_events=False)
+            assert bundle.counters == want_counters
+            for name in ("first", "second", "det1", "det2", "coincidence"):
+                path = tmp_path / f"want_{name}.csv"
+                eventsio.write_histogram_csv(str(path), want_hists[name])
+                assert (Path(cfg.output_dir) / f"hist_{name}.csv").read_bytes() == path.read_bytes(), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("where", ["draw", "count"])
+def test_a_lane_that_raises_ends_the_pass_and_no_lane_outlives_it(monkeypatch, where):
+    # an exception on a worker thread's lane reaches the caller; the other
+    # lanes stop, the waiting ones without an error of their own, and
+    # every thread is gone when the call returns.  The call runs on a
+    # thread of its own, joined with a timeout, so a lane left waiting
+    # fails the test
+    n0 = 2**19 + 4099  # 3 counting lanes at 7 threads
+    monkeypatch.setattr(grids, "thread_count", lambda: 7)
+    raw_draws, seen, counted, raised = eventsim.kern.raw_draws, [], [], []
+
+    def on_a_worker():
+        return threading.current_thread() is not caller
+
+    def failing_draws(seed, start, n, out=None):
+        if on_a_worker():
+            seen.append(start)
+            if len(seen) == 3:
+                raise MemoryError
+        return raw_draws(seed, start, n, out=out)
+
+    def tally(records, lanes):
+        assert lanes == 3
+
+        def count(lane, k):
+            if where == "count" and on_a_worker():
+                raise RuntimeError("a counting lane")
+            counted.append(k)
+
+        return count
+
+    def run():
+        try:
+            simulate_ensemble(ExperimentConfig(n0=n0, seed=3, workers=3), tally)
+        except (MemoryError, RuntimeError) as exc:
+            raised.append(exc)
+
+    if where == "draw":
+        monkeypatch.setattr(eventsim.kern, "raw_draws", failing_draws)
+    before = threading.active_count()
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()
+    assert [type(exc) for exc in raised] == [MemoryError if where == "draw" else RuntimeError]
+    assert threading.active_count() == before
+    assert len(counted) < 65
+
+
+def test_cli_memory_error_on_a_draw_lane_exits_2(tmp_path):
+    # the third piece a worker thread hashes runs out of memory: the run
+    # exits 2 naming n0, with no traceback, and no lane is left waiting
+    # (the timeout fails the test if one is)
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    out = str(tmp_path / "out")
+    code = (
+        "import sys, threading\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from twoatom import _kernels, grids\n"
+        "from twoatom.cli import main\n"
+        "grids.usable_cpus = lambda: 3\n"
+        "raw_draws, seen = _kernels.raw_draws, []\n"
+        "def failing(seed, start, n, out=None):\n"
+        "    if threading.current_thread() is not threading.main_thread():\n"
+        "        seen.append(start)\n"
+        "        if len(seen) == 3:\n"
+        "            raise MemoryError\n"
+        "    return raw_draws(seed, start, n, out=out)\n"
+        "_kernels.raw_draws = failing\n"
+        f"sys.exit(main(['simulate', '--n0', '300000', '--set', 'workers=3', '--out', {out!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: n0 = ") and "does not fit in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("n0, field", [(10**6, "bins"), (10**12, "n0")])
+def test_cli_bins_too_large_for_memory_exits_2_before_any_draw(tmp_path, n0, field):
+    # the records are allocated first and the detection tables next, both
+    # before any draw is hashed: a bins whose edges alone take 7.45 GiB
+    # is refused without a draw, and n0 is still the field named when the
+    # records do not fit either.  The child caps its own address space at
+    # 2 GiB, so the allocations fail whatever the host's overcommit policy
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    out = str(tmp_path / "out")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from twoatom import _kernels\n"
+        "from twoatom.cli import main\n"
+        "hashed, raw_draws = [], _kernels.raw_draws\n"
+        "_kernels.raw_draws = lambda *args, **kwargs: hashed.append(args) or raw_draws(*args, **kwargs)\n"
+        f"code = main(['simulate', '--n0', '{n0}', '--set', 'bins=1000000000', '--out', {out!r}])\n"
+        "print('hashed', len(hashed))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"configuration error: {field} = ") and "does not fit in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.strip() == "hashed 0"
+    assert not os.path.exists(out)
+
+
 def test_cross_engine_agreement(tmp_path):
     # the fitted rates equal the amplitude-engine ratios times the
     # configured single-atom rate, within 3 joint standard errors
