@@ -8,18 +8,20 @@ them, are elementwise per row or independent per row or column, so they
 run block by block on every usable CPU (up to `ROWS_IN_FLIGHT`); each
 output element is computed by the same code whichever thread takes its
 block, so the bits do not depend on the thread count.  Exact sums run
-through `pairwise_sum`, whose threads take the leaves of numpy's
-pairwise tree from a function of their range, so no array of the summed
-items is made: `sum_abs2` squares each leaf of a kernel, and the event
-stage's fits make each leaf of their samples from the records.  The
-event stage's passes spread their pieces and sorted segments
-(`sort_in_place`) the same way.  Every thread the package starts comes
+through `PairwiseSum`, which takes the leaves of numpy's pairwise tree
+as runs of items arrive, so no array of the summed items is made:
+`sum_abs2` squares each leaf of a kernel (`pairwise_sum`), and the event
+stage's fits feed it the units of their samples as they make them from
+the records.  The event stage's passes spread their pieces and sorted
+segments (`sort_in_place`) the same way.  Every thread the package starts comes
 from `spread`.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -127,8 +129,8 @@ def each_block(work, n: int, in_flight: int | None = None) -> None:
     spread(run, range(0, n, rows), threads)
 
 
-#: items of numpy's pairwise summation tree that `pairwise_sum` reduces at
-#: a time, one leaf per thread
+#: the most items of a leaf of numpy's pairwise summation tree that
+#: `pairwise_sum` reduces at a time, one leaf per thread
 SUM_LEAF = 2**14
 
 
@@ -145,49 +147,76 @@ def _pairwise_tree(lo: int, n: int, leaf: int, leaves: list):
     return _pairwise_tree(lo, half, leaf, leaves), _pairwise_tree(lo + half, n - half, leaf, leaves)
 
 
-def pairwise_sum(n: int, leaf, in_flight: int | None = None) -> float:
-    """``np.add.reduce`` of n float64 items, with its bits, given only
-    ``leaf(lo, hi)``, a contiguous float64 array of the items [lo, hi).
+class PairwiseSum:
+    """``np.add.reduce`` of n float64 items, with its bits, fed as runs of
+    consecutive items in any order and from any thread (`add`), and read
+    once every item is in (`total`).
 
     ``np.add.reduce`` of a contiguous array adds its items along numpy's
     pairwise tree.  Below a node of the tree its sum does not depend on
     what lies outside it, so each leaf of at most `SUM_LEAF` items is
     reduced on its own, and the leaf sums are added in the tree's order:
-    the bits do not depend on the thread count, and no array of n items is
-    made.  Each of `thread_count()` threads takes one run of consecutive
-    leaves, in order.  Given `in_flight`, the `threads_for(in_flight)`
-    threads together ask `leaf` for about that many items at a time: each
-    takes leaves of at most `in_flight` // threads items (which must exceed
-    the 128 items numpy sums without a split), as many at a time as fit in
-    that.
+    the bits depend neither on the runs nor on the threads, and no array
+    of n items is made.  The leaves take at most `leaf` items (which must
+    be at least the 128 items numpy sums without a split).  A leaf that
+    lies in one run is reduced from it; a copy of each part of a leaf that
+    runs past a run is kept until its other parts are in, and the thread
+    that brings the last part reduces the leaf.
     """
-    threads = thread_count() if in_flight is None else threads_for(in_flight)
-    per_thread = SUM_LEAF if in_flight is None else in_flight // threads
-    leaves = []
-    tree = _pairwise_tree(0, n, min(SUM_LEAF, per_thread), leaves)
-    sums = np.empty(len(leaves))
-    fetches, first = [], 0  # (first leaf, last leaf + 1) of each call of `leaf`
-    for i, part in enumerate(leaves):
-        if part.stop - leaves[first].start > per_thread:
-            fetches.append((first, i))
-            first = i
-    fetches.append((first, len(leaves)))
 
-    def reduce(runs):
-        for i, j in runs[0]:
-            lo = leaves[i].start
-            items = leaf(lo, leaves[j - 1].stop)
-            for k in range(i, j):
-                sums[k] = np.add.reduce(items[leaves[k].start - lo:leaves[k].stop - lo])
-            del items  # before the next call makes its own
+    def __init__(self, n: int, leaf: int = SUM_LEAF):
+        self.leaves = []
+        self.tree = _pairwise_tree(0, n, leaf, self.leaves)
+        self.starts = [part.start for part in self.leaves]
+        self.sums = np.zeros(len(self.leaves))
+        self._parts, self._lock = {}, threading.Lock()
 
-    cuts = [len(fetches) * s // threads for s in range(threads + 1)]
-    spread(reduce, [fetches[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo], threads)
+    def add(self, lo: int, items: np.ndarray) -> None:
+        """Take the items [lo, lo + items.size), a contiguous float64 array."""
+        hi = lo + items.size
+        k = bisect.bisect_right(self.starts, lo) - 1
+        while hi > lo and k < len(self.leaves) and self.starts[k] < hi:
+            part = self.leaves[k]
+            if lo <= part.start and part.stop <= hi:
+                self.sums[k] = np.add.reduce(items[part.start - lo:part.stop - lo])
+            else:
+                first = max(part.start, lo)
+                self._add_part(k, first, items[first - lo:min(part.stop, hi) - lo].copy())
+            k += 1
 
-    def add(tree):
-        return sums[tree] if isinstance(tree, int) else add(tree[0]) + add(tree[1])
+    def _add_part(self, k: int, first: int, items: np.ndarray) -> None:
+        """Keep the items of leaf k from `first` on; reduce the leaf once
+        its parts hold all of its items."""
+        part = self.leaves[k]
+        with self._lock:
+            parts = self._parts.setdefault(k, [])
+            parts.append((first, items))
+            if sum(p.size for _, p in parts) < part.stop - part.start:
+                return
+            del self._parts[k]
+        parts.sort(key=lambda p: p[0])
+        self.sums[k] = np.add.reduce(np.concatenate([p for _, p in parts]))
 
-    return float(add(tree))
+    def total(self) -> float:
+        """The sum of the n items, once all of them are in."""
+
+        def add(tree):
+            return self.sums[tree] if isinstance(tree, int) else add(tree[0]) + add(tree[1])
+
+        return float(add(self.tree))
+
+
+def pairwise_sum(n: int, leaf) -> float:
+    """``np.add.reduce`` of n float64 items, with its bits (`PairwiseSum`),
+    given only ``leaf(lo, hi)``, a contiguous float64 array of the items
+    [lo, hi): each of `thread_count()` threads asks for one run of
+    consecutive leaves, one leaf at a time, in order."""
+    tree, threads = PairwiseSum(n), thread_count()
+    cuts = [len(tree.leaves) * s // threads for s in range(threads + 1)]
+    runs = [tree.leaves[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    spread(lambda share: [tree.add(part.start, leaf(part.start, part.stop)) for run in share for part in run],
+           runs, threads)
+    return tree.total()
 
 
 def _squares(part: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ table additionally carries the dimensionless columns (time in units of the
 single-atom lifetime, densities in units of the rate).  Every output is a
 pure function of (config, seed) except the single ``generated_at``
 timestamp in report.json.
+
+A run's fit stage reads the records in place: the report's three MLE
+fits share one walk of two passes over units of the records
+(`_record_samples`), and the detector streams are then sorted over the
+records' own bytes for the cumulative fits.
 """
 
 from __future__ import annotations
@@ -13,12 +18,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -50,7 +53,7 @@ from .eventsim import (
 )
 from .eventsio import read_events_csv, write_events_csv, write_histogram_csv
 from .grids import SpatialGrid
-from .inference import FitResult, Histogram, _cumulative_sorted, _mle
+from .inference import FitResult, Histogram, _cumulative_sorted, _mle, _source
 from .kinetics import detection_densities
 from .packets import make_packet
 from .pairstate import COARSEST_SPACING, ProductPair, check_packet_mass, largest_phase, make_two_atom_gaussian, mode_sigma
@@ -99,52 +102,36 @@ def _supported_fits(jobs) -> dict[str, FitResult]:
     return fits
 
 
-def _mle_fit_jobs(t_f: np.ndarray, t_s: np.ndarray, abs_tau):
-    """The MLE fit jobs of the report, from the emission-time columns or
-    fields `t_f` and `t_s` and the sample source `abs_tau` of |tau|.  No
-    job holds a sample: each fit reads its own leaf by leaf, `t_s - t_f`
-    made per leaf and `t_f` copied per leaf where it is a strided field."""
-    n = len(t_f)
-    yield "coincidence", functools.partial(_mle, *abs_tau)
-    yield "second_interval", functools.partial(_mle, n, lambda lo, hi: t_s[lo:hi] - t_f[lo:hi])
-    yield "first", functools.partial(_mle, n, lambda lo, hi: np.ascontiguousarray(t_f[lo:hi]))
+def _mle_fits(names, source) -> dict[str, FitResult]:
+    """The MLE fits of the samples of `source` (see `inference._Walk`),
+    under `names`, leaving out each fit its sample cannot support."""
+    return {name: fit for name, fit in zip(names, _mle(*source)) if isinstance(fit, FitResult)}
 
 
-def _abs_tau(records: np.ndarray, coincident: np.ndarray):
-    """The sample source of |tau|, the coincidence differences in molecule
-    order, given the bits of `detection_pass` that mark the coincident
-    molecules: the items [lo, hi) are made from the times of the
-    `piece_molecules` pieces that hold them, and each thread keeps the last
-    piece it made, since a pass asks for consecutive items.  |t1 - t2| of
-    a coincidence is t_s - t_f, with its bits."""
-    step = piece_molecules(len(records))
-    ends = np.cumsum(np.add.reduceat(np.bitwise_count(coincident), range(0, coincident.size, step // 8)))
-    last = threading.local()
+def _record_samples(records: np.ndarray, coincident: np.ndarray):
+    """The sample source of the report's MLE fits of the records (see
+    `inference._Walk`): t_f, t_s - t_f and |tau|, the coincidence
+    differences in molecule order, given the bits of `detection_pass` that
+    mark the coincident molecules.  Rows [lo, hi) give one contiguous copy
+    of their t_f, t_s - t_f taken from it, and the coincident items of that
+    difference: |t1 - t2| of a coincidence is t_s - t_f, with its bits."""
 
-    def of_piece(k):
-        if getattr(last, "k", None) != k:
-            piece = records[k * step:(k + 1) * step]
-            both = np.unpackbits(coincident[k * step // 8:(k + 1) * step // 8], count=len(piece)).view(bool)
-            tau = np.compress(both, piece["t_s"])
-            tau -= np.compress(both, piece["t_f"])
-            last.k, last.tau = k, tau
-        return last.tau
+    def make(lo, hi):
+        piece = records[lo:hi]
+        t_f = np.ascontiguousarray(piece["t_f"])
+        gap = piece["t_s"].copy()  # then one contiguous subtraction
+        gap -= t_f
+        both = np.unpackbits(coincident[lo // 8:(hi + 7) // 8])[lo % 8:lo % 8 + len(piece)].view(bool)
+        return t_f, gap, np.compress(both, gap)
 
-    def leaf(lo, hi):
-        k = int(np.searchsorted(ends, lo, side="right"))
-        tau = of_piece(k)
-        if hi <= ends[k]:  # within one piece: a view of it
-            return tau[lo - (ends[k] - tau.size):hi - (ends[k] - tau.size)]
-        out, at = np.empty(hi - lo), 0
-        while at < out.size:
-            tau = of_piece(k)
-            part = tau[lo + at - (ends[k] - tau.size):hi - (ends[k] - tau.size)]
-            out[at:at + part.size] = part
-            at += part.size
-            k += 1
-        return out
+    def at(rows):
+        # the coincidences from each row to the next; the bits past the
+        # last row are zeros
+        cuts = (rows + 7) // 8
+        ones = np.add.reduceat(np.bitwise_count(coincident), cuts[:-1], dtype=np.intp) if len(rows) > 1 else []
+        return rows, rows, np.concatenate([[0], np.cumsum(ones)]).astype(np.intp)
 
-    return int(ends[-1]) if len(ends) else 0, leaf
+    return len(records), make, at
 
 
 def _stream_fit_jobs(records: np.ndarray):
@@ -243,8 +230,9 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     first, second, det1, det2, coincidence and detector (the detector-1
     stream), share cfg's bin width; coincident marks the molecules recorded
     at both detectors, one bit per molecule (``np.packbits``), from which
-    `_abs_tau` makes the coincidence differences (tau); counters hold the
-    photons recorded at each detector and the molecules recorded at both.
+    `_record_samples` makes |tau|, the coincidence differences; counters
+    hold the photons recorded at each detector and the molecules recorded
+    at both.
 
     Apart from tau, a molecule enters every result only through its fates
     byte and the bins of its t_f and t_s.  So each piece adds the counts
@@ -298,10 +286,10 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
         write_histogram_csv(p, hists[name])
         paths[f"hist_{name}"] = p
 
+    fits = _mle_fits(("first", "second_interval", "coincidence"), _record_samples(records, coincident))
     # the detector streams come last: they are sorted over the records
-    jobs = itertools.chain(_mle_fit_jobs(records["t_f"], records["t_s"], _abs_tau(records, coincident)),
-                           _stream_fit_jobs(records))
-    return _fit_report(echo, _supported_fits(jobs), paths, counters), hists
+    fits.update(_supported_fits(_stream_fit_jobs(records)))
+    return _fit_report(echo, fits, paths, counters), hists
 
 
 def _fit_report(echo: dict, fits: dict[str, FitResult], curve_tables: dict, counters: dict) -> ReportBundle:
@@ -328,8 +316,13 @@ def run_fit(cfg: ExperimentConfig, events_path: str) -> ReportBundle:
     # the t1/t2 columns go once the counters and tau are taken
     tau, counters = _coincidences_and_counters(data.pop("t1"), data.pop("t2"))
     np.abs(tau, out=tau)
-    jobs = _mle_fit_jobs(data["t_f"], data["t_s"], (tau.size, lambda lo, hi: tau[lo:hi]))
-    bundle = _fit_report(echo, _supported_fits(jobs), {"events": events_path}, counters)
+    t_f, t_s = data["t_f"], data["t_s"]
+    # t_f and t_s - t_f share one walk over the rows; tau, an item per
+    # coincidence, walks on its own
+    fits = _mle_fits(("first", "second_interval"),
+                     _source(len(t_f), lambda lo, hi: t_f[lo:hi], lambda lo, hi: t_s[lo:hi] - t_f[lo:hi]))
+    fits.update(_mle_fits(["coincidence"], _source(tau.size, lambda lo, hi: tau[lo:hi])))
+    bundle = _fit_report(echo, fits, {"events": events_path}, counters)
     write_report(os.path.join(out, "report.json"), bundle)
     return bundle
 

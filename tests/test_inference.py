@@ -172,15 +172,22 @@ def _outcome(fit, *args):
 
 
 def _source(x):
-    """The sample source of the contiguous array `x`, read-only, so that a
-    core that wrote an item would raise."""
+    """The one-sample source of the contiguous array `x`, read-only, so that
+    a core that wrote an item would raise."""
     x = np.array(x, dtype=float)
     x.setflags(write=False)
-    return x.size, lambda lo, hi: x[lo:hi]
+    return x.size, lambda lo, hi: (x[lo:hi],), lambda rows: [rows]
+
+
+def _mle_core(x):
+    (fit,) = _mle(*_source(x))
+    if isinstance(fit, InsufficientDataError):
+        raise fit
+    return fit
 
 
 def _ks_core(x, rate):
-    return _Walk(*_source(x)).ks(rate)
+    return _Walk(*_source(x)).ks([rate])[0]
 
 
 def _cumulative_core(x):
@@ -204,7 +211,7 @@ def test_public_fits_leave_their_input_and_equal_the_in_place_cores(n0, seed, ef
     for sample in (records["t_f"], records["t_s"], records["t_s"] - records["t_f"], stream):
         sample.setflags(write=False)
         rate = 1.0 / float(np.mean(sample)) if sample.size else GAMMA
-        for public, core, args in ((fit_exponential_mle, lambda x: _mle(*_source(x)), ()),
+        for public, core, args in ((fit_exponential_mle, _mle_core, ()),
                                    (fit_cumulative_curve, _cumulative_core, ()),
                                    (ks_statistic_exponential, _ks_core, (rate,))):
             if public is ks_statistic_exponential and not sample.size:
@@ -244,9 +251,35 @@ def test_parallel_sort_and_fit_cores_do_not_depend_on_the_thread_count(n, seed, 
             y = x.copy()
             grids.sort_in_place(y)
             assert y.tobytes() == want, threads
-            outcomes.add((_outcome(lambda x: _mle(*_source(x)), x), _outcome(_ks_core, x, rate),
+            outcomes.add((_outcome(_mle_core, x), _outcome(_ks_core, x, rate),
                           _outcome(_cumulative_core, x)))
     assert len(outcomes) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 3000), st.sampled_from([128, 129, 1000, 2**12 + 7])),
+    leaf=st.sampled_from([128, 200, 1000, grids.SUM_LEAF]),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.integers(0, 40),
+)
+@example(n=1000, leaf=128, seed=0, cuts=40)
+def test_pairwise_sum_of_runs_in_any_order_has_the_leaf_sums_of_the_whole_array(n, leaf, seed, cuts):
+    # runs of the items cut at random places and fed in a random order,
+    # so that leaves straddle runs and their parts arrive in any order,
+    # give each leaf sum of numpy's pairwise tree and its total, with their
+    # bits: the items span many magnitudes, so that the order of the adds
+    # shows in the bits
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=n) * 10.0 ** rng.integers(-8, 9, n)
+    bounds = sorted({0, n, *rng.integers(0, n + 1, cuts).tolist()})
+    runs = list(zip(bounds, bounds[1:]))
+    rng.shuffle(runs)
+    tree = grids.PairwiseSum(n, leaf)
+    for lo, hi in runs:
+        tree.add(lo, x[lo:hi])
+    assert tree.sums.tobytes() == np.array([np.add.reduce(x[part]) for part in tree.leaves]).tobytes()
+    assert float.hex(tree.total()) == float.hex(float(np.add.reduce(x)))
 
 
 #: sample sizes of the streamed MLE core: 2 and 3, around the leaves of the
@@ -285,7 +318,7 @@ def test_streamed_mle_core_has_the_bits_of_the_whole_array_fit(n, seed, kind, ra
         "gamma": lambda: rng.gamma(0.3, 1.6e-9, n),
     }[kind]()
     with mock.patch.object(grids, "thread_count", lambda: threads):
-        got = _outcome(lambda x: _mle(*_source(x)), x)
+        got = _outcome(_mle_core, x)
         mean = float(np.mean(x))
         if mean > 0 and 1.0 / mean < np.inf:
             assert got[0] == float.hex(1.0 / mean)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoatom import amplitudes, eventsim, eventsio, grids, pairstate, pipeline
+from twoatom import amplitudes, eventsim, eventsio, grids, inference, pairstate, pipeline
 from twoatom.cli import main as cli_main
 from twoatom.amplitudes import first_emission_rate_ratio
 from twoatom.config import AmplitudeParams
@@ -467,11 +467,11 @@ def test_rate_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
 
 
 def test_event_stage_peak_memory(tmp_path, monkeypatch):
-    # the records (17 B/molecule) and, on 2 threads, at most about 2.4
-    # B/molecule more at 2*10^5 (19.4 measured), where the fixed buffers
-    # weigh most: no fit holds a sample.  Each MLE fit walks its sample
-    # leaf by leaf (its sum, its extremes and one shared table of bucket
-    # counts), then gathers the items that can reach its KS distance;
+    # the records (17 B/molecule) and, on 2 threads, at most about 2.5
+    # B/molecule more at 2*10^5 (19.5 measured), where the fixed buffers
+    # weigh most: no fit holds a sample.  The MLE fits walk the records
+    # unit by unit (each sample's sum, extremes and one shared table of
+    # bucket counts), then gather the items that can reach each KS distance;
     # the detector streams are sorted inside the records' own bytes; the
     # draws and the detection pass take pieces of about n0 / 64 molecules
     monkeypatch.setattr(grids, "usable_cpus", lambda: 2)
@@ -486,8 +486,7 @@ def test_event_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
     # thread.  What grows with the threads is a piece's temporaries per
     # thread in the passes long enough to spread (`grids.threads_for`: 16
     # threads over pieces of 2^13 molecules at 10^6): the detection pass's
-    # (with one table set per thread), the stream fill's and the
-    # coincidence differences' (one piece kept per thread), 23.6
+    # (with one table set per thread) and the stream fill's, 19.6
     # B/molecule in all
     monkeypatch.setattr(grids, "usable_cpus", lambda: 64)
     assert grids.thread_count() == grids.ROWS_IN_FLIGHT
@@ -730,16 +729,115 @@ def test_detection_pass_matches_whole_arrays(n0, efficiency, mode, seed, bins, t
         # count conservation: each sample in [lo, hi) is counted once, and
         # no other sample is counted
         assert want.counts.sum() == np.count_nonzero((x >= lo) & (x < t_hi)), name
-    # the coincidences' bits, and |tau| made from them in any pieces
+    # the coincidences' bits, and the fits' samples made from them and the
+    # records in any rows: t_f, t_s - t_f and |tau|
     both = ~np.isnan(det["t1"]) & ~np.isnan(det["t2"])
     assert coincident.tobytes() == np.packbits(both).tobytes()
-    n, leaf = pipeline._abs_tau(records, coincident)
-    assert n == want_tau.size
-    cuts = sorted({0, n, *np.random.default_rng(seed).integers(0, n + 1, 5).tolist()})
-    parts = [leaf(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    assert np.concatenate([np.empty(0), *parts]).tobytes() == np.abs(want_tau).tobytes()
+    rows, make, at = pipeline._record_samples(records, coincident)
+    assert rows == n0
+    assert [int(ends[-1]) for ends in at(np.array([0, n0]))] == [n0, n0, want_tau.size]
+    cuts = sorted({0, n0, *np.random.default_rng(seed).integers(0, n0 + 1, 5).tolist()})
+    made = [make(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    for i, want in enumerate((records["t_f"], records["t_s"] - records["t_f"], np.abs(want_tau))):
+        assert np.concatenate([np.empty(0), *(m[i] for m in made)]).tobytes() == want.tobytes(), i
     recorded = [int(np.count_nonzero(~np.isnan(det[c]))) for c in ("t1", "t2")]
     assert counters == {"recorded_1": recorded[0], "recorded_2": recorded[1], "coincidences": want_tau.size}
+
+
+def _fit_bits(fit) -> tuple:
+    """A FitResult's fields, floats as exact bits, or the error's repr."""
+    if isinstance(fit, Exception):
+        return (repr(fit),)
+    return tuple(float.hex(v) if isinstance(v, float) else v for v in dataclasses.astuple(fit))
+
+
+def _whole_array_fit(sample) -> tuple:
+    try:
+        return _fit_bits(fit_exponential_mle(sample))
+    except InsufficientDataError as exc:
+        return _fit_bits(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    # 1-3 molecules leave 0, 1 or 2 coincidences at most; the others leave
+    # a ragged last unit at every unit size below
+    n0=st.sampled_from([1, 2, 3, 7, 100, 2**13 - 1, 2**14 + 1, 3 * 2**14 + 7, 2**17 + 4099]),
+    seed=st.integers(0, 2**32 - 1),
+    efficiency=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(MODES),
+    threads=st.sampled_from([1, 2, 3, 7]),
+    # the most rows in flight, and the rows in flight per thread
+    # (`grids.threads_for`): small ones make many small units, over which
+    # the leaves of |tau|'s pairwise sum straddle, also across the
+    # threads' runs
+    in_flight=st.sampled_from([2**8, 2**11, 2**14, inference.ROWS_IN_FLIGHT]),
+    leaf=st.sampled_from([128, 1000, grids.SUM_LEAF]),
+)
+@example(n0=3, seed=1, efficiency=1.0, mode="sequential", threads=7, in_flight=2**8, leaf=128)
+@example(n0=2**17 + 4099, seed=2, efficiency=0.7, mode="independent", threads=3, in_flight=2**11, leaf=1000)
+def test_shared_walk_equals_the_whole_array_fits(n0, seed, efficiency, mode, threads, in_flight, leaf):
+    # one walk of two passes over the records' units gives the three MLE
+    # fits that fit_exponential_mle gives on the whole-array samples:
+    # t_f, t_s - t_f and |tau| of the coincidences, and the first pass's
+    # accumulators of each sample equal those of the whole array: each leaf
+    # sum of numpy's pairwise tree, the extremes and the bucket counts.  A
+    # short switch interval makes the threads interleave, so the parts of
+    # a leaf that straddles two threads' runs arrive in either order
+    cfg = ExperimentConfig(n0=n0, seed=seed, detector_efficiency=efficiency, mode=mode)
+    records = simulate_ensemble(cfg)
+    _, coincident, _ = detection_pass(records, cfg)
+    tau = coincidence_differences(assign_detections(records))
+    samples = (records["t_f"], records["t_s"] - records["t_f"], np.abs(tau))
+    want = [_whole_array_fit(x) for x in samples]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(grids, "thread_count", lambda: threads), \
+                mock.patch.object(inference, "ROWS_IN_FLIGHT", in_flight), mock.patch.object(grids, "SUM_LEAF", leaf):
+            got = [_fit_bits(fit) for fit in inference._mle(*pipeline._record_samples(records, coincident))]
+            walk = inference._Walk(*pipeline._record_samples(records, coincident))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    for tally, x in zip(walk.samples, samples):
+        x = np.ascontiguousarray(x)
+        leaf_sums = np.array([np.add.reduce(x[part]) for part in tally.sum.leaves])
+        assert tally.sum.sums.tobytes() == leaf_sums.tobytes()
+        if x.size:
+            assert (tally.least, tally.greatest) == (x.min(), x.max())
+        assert np.array_equal(tally.counts, np.bincount(tally.keys(x), minlength=tally.buckets))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
+def test_fit_stage_makes_each_unit_twice(tmp_path, monkeypatch, threads):
+    # the three MLE fits make each unit of the records' samples once per
+    # pass, and nothing more but the spans of at most 32 rows, n0 // 16
+    # apart, whose items set the buckets' scale
+    monkeypatch.setattr(grids, "thread_count", lambda: threads)
+    monkeypatch.setattr(inference, "ROWS_IN_FLIGHT", 2**14)
+    n0 = 2**19 + 4099
+    made = np.zeros(n0, np.intp)
+    spans = []
+    record_samples = pipeline._record_samples
+
+    def counted(records, coincident):
+        n, make, at = record_samples(records, coincident)
+
+        def counting(lo, hi):
+            if hi - lo <= 32:
+                spans.append((lo, hi))
+            else:
+                made[lo:hi] += 1
+            return make(lo, hi)
+
+        return n, counting, at
+
+    monkeypatch.setattr(pipeline, "_record_samples", counted)
+    bundle = run_experiment(small_config(tmp_path, n0=n0, detector_efficiency=0.7), write_events=False)
+    assert {"first", "second_interval", "coincidence"} <= set(bundle.fits)
+    assert np.all(made == 2)
+    assert len(spans) <= 17
 
 
 def test_detection_pass_takes_no_per_chunk_detection_records(tmp_path, monkeypatch):
