@@ -54,15 +54,19 @@ FATE_DET_FIRST, FATE_DET_SECOND, FATE_KEEP_FIRST, FATE_KEEP_SECOND = 1, 2, 4, 8
 CHUNK_MOLECULES = 2**14
 
 
-def piece_molecules(n0: int) -> int:
-    """Molecules per piece of the passes over n0 records (the draws, the
-    detection pass, the coincidence differences and the detector streams),
-    which take one piece per thread at a time: about n0 / 64, a power of
-    two from 2^11 to CHUNK_MOLECULES.  Their temporaries, tens of
+def pieces(n0: int) -> tuple[range, int]:
+    """The starts of the pieces of the passes over n0 records (the draws,
+    the detection pass, the coincidence differences and the detector
+    streams), whose step is the piece size, and the threads a pass over
+    them takes after the draws.  A piece takes about n0 / 64 molecules, a
+    power of two from 2^11 to CHUNK_MOLECULES: its temporaries, tens of
     bytes per molecule, then stay small beside the records, and a large
     ensemble's pieces are long enough that the threads spend their time in
-    numpy, not waiting for each other."""
-    return min(max(1 << (n0 // 64).bit_length() >> 1, 2**11), CHUNK_MOLECULES)
+    numpy, not waiting for each other.  The threads are `grids.threads_for`
+    the molecules of one piece per thread, at most one per piece."""
+    step = min(max(1 << (n0 // 64).bit_length() >> 1, 2**11), CHUNK_MOLECULES)
+    starts = range(0, n0, step)
+    return starts, min(grids.threads_for(step * grids.thread_count()), len(starts))
 
 
 def simulate_ensemble(cfg, tally=None) -> np.ndarray:
@@ -73,24 +77,23 @@ def simulate_ensemble(cfg, tally=None) -> np.ndarray:
     Returns records (t_f, t_s, fates) with t_f <= t_s, in seconds; row i
     holds molecule i.  Records past what numpy can address raise
     MemoryError, as records past the free memory do.  The draws are hashed
-    once, in pieces of `piece_molecules`(n0) molecules, by `workers` lanes
-    (see `_lanes`).  Each piece's values depend only on (seed,
-    molecule_id), and the piece boundaries do not depend on the worker
-    count, so the records are byte-identical for every worker count, and
-    each piece is final once it is written.
+    once, over the `pieces` of n0, by `workers` lanes (see `_lanes`).
+    Each piece's values depend only on (seed, molecule_id), and the piece
+    boundaries do not depend on the worker count, so the records are
+    byte-identical for every worker count, and each piece is final once
+    it is written.
 
-    `tally(records, lanes)` is called once the records are allocated and
-    before any draw is hashed, with the number of counting lanes; it
-    returns ``count(lane, k)``, which a counting lane calls on piece k once
-    that piece has landed.  The counting runs behind the draws, on the
-    lanes past `workers` and on each draw lane once its own pieces are
-    done.
+    `tally(records)` is called once the records are allocated and before
+    any draw is hashed; it returns ``count(k)``, which a counting lane
+    calls on piece k once that piece has landed, from any thread.  The
+    counting runs behind the draws, on the lanes past `workers` and on
+    each draw lane once its own pieces are done.
     """
     cfg.validate()
     if cfg.n0 * EMISSION_DTYPE.itemsize > sys.maxsize:
         raise MemoryError
     records = np.empty(cfg.n0, dtype=EMISSION_DTYPE)
-    _lanes(records, tally, cfg)
+    _lanes(records, cfg, tally)
     return records
 
 
@@ -98,9 +101,9 @@ class _Landing:
     """Which pieces of a pass have landed, the next piece to count, and
     whether a lane of the pass has failed."""
 
-    def __init__(self, pieces: int, landed: bool):
+    def __init__(self, n_pieces: int):
         self._changed = threading.Condition()
-        self._landed = [landed] * pieces
+        self._landed = [False] * n_pieces
         self._next = 0
         self._failed = False
 
@@ -128,42 +131,40 @@ class _Landing:
             return None if self._failed else k
 
 
-def _lanes(records: np.ndarray, tally=None, cfg=None) -> None:
-    """One pass over the `piece_molecules` pieces of `records`, in lanes
-    spread by one `grids.spread` call, one thread each.
+def _lanes(records: np.ndarray, cfg, tally=None) -> None:
+    """One pass over the `pieces` of `records`, in lanes that one
+    `grids.spread` call maps, one thread each.
 
-    With `cfg`, lane i < `workers` (cut to `grids.thread_count()` and to
-    the pieces) hashes the pieces i, i + workers, ... and marks each one
-    landed; without it every piece has landed.  With `tally`, lane i <
-    `grids.threads_for`(piece * thread_count()) then counts pieces: it takes
-    them in order from one shared counter, each once it has landed.  There
-    are as many lanes as the larger of the two, so at one draw lane and
-    one counting lane a single lane draws and then counts.  A lane that
-    raises marks the pass failed and wakes every waiting lane, which stops
-    without an error of its own; `spread` re-raises the exception, so no
-    lane outlives the call.
+    Lane i < `workers` (cut to `grids.thread_count()` and to the pieces)
+    hashes the pieces i, i + workers, ... and marks each one landed.  With
+    `tally`, the first lanes, one per thread of the `pieces`, then count
+    pieces: each takes them in order from one shared counter, each once it
+    has landed.  There are as many lanes as the larger of the two, so at
+    one draw lane and one counting lane a single lane draws and then
+    counts.  A lane that raises marks the pass failed and wakes every
+    waiting lane, which stops without an error of its own; `spread`
+    re-raises the exception, so no lane outlives the call.
     """
-    step = piece_molecules(len(records))
-    starts = range(0, len(records), step)
-    draws = 0 if cfg is None else min(cfg.workers, grids.thread_count(), len(starts))
-    counts = 0 if tally is None else min(grids.threads_for(step * grids.thread_count()), len(starts))
-    count = tally(records, counts) if tally is not None else None
-    keep = kern.keep_below(cfg.detector_efficiency) if cfg is not None else None
-    landing = _Landing(len(starts), landed=cfg is None)
+    starts, threads = pieces(len(records))
+    step = starts.step
+    draws = min(cfg.workers, grids.thread_count(), len(starts))
+    counts = threads if tally is not None else 0
+    count = tally(records) if tally is not None else None
+    keep = kern.keep_below(cfg.detector_efficiency)
+    landing = _Landing(len(starts))
 
-    def lane(share):
-        for i in share:  # one lane: there are no more lanes than threads
-            try:
-                if i < draws:
-                    for start in _fill_chunks(cfg, records, step, starts[i::draws], keep):
-                        if not landing.land(start // step):
-                            return
-                if i < counts:
-                    while (k := landing.take()) is not None:
-                        count(i, k)
-            except BaseException:
-                landing.fail()
-                raise
+    def lane(i):
+        try:
+            if i < draws:
+                for start in _fill_chunks(cfg, records, step, starts[i::draws], keep):
+                    if not landing.land(start // step):
+                        return
+            if i < counts:
+                while (k := landing.take()) is not None:
+                    count(k)
+        except BaseException:
+            landing.fail()
+            raise
 
     lanes = max(draws, counts)
     grids.spread(lane, range(lanes), lanes)
@@ -256,46 +257,42 @@ def sorted_detector_streams(records: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Every kept photon is registered, also the second one of a pair that
     lands on one detector: the count pattern the per-detector cumulative
-    fit assumes.  One pass over the fates counts each `piece_molecules`
-    piece's molecules per fates value, which gives each piece the place
-    its photons go.  Then, piece by piece in order, the kept times are
+    fit assumes.  One pass over the fates counts the molecules of each of
+    the `pieces` per fates value, which gives each piece the place its
+    photons go.  Then, piece by piece in order, the kept times are
     written over the records as float64, a detector-2 time negated: at
     most 16 B per molecule where each molecule's record takes 17, so the
     writes trail the reads.  A piece whose writes reach its own bytes (one
     of the first 16) is copied before use, and the pieces whose writes all
     land below the first one's bytes are filled together, spread over
-    `grids.threads_for` threads.  One sort then gives [detector 2 negated and
+    the pieces' threads.  One sort then gives [detector 2 negated and
     reversed | detector 1]; detector 2's part is negated and reversed in
     place, block by block, and any zero time is made +0.0, so each stream
     has the bytes of ``np.sort`` of it.
     """
-    size = piece_molecules(len(records))
-    starts = range(0, len(records), size)
-    per_fates = np.empty((len(starts), _FATES.size), np.intp)  # per piece
+    starts, threads = pieces(len(records))
+    size = starts.step
 
-    def count(share):
-        for k in share:
-            per_fates[k] = np.bincount(records["fates"][starts[k]:starts[k] + size], minlength=_FATES.size)
+    def count(start):  # a piece's molecules per fates value
+        return np.bincount(records["fates"][start:start + size], minlength=_FATES.size)
 
-    threads = grids.threads_for(size * grids.thread_count())
-    grids.spread(count, range(len(starts)), threads)
+    per_fates = np.array(grids.spread(count, starts, threads), np.intp).reshape(len(starts), _FATES.size)
     kept = [per_fates[:, mask].sum(axis=1) for mask in _KEPT]  # per piece: first and second photons kept
     written = 8 * np.cumsum(kept[0] + kept[1])  # the byte where each piece's writes end
     times = records.view(np.uint8)[:written[-1] if len(written) else 0].view(np.float64)
     itemsize = EMISSION_DTYPE.itemsize
 
-    def fill(share):
-        for k in share:
-            piece = records[starts[k]:starts[k] + size]
-            if written[k] > itemsize * starts[k]:  # its writes reach its own bytes
-                piece = piece.copy()
-            fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
-            at = written[k] // 8 - kept[0][k] - kept[1][k]
-            for name, signs, here, n in zip(("t_f", "t_s"), _SIGNS, _KEPT, (kept[0][k], kept[1][k])):
-                signed = signs[fates]
-                signed *= piece[name]
-                np.compress(here[fates], signed, out=times[at:at + n])
-                at += n
+    def fill(k):
+        piece = records[starts[k]:starts[k] + size]
+        if written[k] > itemsize * starts[k]:  # its writes reach its own bytes
+            piece = piece.copy()
+        fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
+        at = written[k] // 8 - kept[0][k] - kept[1][k]
+        for name, signs, here, n in zip(("t_f", "t_s"), _SIGNS, _KEPT, (kept[0][k], kept[1][k])):
+            signed = signs[fates]
+            signed *= piece[name]
+            np.compress(here[fates], signed, out=times[at:at + n])
+            at += n
 
     k = 0
     while k < len(starts):

@@ -35,10 +35,7 @@ def write_events_csv(path: str, records: np.ndarray) -> None:
         fh.write((",".join(EVENTS_COLUMNS) + "\n").encode())
         for first in range(0, len(starts), threads):
             group = starts[first:first + threads]
-            text = {}
-            grids.spread(lambda share: text.update((start, _event_rows(records, start)) for start in share),
-                         group, threads)
-            fh.writelines(text[start] for start in group)
+            fh.writelines(grids.spread(lambda start: _event_rows(records, start), group, threads))
 
 
 def _event_rows(records: np.ndarray, start: int) -> np.ndarray:

@@ -14,7 +14,9 @@ as runs of items arrive, so no array of the summed items is made:
 stage's fits feed it the units of their samples as they make them from
 the records.  The event stage's passes spread their pieces and sorted
 segments (`sort_in_place`) the same way.  Every thread the package starts comes
-from `spread`.
+from `spread`, an ordered map of a function over items: its callers
+combine what the items give either from the list it returns or into one
+table under a lock, never in a copy per thread.
 """
 
 from __future__ import annotations
@@ -97,36 +99,40 @@ def threads_for(in_flight: int) -> int:
     return min(thread_count(), max(1, in_flight // SUM_LEAF))
 
 
-def spread(work, items, shares: int) -> None:
-    """Call ``work(items[s::shares])`` for s = 0 .. shares - 1: share 0 on
-    the calling thread, each other share on a thread of its own.  Returns
-    once every share is done, and re-raises an exception that any share
-    raised, MemoryError included.  `shares` is cut to `thread_count()` and
-    to the number of items, so no share is empty and at most
+def spread(work, items, threads: int) -> list:
+    """``[work(item) for item in items]``, on up to `threads` threads:
+    thread s takes the items s, s + threads, ... in turn, thread 0 being
+    the caller and each other one started for the call.  The stride
+    balances passes whose items cost more the earlier they come (the
+    triangular blocks of `each_block`'s callers).  Returns once every item
+    is done, and re-raises an exception that any item raised, MemoryError
+    included; a thread stops at its first exception.  `threads` is cut to
+    `thread_count()` and to the number of items, so at most
     `thread_count()` - 1 threads are started."""
-    shares = min(shares, thread_count(), len(items))
-    if shares <= 1:
-        work(items)
-        return
-    with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-        futures = [pool.submit(work, items[s::shares]) for s in range(1, shares)]
-        work(items[0::shares])
+    threads = min(threads, thread_count(), len(items))
+    if threads <= 1:
+        return [work(item) for item in items]
+    results = [None] * len(items)
+
+    def run(s):
+        for i in range(s, len(items), threads):
+            results[i] = work(items[i])
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(run, s) for s in range(1, threads)]
+        run(0)
     for future in futures:
         future.result()
+    return results
 
 
-def each_block(work, n: int, in_flight: int | None = None) -> None:
-    """Call ``work(block)`` for each slice of in_flight (by default
-    `ROWS_IN_FLIGHT`, read at the call) // thread_count() indices that
-    tile range(n), spread over `thread_count()` threads."""
+def each_block(work, n: int, in_flight: int | None = None) -> list:
+    """``[work(block) for block in blocks]`` over the slices of in_flight
+    (by default `ROWS_IN_FLIGHT`, read at the call) // thread_count()
+    indices that tile range(n), spread over `thread_count()` threads."""
     threads = thread_count()
     rows = (in_flight or ROWS_IN_FLIGHT) // threads
-
-    def run(share):
-        for start in share:
-            work(slice(start, start + rows))
-
-    spread(run, range(0, n, rows), threads)
+    return spread(lambda start: work(slice(start, start + rows)), range(0, n, rows), threads)
 
 
 #: the most items of a leaf of numpy's pairwise summation tree that
@@ -209,13 +215,10 @@ class PairwiseSum:
 def pairwise_sum(n: int, leaf) -> float:
     """``np.add.reduce`` of n float64 items, with its bits (`PairwiseSum`),
     given only ``leaf(lo, hi)``, a contiguous float64 array of the items
-    [lo, hi): each of `thread_count()` threads asks for one run of
-    consecutive leaves, one leaf at a time, in order."""
-    tree, threads = PairwiseSum(n), thread_count()
-    cuts = [len(tree.leaves) * s // threads for s in range(threads + 1)]
-    runs = [tree.leaves[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    spread(lambda share: [tree.add(part.start, leaf(part.start, part.stop)) for run in share for part in run],
-           runs, threads)
+    [lo, hi), which `spread` asks for leaf by leaf on `thread_count()`
+    threads."""
+    tree = PairwiseSum(n)
+    spread(lambda part: tree.add(part.start, leaf(part.start, part.stop)), tree.leaves, thread_count())
     return tree.total()
 
 
@@ -247,4 +250,4 @@ def sort_in_place(x: np.ndarray) -> None:
     if cuts:
         x.partition(cuts)
     bounds = [0, *cuts, x.size]
-    spread(lambda share: [x[lo:hi].sort() for lo, hi in share], list(zip(bounds, bounds[1:])), threads)
+    spread(lambda segment: x[segment].sort(), [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], threads)

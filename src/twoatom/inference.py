@@ -125,15 +125,15 @@ class _Walk:
     sample, the number of its items before each of the rows `rows` (each
     a multiple of 8, or n).
 
-    The threads, `grids.threads_for` of about n / 32 rows in flight (from
-    2^13 to `ROWS_IN_FLIGHT`), each take one run of consecutive units in
-    order: few enough rows beside a small sample, and enough that the
-    threads spend their time in numpy.  The units are the leaves of
-    numpy's pairwise tree over the n rows, of at most the rows in flight
-    per thread, so a sample with an item per row sums each unit as one
-    leaf.  Each unit is made once per pass, and its samples are read
-    together.  The first pass (here) takes each sample's `_Tally`; `ks`
-    takes the second.  No array of n items is made.
+    Each pass is one `grids.spread` over the units, on `grids.threads_for`
+    of about n / 32 rows in flight (from 2^13 to `ROWS_IN_FLIGHT`): few
+    enough rows beside a small sample, and enough that the threads spend
+    their time in numpy.  The units are the leaves of numpy's pairwise
+    tree over the n rows, of at most the rows in flight per thread, so a
+    sample with an item per row sums each unit as one leaf.  Each unit is
+    made once per pass, and its samples are read together.  The first
+    pass (here) takes each sample's `_Tally`; `ks` takes the second.  No
+    array of n items is made.
     """
 
     def __init__(self, n: int, make, at):
@@ -154,16 +154,9 @@ class _Walk:
                 sample.add(int(ends[u]), made[i])
                 made[i] = None  # each sample's items go once they are taken
 
-        self._units(tally)
+        grids.spread(tally, range(len(self.bounds) - 1), self.threads)
         for sample in self.samples:
             sample.close()
-
-    def _units(self, work) -> None:
-        """Call ``work(u)`` for each unit u, each thread on one run of them."""
-        units, threads = len(self.bounds) - 1, self.threads
-        cuts = [units * s // threads for s in range(threads + 1)]
-        runs = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-        grids.spread(lambda share: [work(u) for run in share for u in run], runs, threads)
 
     def ks(self, rates) -> list:
         """The KS distance of each sample to Exponential(rate), at its rate
@@ -174,17 +167,17 @@ class _Walk:
         taken = [i for i, rate in enumerate(rates) if rate is not None]
         for i in taken:
             self.samples[i].select(rates[i])
-        parts = {i: [] for i in taken}
 
-        def gather(u):
-            made = list(self.make(self.bounds[u], self.bounds[u + 1]))
+        def gather(u):  # per taken sample, the items it keeps of unit u
+            made, kept = list(self.make(self.bounds[u], self.bounds[u + 1])), {}
             for i in taken:
-                parts[i].append(self.samples[i].gather(made[i]))
+                kept[i] = self.samples[i].gather(made[i])
                 made[i] = None
+            return kept
 
-        if taken:
-            self._units(gather)
-        return [self.samples[i].distance(rate, parts.pop(i)) if i in parts else None for i, rate in enumerate(rates)]
+        units = grids.spread(gather, range(len(self.bounds) - 1), self.threads) if taken else []
+        return [None if rate is None else self.samples[i].distance(rate, [unit.pop(i) for unit in units])
+                for i, rate in enumerate(rates)]
 
 
 class _Tally:

@@ -85,14 +85,12 @@ class TwoAtomState:
         """
         k = self.kernel
         parts = [part.view(np.uint64) for part in (k.real, k.imag)]
-        mirrored = []  # list.append is atomic
 
         def compare(rows):
             i = rows.start
-            mirrored.append(all(np.array_equal(b[rows, i:], b[i:, rows].T) for b in parts))
+            return all(np.array_equal(b[rows, i:], b[i:, rows].T) for b in parts)
 
-        each_block(compare, len(k))
-        return all(mirrored)
+        return all(each_block(compare, len(k)))
 
     @property
     def channels(self) -> tuple[np.ndarray, np.ndarray]:

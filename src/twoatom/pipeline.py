@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -44,10 +44,9 @@ from .eventsim import (
     _KEPT_AT,
     _RECORDED,
     EMISSION_DTYPE,
-    _lanes,
     bin_index,
     histogram_edges,
-    piece_molecules,
+    pieces,
     simulate_ensemble,
     sorted_detector_streams,
 )
@@ -93,15 +92,6 @@ def _coincidences_and_counters(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarr
     return t1[both] - t2[both], counters
 
 
-def _supported_fits(jobs) -> dict[str, FitResult]:
-    """Run each (name, fit) job; leave out a fit its sample cannot support."""
-    fits = {}
-    for name, fit in jobs:
-        with contextlib.suppress(InsufficientDataError):
-            fits[name] = fit()
-    return fits
-
-
 def _mle_fits(names, source) -> dict[str, FitResult]:
     """The MLE fits of the samples of `source` (see `inference._Walk`),
     under `names`, leaving out each fit its sample cannot support."""
@@ -134,24 +124,27 @@ def _record_samples(records: np.ndarray, coincident: np.ndarray):
     return len(records), make, at
 
 
-def _stream_fit_jobs(records: np.ndarray):
-    """The cumulative fit jobs of the two detector streams, which are sorted
-    over the records' memory: the records are consumed."""
-    first, second = sorted_detector_streams(records)
-    yield "detector_1", functools.partial(_cumulative_sorted, first)
-    yield "detector_2", functools.partial(_cumulative_sorted, second)
+def _detector_fits(records: np.ndarray) -> dict[str, FitResult]:
+    """The cumulative fits of the two detector streams, which are sorted
+    over the records' memory, so the records are consumed; a fit its
+    stream cannot support is left out."""
+    fits = {}
+    for name, stream in zip(("detector_1", "detector_2"), sorted_detector_streams(records)):
+        with contextlib.suppress(InsufficientDataError):
+            fits[name] = _cumulative_sorted(stream)
+    return fits
 
 
 class _Detection:
     """The tally of `detection_pass` (see `eventsim.simulate_ensemble`):
-    called with the records and the number of counting lanes, it allocates
-    one table set per lane and the coincidence bits, and returns `count`,
-    which counts one piece of the records; `results` sums the sets."""
+    called with the records, it allocates one table set and the
+    coincidence bits, and returns `count`, which counts one piece of the
+    records into them from any thread; `results` reads the tables."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
 
-    def __call__(self, records: np.ndarray, lanes: int):
+    def __call__(self, records: np.ndarray):
         cfg = self.cfg
         self.t_hi = t_hi = cfg.t_max_lifetimes / cfg.rates.gamma
         self.width = width = t_hi / cfg.bins
@@ -159,34 +152,41 @@ class _Detection:
             raise ConfigValidationError(["t_max_lifetimes", "gamma_inverse", "bins"],
                                         f"t_max_lifetimes * gamma_inverse = {t_hi:g} s in {cfg.bins} bins:"
                                         " the bin width or the coincidence range leaves the float range")
-        size = lanes * 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
+        size = 2 * _FATES.size * (cfg.bins + 1) * np.dtype(np.intp).itemsize
         try:
             if size > sys.maxsize:  # past what numpy can address
                 raise MemoryError
             self.edges = histogram_edges(width, (0.0, t_hi))
             self.tau_edges = histogram_edges(width, (-t_hi, t_hi))
             self.row = len(self.edges)  # n_bins + 1 slots per fates value
-            # per lane: the t_f and the t_s table
-            self.tables = np.zeros((lanes, 2, _FATES.size * self.row), np.intp)
-            self.tau_counts = np.zeros((lanes, len(self.tau_edges)), np.intp)
+            self.tables = np.zeros((2, _FATES.size * self.row), np.intp)  # the t_f and the t_s table
+            self.tau_counts = np.zeros(len(self.tau_edges), np.intp)
         except MemoryError:
             raise ConfigValidationError(
                 ["bins"],
                 f"bins = {cfg.bins} does not fit in memory: the detection pass counts"
-                f" 2*16*(bins + 1) (fates, bin) pairs on each of {lanes} threads, {size / 2**30:.2f} GiB",
+                f" 2*16*(bins + 1) (fates, bin) pairs, {size / 2**30:.2f} GiB",
             ) from None
-        self.records, self.step = records, piece_molecules(len(records))
+        self.records, self.starts = records, pieces(len(records))[0]
         self.coincident = np.empty((len(records) + 7) // 8, np.uint8)
+        self.lock = threading.Lock()
         return self.count
 
-    def count(self, lane: int, k: int) -> None:
-        """Count piece k into the table set of `lane`."""
-        start, t_hi, width = k * self.step, self.t_hi, self.width
-        piece = self.records[start:start + self.step]
+    def _add(self, table: np.ndarray, counts: np.ndarray) -> None:
+        """Add one bincount into `table` under the lock; the count goes
+        with the call, so a thread holds one count at a time."""
+        with self.lock:
+            table += counts
+
+    def count(self, k: int) -> None:
+        """Count piece k into the tables."""
+        start, t_hi, width = self.starts[k], self.t_hi, self.width
+        piece = self.records[start:start + self.starts.step]
         fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
         offset = fates * self.row
-        for table, name in zip(self.tables[lane], ("t_f", "t_s")):
-            table += np.bincount(offset + bin_index(piece[name], self.edges, t_hi, width), minlength=table.size)
+        for table, name in zip(self.tables, ("t_f", "t_s")):
+            self._add(table, np.bincount(offset + bin_index(piece[name], self.edges, t_hi, width),
+                                         minlength=table.size))
         # t1 - t2 of the coincidences, one photon at each detector: t_f -
         # t_s, negated where detector 1 recorded the second photon (IEEE
         # subtraction is antisymmetric, and both zeros take one bin)
@@ -196,12 +196,12 @@ class _Detection:
         tau = np.compress(both, piece["t_f"])
         tau -= np.compress(both, piece["t_s"])
         np.negative(tau, out=tau, where=_RECORDED[0][np.compress(both, fates)] == 2)
-        self.tau_counts[lane] += np.bincount(bin_index(tau, self.tau_edges, t_hi, width),
-                                             minlength=len(self.tau_edges))
+        self._add(self.tau_counts, np.bincount(bin_index(tau, self.tau_edges, t_hi, width),
+                                               minlength=len(self.tau_edges)))
 
     def results(self):
         """(histograms, coincident, counters) of `detection_pass`."""
-        by_first, by_second = self.tables.sum(axis=0).reshape(2, _FATES.size, self.row)  # the t_f and the t_s table
+        by_first, by_second = self.tables.reshape(2, _FATES.size, self.row)  # the t_f and the t_s table
         (first_at_1, second_at_1), _ = _KEPT_AT
         counts = {
             "first": by_first.sum(axis=0),
@@ -211,7 +211,7 @@ class _Detection:
             "detector": by_first[first_at_1].sum(axis=0) + by_second[second_at_1].sum(axis=0),
         }
         hists = {name: Histogram(edges=self.edges, counts=c[:-1]) for name, c in counts.items()}
-        hists["coincidence"] = Histogram(edges=self.tau_edges, counts=self.tau_counts.sum(axis=0)[:-1])
+        hists["coincidence"] = Histogram(edges=self.tau_edges, counts=self.tau_counts[:-1])
         molecules = by_first.sum(axis=1)  # per fates value
         counters = {
             "recorded_1": int(molecules[_RECORDED[0] > 0].sum()),
@@ -223,8 +223,8 @@ class _Detection:
 
 def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     """Every detection-derived result of a run whose pieces have all landed,
-    one `piece_molecules` piece of the records at a time.  A run counts the
-    same pieces as they land (`_simulate`), through the same `_Detection`.
+    over the `eventsim.pieces` of the records.  A run counts the same
+    pieces as they land (`_simulate`), through the same `_Detection`.
 
     Returns (histograms, coincident, counters).  The histograms, keyed
     first, second, det1, det2, coincidence and detector (the detector-1
@@ -241,14 +241,15 @@ def detection_pass(records: np.ndarray, cfg: ExperimentConfig):
     outside the range; each histogram is a sum of table rows, and each
     counter a sum of molecules per fates value.  They equal those of the
     whole-array detection records on the whole ensemble.  The pieces are
-    counted on `grids.threads_for` lanes (`eventsim._lanes`), each
-    into a table set of its own; the sets are summed at the end (integer
-    sums, exact in any order), each piece writes its own bytes of
+    counted by one `grids.spread` on the pieces' threads, each bincount
+    added into the one table set under a lock as soon as it is made
+    (integer sums, exact in any order); each piece writes its own bytes of
     coincidence bits, and each piece's tau is binned and dropped, so no
-    result depends on the number of lanes and no tau is kept.
+    result depends on the number of threads and no tau is kept.
     """
     detection = _Detection(cfg)
-    _lanes(records, detection)
+    starts, threads = pieces(len(records))
+    grids.spread(detection(records), range(len(starts)), threads)
     return detection.results()
 
 
@@ -288,7 +289,7 @@ def _simulate_and_fit(cfg: ExperimentConfig, write_events: bool):
 
     fits = _mle_fits(("first", "second_interval", "coincidence"), _record_samples(records, coincident))
     # the detector streams come last: they are sorted over the records
-    fits.update(_supported_fits(_stream_fit_jobs(records)))
+    fits.update(_detector_fits(records))
     return _fit_report(echo, fits, paths, counters), hists
 
 

@@ -320,11 +320,12 @@ def test_chunked_streams_equal_the_concatenated_oracle(n0, seed, efficiency, mod
 @pytest.mark.parametrize("mode", ["sequential", "independent"])
 def test_sorted_streams_do_not_depend_on_the_order_of_a_wave(monkeypatch, mode):
     # the threads may fill a wave's pieces in any order: every spread pass
-    # here runs its items last to first, on one thread, so a wave whose
-    # writes reached a piece not yet read would show
+    # here runs its items last to first, on one thread, and returns their
+    # results in order, so a wave whose writes reached a piece not yet read
+    # would show
     rec = simulate_ensemble(cfg_for(16 * CHUNK_MOLECULES + 7, mode=mode, seed=29, detector_efficiency=0.7))
     want = [np.sort(s) for s in concatenated_detector_streams(rec)]
-    monkeypatch.setattr(grids, "spread", lambda work, items, shares: work(items[::-1]))
+    monkeypatch.setattr(grids, "spread", lambda work, items, threads: [work(item) for item in items[::-1]][::-1])
     assert [s.tobytes() for s in sorted_detector_streams(rec)] == [s.tobytes() for s in want]
 
 

@@ -83,3 +83,24 @@ def test_only_inference_imports_scipy_and_only_its_optimizer():
                 continue
             found.setdefault(path.stem, set()).update(m for m in modules if m.split(".")[0] == "scipy")
     assert {stem: modules for stem, modules in found.items() if modules} == {"inference": {"scipy.optimize"}}
+
+
+def test_every_thread_comes_from_spread():
+    # grids.spread is the one way a pass runs on threads: only grids
+    # imports concurrent.futures, and no module names threading.Thread
+    pools, threads = set(), set()
+    for path in Path(twoatom.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "concurrent" for module in modules):
+                pools.add(path.stem)
+            # threading.Thread, a bare Thread, or `from threading import Thread`
+            if "Thread" in {getattr(node, key, None) for key in ("attr", "id", "name")}:
+                threads.add(path.stem)
+    assert pools == {"grids"}
+    assert threads == set()

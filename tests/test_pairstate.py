@@ -215,6 +215,39 @@ def test_a_pass_works_on_rows_in_flight_at_most(cpus, monkeypatch):
     assert rows * grids.thread_count() <= grids.ROWS_IN_FLIGHT
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 50), cpus=st.integers(1, 7), failing=st.none() | st.integers(0, 50))
+def test_spread_is_an_ordered_map(n, cpus, failing):
+    # the results are [work(i) for i in items], in order, each item run
+    # once, thread s on the items s, s + threads, ..., thread 0 the caller's;
+    # an exception from any item reaches the caller, and every thread the
+    # call started is gone when it returns
+    items = [f"item {i}" for i in range(n)]
+    ran = []  # list.append is atomic
+
+    def work(item):
+        ran.append((item, threading.get_ident()))
+        if item == f"item {failing}":
+            raise ValueError(item)
+        return item.upper()
+
+    before = threading.active_count()
+    with mock.patch.object(grids, "usable_cpus", lambda: cpus):
+        if failing is not None and failing < n:
+            with pytest.raises(ValueError, match=f"^item {failing}$"):
+                grids.spread(work, items, cpus)
+            done = [item for item, _ in ran]
+            assert len(done) == len(set(done)) and items[failing] in done
+        else:
+            assert grids.spread(work, items, cpus) == [item.upper() for item in items]
+            assert sorted(item for item, _ in ran) == sorted(items)
+            thread = dict(ran)
+            assert [thread[item] for item in items] == [thread[items[i % min(cpus, n)]] for i in range(n)]
+            assert n == 0 or thread[items[0]] == threading.get_ident()
+            assert len(set(thread.values())) <= min(cpus, n)  # a pool thread done with one stride may run another
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("count, block", [(1, 1), (2, 16), (3, 128)])
 def test_threads_sets_the_rows_of_every_block(count, block):
     # each_block reads ROWS_IN_FLIGHT at the call, so threads() sets the

@@ -482,17 +482,33 @@ def test_event_stage_peak_memory(tmp_path, monkeypatch):
 
 def test_event_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
     # on 32 threads each MLE fit still counts into one shared table of
-    # buckets, and the stream stage fills pieces in waves of one piece per
-    # thread.  What grows with the threads is a piece's temporaries per
-    # thread in the passes long enough to spread (`grids.threads_for`: 16
-    # threads over pieces of 2^13 molecules at 10^6): the detection pass's
-    # (with one table set per thread) and the stream fill's, 19.6
-    # B/molecule in all
+    # buckets, the detection pass into one table set, and the stream stage
+    # fills pieces in waves of one piece per thread.  What grows with the
+    # threads is a piece's temporaries per thread in the passes long
+    # enough to spread (`eventsim.pieces`: 16 threads over pieces of 2^13
+    # molecules at 10^6): the detection pass's (with a bincount each) and
+    # the stream fill's, 19.1 B/molecule in all (19.5 with a table set per
+    # thread)
     monkeypatch.setattr(grids, "usable_cpus", lambda: 64)
     assert grids.thread_count() == grids.ROWS_IN_FLIGHT
     n0 = 10**6
     cfg = small_config(tmp_path, n0=n0)
     assert traced_peak(lambda: run_experiment(cfg, write_events=False)) <= 25 * n0
+
+
+def test_detection_pass_counts_into_one_table_set_on_many_cpus(monkeypatch):
+    # the counting threads add each bincount into one table set under a
+    # lock as soon as it is made.  In tables of 16*(bins + 1) ints, 4
+    # threads at 2^17 molecules and bins = 10^5 on 64 CPUs hold the t_f and
+    # the t_s table, the coincidence row (1/8 of a table) and a bincount
+    # each: 6.3 measured, 12.7 with a table set per thread
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 64)
+    n0, bins = 2**17, 10**5
+    assert eventsim.pieces(n0)[1] == 4
+    cfg = ExperimentConfig(n0=n0, bins=bins, seed=5)
+    records = simulate_ensemble(cfg)
+    table = 16 * (bins + 1) * np.dtype(np.intp).itemsize
+    assert traced_peak(lambda: detection_pass(records, cfg)) <= 10 * table
 
 
 def test_detector_stream_stage_holds_no_stream_of_its_own(monkeypatch):
@@ -501,7 +517,7 @@ def test_detector_stream_stage_holds_no_stream_of_its_own(monkeypatch):
     # piece while the writes reach it, 0.4 MiB at 10^6 on 2 CPUs
     monkeypatch.setattr(grids, "usable_cpus", lambda: 2)
     records = simulate_ensemble(ExperimentConfig(n0=10**6, seed=17))
-    assert traced_peak(lambda: pipeline._supported_fits(pipeline._stream_fit_jobs(records))) <= 2 * 2**20
+    assert traced_peak(lambda: pipeline._detector_fits(records)) <= 2 * 2**20
 
 
 def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
@@ -892,10 +908,10 @@ def _stage_outputs(out: Path) -> dict:
 def test_event_stages_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
     # the detection pass, the detector streams, the fit sorts and the KS
     # walks spread their work over thread_count() threads: each chunk's tau
-    # keeps its place, each share counts into a table set of its own, and
-    # each sorted segment and KS block is computed alone.  7 threads may
-    # outnumber the CPUs, and a short switch interval makes the threads
-    # interleave often
+    # keeps its place, each count is added into one table set under a
+    # lock, and each sorted segment and KS block is computed alone.  7
+    # threads may outnumber the CPUs, and a short switch interval makes the
+    # threads interleave often
     n0 = 8 * CHUNK_MOLECULES + 123
     amp = AmplitudeParams(grid_points=128)
     seen = []
@@ -927,7 +943,7 @@ def test_counting_behind_the_draws_gives_the_records_first_bytes(tmp_path, monke
     # 3 lanes count.  A short switch interval makes the lanes interleave
     n0 = 2**19 + 4099
     monkeypatch.setattr(grids, "thread_count", lambda: threads)
-    assert threads < 7 or grids.threads_for(eventsim.piece_molecules(n0) * threads) == 3
+    assert threads < 7 or eventsim.pieces(n0)[1] == 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -973,15 +989,30 @@ def test_a_lane_that_raises_ends_the_pass_and_no_lane_outlives_it(monkeypatch, w
                 raise MemoryError
         return raw_draws(seed, start, n, out=out)
 
-    def tally(records, lanes):
-        assert lanes == 3
-
-        def count(lane, k):
+    def tally(records):
+        def count(k):
             if where == "count" and on_a_worker():
                 raise RuntimeError("a counting lane")
             counted.append(k)
 
         return count
+
+    # in a run that does not fail, 3 threads count: each waits on its first
+    # piece for the other two, so no lane's share of the pieces is taken by
+    # the others before it is done drawing, and a fourth lane would wait
+    # in vain and fail the run
+    counting, met = set(), threading.Barrier(3, timeout=60)
+
+    def meeting(records):
+        def count(k):
+            if threading.get_ident() not in counting:
+                counting.add(threading.get_ident())
+                met.wait()
+
+        return count
+
+    simulate_ensemble(ExperimentConfig(n0=n0, seed=3, workers=3), meeting)
+    assert len(counting) == 3
 
     def run():
         try:
