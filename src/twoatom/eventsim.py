@@ -57,13 +57,15 @@ CHUNK_MOLECULES = 2**14
 def pieces(n0: int) -> tuple[range, int]:
     """The starts of the pieces of the passes over n0 records (the draws,
     the detection pass, the coincidence differences and the detector
-    streams), whose step is the piece size, and the threads a pass over
-    them takes after the draws.  A piece takes about n0 / 64 molecules, a
-    power of two from 2^11 to CHUNK_MOLECULES: its temporaries, tens of
-    bytes per molecule, then stay small beside the records, and a large
-    ensemble's pieces are long enough that the threads spend their time in
-    numpy, not waiting for each other.  The threads are `grids.threads_for`
-    the molecules of one piece per thread, at most one per piece."""
+    streams), whose step is the piece size, and the threads that the
+    detection pass spreads them over.  A piece takes about n0 / 64
+    molecules, a power of two from 2^11 to CHUNK_MOLECULES: its
+    temporaries, tens of bytes per molecule, then stay small beside the
+    records, and a large ensemble's pieces are long enough that the
+    threads spend their time in numpy, not waiting for each other.  The
+    threads are `grids.threads_for` the molecules of one piece per thread,
+    at most one per piece.  The detector streams take the pieces in order
+    on the calling thread: their table lookups hold the interpreter lock."""
     step = min(max(1 << (n0 // 64).bit_length() >> 1, 2**11), CHUNK_MOLECULES)
     starts = range(0, n0, step)
     return starts, min(grids.threads_for(step * grids.thread_count()), len(starts))
@@ -243,10 +245,13 @@ _COINCIDENT = (_RECORDED[0] > 0) & (_RECORDED[1] > 0)
 
 
 #: per fates value, the sign its first and its second photon's time takes
-#: in `sorted_detector_streams`: + at detector 1, - at detector 2
+#: in `sorted_detector_streams`: + at detector 1, - at detector 2, which
+#: ``np.copysign`` sets in the time's sign bit
 _SIGNS = [np.where(_FATES & bit, -1.0, 1.0) for bit in (FATE_DET_FIRST, FATE_DET_SECOND)]
 #: per fates value, whether its first and whether its second photon is kept
 _KEPT = [(_FATES & bit) != 0 for bit in (FATE_KEEP_FIRST, FATE_KEEP_SECOND)]
+#: the sign bit of a float64 seen as a uint64
+_SIGN_BIT = np.uint64(2**63)
 
 
 def sorted_detector_streams(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,67 +262,31 @@ def sorted_detector_streams(records: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Every kept photon is registered, also the second one of a pair that
     lands on one detector: the count pattern the per-detector cumulative
-    fit assumes.  One pass over the fates counts the molecules of each of
-    the `pieces` per fates value, which gives each piece the place its
-    photons go.  Then, piece by piece in order, the kept times are
-    written over the records as float64, a detector-2 time negated: at
-    most 16 B per molecule where each molecule's record takes 17, so the
-    writes trail the reads.  A piece whose writes reach its own bytes (one
-    of the first 16) is copied before use, and the pieces whose writes all
-    land below the first one's bytes are filled together, spread over
-    the pieces' threads.  One sort then gives [detector 2 negated and
-    reversed | detector 1]; detector 2's part is negated and reversed in
-    place, block by block, and any zero time is made +0.0, so each stream
-    has the bytes of ``np.sort`` of it.
+    fit assumes.  The `pieces` are taken in order; each is read whole, and
+    then its kept times, with the sign bit set at detector 2, are written
+    as float64 after the pieces before it.  A piece's writes end at most
+    at byte 16 (start + size), below the next piece's first byte at
+    17 (start + size).  One sort of the written times' bit patterns then
+    puts detector 1's (sign bit clear) first, ascending, and detector 2's
+    after them, ascending in magnitude; clearing detector 2's sign bits
+    gives each stream the bytes of ``np.sort`` of it, zeros reading +0.0.
     """
-    starts, threads = pieces(len(records))
-    size = starts.step
-
-    def count(start):  # a piece's molecules per fates value
-        return np.bincount(records["fates"][start:start + size], minlength=_FATES.size)
-
-    per_fates = np.array(grids.spread(count, starts, threads), np.intp).reshape(len(starts), _FATES.size)
-    kept = [per_fates[:, mask].sum(axis=1) for mask in _KEPT]  # per piece: first and second photons kept
-    written = 8 * np.cumsum(kept[0] + kept[1])  # the byte where each piece's writes end
-    times = records.view(np.uint8)[:written[-1] if len(written) else 0].view(np.float64)
-    itemsize = EMISSION_DTYPE.itemsize
-
-    def fill(k):
-        piece = records[starts[k]:starts[k] + size]
-        if written[k] > itemsize * starts[k]:  # its writes reach its own bytes
-            piece = piece.copy()
+    starts = pieces(len(records))[0]
+    times = records.view(np.uint8)[:16 * len(records)].view(np.float64)
+    at = 0
+    for start in starts:
+        piece = records[start:start + starts.step]
         fates = piece["fates"].astype(np.intp)  # an intp index looks up tables fastest
-        at = written[k] // 8 - kept[0][k] - kept[1][k]
-        for name, signs, here, n in zip(("t_f", "t_s"), _SIGNS, _KEPT, (kept[0][k], kept[1][k])):
-            signed = signs[fates]
-            signed *= piece[name]
-            np.compress(here[fates], signed, out=times[at:at + n])
-            at += n
-
-    k = 0
-    while k < len(starts):
-        # the pieces from k on whose writes end below piece k's bytes, at least piece k
-        wave = max(k + 1, int(np.searchsorted(written, itemsize * starts[k], side="right")))
-        grids.spread(fill, range(k, wave), threads)
-        k = wave
-    grids.sort_in_place(times)
-    at_2 = int(sum(per_fates[:, mask].sum() for mask in _KEPT_AT[1]))
-    second, first = times[:at_2], times[at_2:]
-    half = at_2 // 2
-
-    def swap(rows):  # the items [lo, hi) of `second` with their mirror images, both negated
-        lo, hi = rows.start, min(rows.stop, half)
-        mirror = second[at_2 - hi:at_2 - lo]
-        low = -second[lo:hi][::-1]
-        np.negative(mirror[::-1], out=second[lo:hi])
-        mirror[...] = low
-
-    grids.each_block(swap, half, CHUNK_MOLECULES)
-    if at_2 % 2:
-        second[half] = -second[half]
-    for stream in (first, second):  # sorted: any zeros lead
-        stream[:np.searchsorted(stream, 0.0, side="right")] = 0.0
-    return first, second
+        parts = [np.compress(kept[fates], np.copysign(piece[name], signs[fates]))
+                 for name, signs, kept in zip(("t_f", "t_s"), _SIGNS, _KEPT)]
+        for part in parts:
+            times[at:at + part.size] = part
+            at += part.size
+    bits = times[:at].view(np.uint64)
+    grids.sort_in_place(bits)
+    at_1 = int(np.searchsorted(bits, _SIGN_BIT))
+    bits[at_1:] &= ~_SIGN_BIT
+    return times[:at_1], times[at_1:at]
 
 
 def histogram_edges(bin_width: float, t_range: tuple[float, float]) -> np.ndarray:

@@ -27,7 +27,8 @@ def write_events_csv(path: str, records: np.ndarray) -> None:
     scientific notation with 17 significant digits (round-trip exact).  The rows of each CHUNK_MOLECULES chunk are
     made on a thread of their own, `thread_count()` chunks at a time, and
     written in chunk order, so the bytes of at most that many chunks are
-    alive at once and do not depend on the number of threads.
+    alive at once and do not depend on the number of threads.  The chunks
+    are not `eventsim.pieces`, which would run a small file on one thread.
     """
     threads = grids.thread_count()
     starts = range(0, len(records), CHUNK_MOLECULES)

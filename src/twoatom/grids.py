@@ -12,11 +12,11 @@ through `PairwiseSum`, which takes the leaves of numpy's pairwise tree
 as runs of items arrive, so no array of the summed items is made:
 `sum_abs2` squares each leaf of a kernel (`pairwise_sum`), and the event
 stage's fits feed it the units of their samples as they make them from
-the records.  The event stage's passes spread their pieces and sorted
-segments (`sort_in_place`) the same way.  Every thread the package starts comes
-from `spread`, an ordered map of a function over items: its callers
-combine what the items give either from the list it returns or into one
-table under a lock, never in a copy per thread.
+the records.  The event stage's detection pass spreads its pieces, and
+`sort_in_place` its sorted segments, the same way.  Every thread the
+package starts comes from `spread`, an ordered map of a function over
+items: its callers combine what the items give either from the list it
+returns or into one table under a lock, never in a copy per thread.
 """
 
 from __future__ import annotations
@@ -239,12 +239,13 @@ def sum_abs2(a: np.ndarray) -> float:
 
 
 def sort_in_place(x: np.ndarray) -> None:
-    """Sort the contiguous float64 array `x` in place, on `thread_count()`
+    """Sort the contiguous numeric array `x` in place, on `thread_count()`
     threads: ``ndarray.partition`` at thread_count() - 1 cuts puts every
     cut's value in its sorted place, with no greater value before it and
     no smaller one after, and then each segment between cuts is sorted on
     a thread of its own.  The result has the bytes of ``np.sort(x)``
-    (barring a mix of 0.0 and -0.0, whose order no sort fixes)."""
+    (barring, in a float array, a mix of 0.0 and -0.0, whose order no
+    sort fixes)."""
     threads = min(thread_count(), x.size) or 1
     cuts = [x.size * k // threads for k in range(1, threads)]
     if cuts:

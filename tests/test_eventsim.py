@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoatom import _kernels as kern
@@ -28,6 +28,7 @@ from twoatom.eventsim import (
     FATE_DET_SECOND,
     FATE_KEEP_FIRST,
     FATE_KEEP_SECOND,
+    pieces,
     simulate_ensemble,
     sorted_detector_streams,
 )
@@ -306,8 +307,8 @@ def test_chunked_pass_matches_unchunked_reference(seed, efficiency, n0, workers,
 )
 def test_chunked_streams_equal_the_concatenated_oracle(n0, seed, efficiency, mode, threads):
     # each stream sorted inside the records' own bytes, byte for byte
-    # np.sort of its concatenation; 16 chunks and more reach the pieces
-    # whose writes trail their reads and run in waves on the threads
+    # np.sort of its concatenation; the threads reach only the sort's
+    # segments, and past 16 pieces a piece's writes stay below its own bytes
     rec = simulate_ensemble(cfg_for(n0, mode=mode, seed=seed, detector_efficiency=efficiency))
     want = [np.sort(s) for s in concatenated_detector_streams(rec)]
     with mock.patch.object(grids, "thread_count", lambda: threads):
@@ -319,29 +320,62 @@ def test_chunked_streams_equal_the_concatenated_oracle(n0, seed, efficiency, mod
 
 @pytest.mark.parametrize("mode", ["sequential", "independent"])
 def test_sorted_streams_do_not_depend_on_the_order_of_a_wave(monkeypatch, mode):
-    # the threads may fill a wave's pieces in any order: every spread pass
-    # here runs its items last to first, on one thread, and returns their
-    # results in order, so a wave whose writes reached a piece not yet read
-    # would show
+    # the one spread pass of the stage is the sort's segments, which the
+    # threads may sort in any order: here it runs its items last to first,
+    # on one thread, and returns their results in order, so a segment that
+    # read another's items would show
     rec = simulate_ensemble(cfg_for(16 * CHUNK_MOLECULES + 7, mode=mode, seed=29, detector_efficiency=0.7))
     want = [np.sort(s) for s in concatenated_detector_streams(rec)]
     monkeypatch.setattr(grids, "spread", lambda work, items, threads: [work(item) for item in items[::-1]][::-1])
     assert [s.tobytes() for s in sorted_detector_streams(rec)] == [s.tobytes() for s in want]
 
 
-@pytest.mark.parametrize("n0", [1, 2, 3, 17, CHUNK_MOLECULES + 1])
-def test_sorted_streams_of_zero_times_read_plus_zero(n0):
-    # times of 0.0 on both detectors: detector 2's are negated to -0.0 and
-    # sorted among detector 1's +0.0, and each stream comes out +0.0, as
-    # np.sort of it
+def test_detector_streams_fill_in_one_ordered_pass(monkeypatch):
+    # the fill takes the pieces in order on the calling thread: on 7 CPUs
+    # the stage's one spread call is the sort's 7 segments
+    monkeypatch.setattr(grids, "usable_cpus", lambda: 7)
+    rec = simulate_ensemble(cfg_for(16 * CHUNK_MOLECULES + 7, seed=31, detector_efficiency=0.7))
+    spread, calls = grids.spread, []
+
+    def counted(work, items, threads):
+        calls.append(len(items))
+        return spread(work, items, threads)
+
+    monkeypatch.setattr(grids, "spread", counted)
+    sorted_detector_streams(rec)
+    assert calls == [7]
+
+
+#: the smallest piece, which every n0 below 2^18 takes
+PIECE = pieces(1)[0].step
+#: +0.0 and a few positive times, so that ties fall within a detector and
+#: across the two
+_TIE_TIMES = st.lists(st.sampled_from([0.0, 1e-9, 2.5, 7.0]), min_size=1, max_size=24)
+
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 17, PIECE - 1, PIECE + 1, CHUNK_MOLECULES + 1, 16 * PIECE + 7])
+@settings(max_examples=15, deadline=None)
+@given(
+    fates=st.lists(st.integers(0, 15), min_size=1, max_size=24),
+    t_f=_TIE_TIMES,
+    t_s=_TIE_TIMES,
+    threads=st.integers(1, 7),
+)
+# times of 0.0 on both detectors, both photons kept and the detector bits
+# through their four values: detector 2's zeros are sorted as -0.0, after
+# detector 1's +0.0, and each stream comes out +0.0, as np.sort of it
+@example(fates=[FATE_KEEP_FIRST | FATE_KEEP_SECOND | k for k in range(4)], t_f=[0.0], t_s=[0.0, 2.5], threads=2)
+def test_sorted_streams_of_zero_times_read_plus_zero(n0, fates, t_f, t_s, threads):
+    # hand-built records whose fates and times repeat with their own periods
     rec = np.zeros(n0, dtype=EMISSION_DTYPE)
-    rec["t_s"][1::2] = 2.5
-    # both photons kept; the detector bits run through their four values
-    rec["fates"] = FATE_KEEP_FIRST | FATE_KEEP_SECOND | np.arange(n0) % 4
+    rec["fates"] = np.resize(np.array(fates, np.uint8), n0)
+    rec["t_f"] = np.resize(t_f, n0)
+    rec["t_s"] = np.resize(t_s, n0)
     want = [np.sort(s) for s in concatenated_detector_streams(rec)]
-    assert [np.count_nonzero(s == 0) > 0 for s in want] == [True, n0 > 1]
-    got = sorted_detector_streams(rec)
+    with mock.patch.object(grids, "thread_count", lambda: threads):
+        got = sorted_detector_streams(rec)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    assert all(np.shares_memory(s, rec) for s in got if s.size)
 
 
 def test_thread_pool_stress_keeps_records_byte_identical(monkeypatch):

@@ -483,12 +483,11 @@ def test_event_stage_peak_memory(tmp_path, monkeypatch):
 def test_event_stage_peak_memory_on_many_cpus(tmp_path, monkeypatch):
     # on 32 threads each MLE fit still counts into one shared table of
     # buckets, the detection pass into one table set, and the stream stage
-    # fills pieces in waves of one piece per thread.  What grows with the
-    # threads is a piece's temporaries per thread in the passes long
-    # enough to spread (`eventsim.pieces`: 16 threads over pieces of 2^13
-    # molecules at 10^6): the detection pass's (with a bincount each) and
-    # the stream fill's, 19.1 B/molecule in all (19.5 with a table set per
-    # thread)
+    # fills one piece at a time on the calling thread, with no piece copy.
+    # What grows with the threads is the detection pass's piece
+    # temporaries, a bincount each, per thread (`eventsim.pieces`: 16
+    # threads over pieces of 2^13 molecules at 10^6): 19.1 B/molecule in
+    # all (19.5 with a table set per thread)
     monkeypatch.setattr(grids, "usable_cpus", lambda: 64)
     assert grids.thread_count() == grids.ROWS_IN_FLIGHT
     n0 = 10**6
@@ -513,11 +512,11 @@ def test_detection_pass_counts_into_one_table_set_on_many_cpus(monkeypatch):
 
 def test_detector_stream_stage_holds_no_stream_of_its_own(monkeypatch):
     # both streams are written, sorted and fitted inside the records' own
-    # bytes: above the records, a piece's temporaries and a copy of one
-    # piece while the writes reach it, 0.4 MiB at 10^6 on 2 CPUs
+    # bytes: above the records, the temporaries of the one piece being
+    # filled, on the calling thread, 0.46 MiB at 10^6 on 2 CPUs
     monkeypatch.setattr(grids, "usable_cpus", lambda: 2)
     records = simulate_ensemble(ExperimentConfig(n0=10**6, seed=17))
-    assert traced_peak(lambda: pipeline._detector_fits(records)) <= 2 * 2**20
+    assert traced_peak(lambda: pipeline._detector_fits(records)) <= 2**20
 
 
 def test_events_writer_peak_does_not_grow_with_n0(tmp_path, monkeypatch):
